@@ -39,32 +39,12 @@ def _header(kind: str, fields: dict, timestamp: bool) -> list[str]:
 
 def _load_graph_adjacency(path: str) -> list[list[int]]:
     """Undirected graph from a `u v` edge list; vertex count is 1 + max id."""
-    edges = []
-    nv = 0
-    for lineno, raw in inst_mod._iter_lines(path):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise inst_mod.ParseError(
-                f"line {lineno}: expected 2 fields, got {len(tokens)}")
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise inst_mod.ParseError(f"line {lineno}: non-integer token") from None
-        if u < 0 or v < 0:
-            raise inst_mod.ParseError(f"line {lineno}: negative id")
-        edges.append((u, v))
-        nv = max(nv, u + 1, v + 1)
-    if not edges:
-        raise ValueError("empty instance")
-    adjacency = [[] for _ in range(nv)]
-    for u, v in edges:
-        if u == v:
-            continue
-        adjacency[u].append(v)
-        adjacency[v].append(u)
+    rows, _ = inst_mod._read_table(path, 2)
+    adjacency = [[] for _ in range(int(rows.max()) + 1)]
+    for u, v in rows.tolist():
+        if u != v:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
     return adjacency
 
 

@@ -8,6 +8,7 @@ Instances are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -293,58 +294,182 @@ def stats(instance: CoverageInstance) -> InstanceStats:
 # ---------------------------------------------------------------------------
 # Edge-list text format
 #
-# One edge per line: `<set-id> <element-id>`, whitespace separated, with
-# optional `#`-prefixed comment lines.  Weighted variants carry a third
-# integer column (the element weight, or the numerator of alpha*U together
-# with a `#U <int>` header line).
+# One edge per line: `<set-id> <element-id>`, separated by spaces or tabs, with
+# optional full-line `#` comments.  Lines end in LF, CRLF or CR.  Weighted
+# variants carry a third integer column (the element weight, or the numerator
+# of alpha*U together with a `#U <int>` header line).  Every integer is a run
+# of ASCII digits with a value of at most 2**31 - 1.
 # ---------------------------------------------------------------------------
+
+_MAX_VALUE = 2**31 - 1
+# np.fromstring saturates silently past int64; 18 digits always fit.
+_MAX_DIGITS = 18
+# Rows formatted per block by the writer.
+_WRITE_BLOCK = 1 << 16
+
+
+def _read_bytes(source) -> bytes:
+    """Raw content of a path, bytes, or binary or text file object."""
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as fh:
+            return fh.read()
+    if isinstance(source, bytes):
+        return source
+    if hasattr(source, "read"):
+        data = source.read()
+        return data.encode("utf-8") if isinstance(data, str) else data
+    raise TypeError("source must be a path, bytes, or file object")
 
 
 def _iter_lines(source):
     """Yield (lineno, text) from a path, byte/str content wrapper, or file."""
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            data = fh.read()
-    elif isinstance(source, bytes):
-        data = source
-    elif hasattr(source, "read"):
-        data = source.read()
-    else:
-        raise TypeError("source must be a path, bytes, or file object")
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    for i, line in enumerate(data.splitlines(), start=1):
+    text = _read_bytes(source).decode("utf-8")
+    for i, line in enumerate(text.splitlines(), start=1):
         yield i, line
 
 
-def _parse_rows(source, columns):
-    """Parse integer rows of fixed width; returns (rows, headers)."""
-    rows = []
-    headers = {}
-    for lineno, raw in _iter_lines(source):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            tokens = line[1:].split()
-            if len(tokens) == 2 and tokens[0] == "U":
-                try:
-                    headers["U"] = int(tokens[1])
-                except ValueError:
-                    raise ParseError(f"line {lineno}: bad #U header") from None
-            continue
-        tokens = line.split()
-        if len(tokens) != columns:
-            raise ParseError(
-                f"line {lineno}: expected {columns} fields, got {len(tokens)}")
-        try:
-            row = [int(t) for t in tokens]
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer token") from None
-        if row[0] < 0 or row[1] < 0:
-            raise ParseError(f"line {lineno}: negative id")
-        rows.append(row)
-    return rows, headers
+def _line_number(buf: np.ndarray, pos: int) -> int:
+    """1-based line of byte ``pos``; LF, CR and CRLF each end one line."""
+    lf, cr = buf[:pos] == ord("\n"), buf[:pos] == ord("\r")
+    crlf = np.count_nonzero(cr[:-1] & lf[1:])
+    return 1 + int(np.count_nonzero(lf) + np.count_nonzero(cr) - crlf)
+
+
+def _strip_comments(data: bytes, buf: np.ndarray, bounds: np.ndarray):
+    """Blank full-line `#` comments; returns (buffer, headers, bad).
+
+    ``bad`` is the position of the `#` of the first malformed `#U` header, or
+    None; the caller reports it only if no data line before it is malformed.
+
+    ``bounds`` holds -1, the position of every LF and CR byte, and the length
+    of the data, so line ``i`` spans ``bounds[i] + 1 .. bounds[i + 1]``.
+    """
+    hashes = np.flatnonzero(buf == ord("#"))
+    headers, bad = {}, None
+    if not hashes.size:
+        return buf, headers, bad
+    line = np.searchsorted(bounds, hashes) - 1
+    first = np.flatnonzero(np.diff(line, prepend=-1))  # first `#` per line
+    hashes, line = hashes[first], line[first]
+    starts, ends = bounds[line] + 1, bounds[line + 1]
+    # A comment's `#` is preceded on its line by spaces and tabs only.  The
+    # ranges [start, hash) are disjoint, so one reduceat checks them all.
+    blank = (buf == ord(" ")) | (buf == ord("\t"))
+    lead = np.logical_and.reduceat(
+        blank, np.column_stack((starts, hashes)).ravel())[0::2]
+    lead |= starts == hashes
+    hashes, starts, ends = hashes[lead], starts[lead], ends[lead]
+    # Only a comment line holding a `U` byte can be a `#U` header.
+    u_lines = np.searchsorted(bounds, np.flatnonzero(buf == ord("U")))
+    maybe_u = np.isin(np.searchsorted(bounds, hashes), u_lines)
+    for h, end in zip(hashes[maybe_u].tolist(), ends[maybe_u].tolist()):
+        tokens = data[h + 1:end].split()
+        if len(tokens) == 2 and tokens[0] == b"U":
+            u = tokens[1]
+            if not (u.isdigit() and len(u) <= _MAX_DIGITS
+                    and int(u) <= _MAX_VALUE):
+                bad = h
+                break
+            headers["U"] = int(u)
+    if hashes.size:
+        lo, hi = starts[0], ends[-1]
+        inside = np.zeros(hi - lo + 1, dtype=np.int8)
+        inside[starts - lo] = 1
+        inside[ends - lo] = -1
+        buf = buf.copy()
+        buf[lo:hi][np.cumsum(inside[:-1], dtype=np.int8) > 0] = ord(" ")
+    return buf, headers, bad
+
+
+def _line_error(buf: np.ndarray, bounds: np.ndarray, pos: int,
+                columns: int) -> ParseError:
+    """Describe what is wrong with the line holding byte ``pos``."""
+    i = int(np.searchsorted(bounds, pos)) - 1
+    text = buf[bounds[i] + 1:bounds[i + 1]].tobytes()
+    tokens = [t for t in text.replace(b"\t", b" ").split(b" ") if t]
+    where = f"line {_line_number(buf, pos)}"
+    if len(tokens) != columns:
+        return ParseError(f"{where}: expected {columns} fields, "
+                          f"got {len(tokens)}")
+    for col, tok in enumerate(tokens):
+        if not tok.isdigit():
+            if tok[:1] == b"-" and tok[1:].isdigit():
+                return ParseError(f"{where}: negative "
+                                  f"{'id' if col < 2 else 'value'}")
+            return ParseError(f"{where}: non-integer token")
+    return ParseError(f"{where}: integer out of range (max {_MAX_VALUE})")
+
+
+def _read_table(source, columns: int):
+    """Parse rows of ``columns`` integers; returns (rows, headers).
+
+    ``rows`` is an ``(r, columns)`` int64 array in file order and
+    ``headers`` holds the value of a `#U <int>` comment, if any.  The whole
+    input is checked and converted with array operations; a ParseError names
+    the first malformed line, and an input without rows is an empty instance.
+    """
+    data = _read_bytes(source)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    newline = (buf == ord("\n")) | (buf == ord("\r"))
+    bounds = np.concatenate(([-1], np.flatnonzero(newline), [buf.size]))
+    buf, headers, bad_header = _strip_comments(data, buf, bounds)
+    sep = newline | (buf == ord(" ")) | (buf == ord("\t"))
+    digit = (buf - np.uint8(ord("0"))) < 10
+    # Token boundaries alternate start, end.
+    flips = np.flatnonzero(np.diff(sep, prepend=True, append=True))
+    starts, ends = flips[0::2], flips[1::2]
+    counts = np.diff(np.searchsorted(starts, bounds))
+    # Everything before the first bad line is well-formed and gets parsed,
+    # so an out-of-range value on an earlier line is still reported first.
+    bad = np.concatenate((
+        bounds[np.flatnonzero((counts != 0) & (counts != columns))[:1]] + 1,
+        np.flatnonzero(~(sep | digit))[:1],
+        starts[np.flatnonzero(ends - starts > _MAX_DIGITS)[:1]]))
+    stop, first = buf.size, None
+    if bad.size:
+        first = int(bad.min())
+        stop = int(bounds[np.searchsorted(bounds, first) - 1]) + 1
+    ntok = int(np.searchsorted(starts, stop))
+    values = (np.fromstring(buf[:stop].tobytes(), dtype=np.int64, sep=" ")
+              if ntok else np.empty(0, dtype=np.int64))
+    big = np.flatnonzero(values > _MAX_VALUE)
+    if big.size:
+        first = int(starts[big[0]])
+    # A bad `#U` header is an error of its own line, so the earlier one wins.
+    if bad_header is not None and (first is None or bad_header < first):
+        raise ParseError(f"line {_line_number(buf, bad_header)}: "
+                         "bad #U header")
+    if first is not None:
+        raise _line_error(buf, bounds, first, columns)
+    if not values.size:
+        raise ValueError("empty instance")
+    return values.reshape(-1, columns), headers
+
+
+def _write_rows(sink, head: list[str], *columns: np.ndarray) -> str | None:
+    """Write header lines, then one line of space-separated integers per row.
+
+    Returns the text when ``sink`` is None; otherwise writes it to the path
+    or file object ``sink``.  Rows are formatted a block at a time, so the
+    Python strings alive at once stay bounded by the block, not the input.
+    """
+    row = " ".join(["%d"] * len(columns))
+    size = len(columns[0])
+    # With neither header nor rows the text is a single newline.
+    first = "".join(f"{h}\n" for h in head) or ("" if size else "\n")
+    pieces = itertools.chain([first], (
+        "\n".join(map(row.__mod__, zip(
+            *(c[lo:lo + _WRITE_BLOCK].tolist() for c in columns)))) + "\n"
+        for lo in range(0, size, _WRITE_BLOCK)))
+    if sink is None:
+        return "".join(pieces)
+    if hasattr(sink, "write"):
+        for piece in pieces:
+            sink.write(piece)
+    else:
+        with open(sink, "w") as fh:
+            fh.writelines(pieces)
+    return None
 
 
 def load_edge_list(source) -> CoverageInstance:
@@ -353,13 +478,9 @@ def load_edge_list(source) -> CoverageInstance:
     ``n`` and ``m`` are one past the largest ids seen; ids are positional and
     never compacted.  Duplicate edges are deduplicated.
     """
-    rows, _ = _parse_rows(source, 2)
-    if not rows:
-        raise ValueError("empty instance")
-    arr = np.asarray(rows, dtype=np.int64)
-    n = int(arr[:, 0].max()) + 1
-    m = int(arr[:, 1].max()) + 1
-    return CoverageInstance.from_edges(n, m, arr[:, 0], arr[:, 1])
+    rows, _ = _read_table(source, 2)
+    n, m = (rows.max(axis=0) + 1).tolist()
+    return CoverageInstance.from_edges(n, m, rows[:, 0], rows[:, 1])
 
 
 def loads_edge_list(text: str) -> CoverageInstance:
@@ -370,17 +491,8 @@ def loads_edge_list(text: str) -> CoverageInstance:
 def serialize_edge_list(instance: CoverageInstance, sink=None,
                         header_lines=()) -> str | None:
     """Write the canonical (set-major) edge list; returns text if sink is None."""
-    parts = [f"#{h}" if not h.startswith("#") else h for h in header_lines]
-    set_ids, elem_ids = instance.edges()
-    parts.extend(f"{s} {e}" for s, e in zip(set_ids.tolist(), elem_ids.tolist()))
-    text = "\n".join(parts) + "\n"
-    if sink is None:
-        return text
-    if isinstance(sink, (str, Path)):
-        Path(sink).write_text(text)
-    else:
-        sink.write(text)
-    return None
+    head = [h if h.startswith("#") else f"#{h}" for h in header_lines]
+    return _write_rows(sink, head, *instance.edges())
 
 
 def load_weighted_edge_list(source) -> WeightedInstance:
@@ -389,55 +501,42 @@ def load_weighted_edge_list(source) -> WeightedInstance:
     Every edge of an element must repeat the same weight.  ``U`` defaults to
     the maximum weight and may be declared with a `#U <int>` header.
     """
-    rows, headers = _parse_rows(source, 3)
-    if not rows:
-        raise ValueError("empty instance")
-    arr = np.asarray(rows, dtype=np.int64)
-    n = int(arr[:, 0].max()) + 1
-    m = int(arr[:, 1].max()) + 1
-    base = CoverageInstance.from_edges(n, m, arr[:, 0], arr[:, 1])
+    rows, headers = _read_table(source, 3)
+    n, m, _ = (rows.max(axis=0) + 1).tolist()
+    s, e, w = rows.T
+    base = CoverageInstance.from_edges(n, m, s, e)
+    # The first row in file order whose weight is below 1 or differs from the
+    # weight the previous edge of its element gave is reported.
+    order = np.argsort(e, kind="stable")
+    differs = ((e[order[1:]] == e[order[:-1]])
+               & (w[order[1:]] != w[order[:-1]]))
+    bad = np.concatenate((np.flatnonzero(w < 1), order[1:][differs]))
+    if bad.size:
+        i = int(bad.min())
+        if w[i] < 1:
+            raise ValueError(f"element {e[i]}: weight must be >= 1")
+        raise ValueError(f"element {e[i]}: conflicting weights")
     weight = np.ones(m, dtype=np.int64)
-    seen = np.zeros(m, dtype=bool)
-    for s, e, w in rows:
-        if w < 1:
-            raise ValueError(f"element {e}: weight must be >= 1")
-        if seen[e] and weight[e] != w:
-            raise ValueError(f"element {e}: conflicting weights")
-        weight[e] = w
-        seen[e] = True
+    weight[e] = w
     U = headers.get("U", int(weight.max()))
     return WeightedInstance(base, weight, U)
 
 
 def serialize_weighted_edge_list(winst: WeightedInstance, sink=None,
                                  header_lines=()) -> str | None:
-    parts = [f"#{h}" for h in header_lines]
-    parts.append(f"#U {winst.U}")
+    head = [f"#{h}" for h in header_lines] + [f"#U {winst.U}"]
     set_ids, elem_ids = winst.base.edges()
-    w = winst.element_weight
-    parts.extend(f"{s} {e} {w[e]}"
-                 for s, e in zip(set_ids.tolist(), elem_ids.tolist()))
-    text = "\n".join(parts) + "\n"
-    if sink is None:
-        return text
-    if isinstance(sink, (str, Path)):
-        Path(sink).write_text(text)
-    else:
-        sink.write(text)
-    return None
+    return _write_rows(sink, head, set_ids, elem_ids,
+                       winst.element_weight[elem_ids])
 
 
 def _load_alpha_edge_list(source, cls):
-    rows, headers = _parse_rows(source, 3)
-    if not rows:
-        raise ValueError("empty instance")
+    rows, headers = _read_table(source, 3)
     if "U" not in headers:
         raise ParseError("missing #U header for fractional coverage values")
-    U = headers["U"]
-    arr = np.asarray(rows, dtype=np.int64)
-    n = int(arr[:, 0].max()) + 1
-    m = int(arr[:, 1].max()) + 1
-    return cls.from_edges(n, m, arr[:, 0], arr[:, 1], arr[:, 2], U)
+    n, m, _ = (rows.max(axis=0) + 1).tolist()
+    return cls.from_edges(n, m, rows[:, 0], rows[:, 1], rows[:, 2],
+                          headers["U"])
 
 
 def load_fractional_edge_list(source) -> FractionalInstance:
@@ -452,21 +551,8 @@ def load_probabilistic_edge_list(source) -> ProbabilisticInstance:
 
 def serialize_fractional_edge_list(finst: FractionalInstance, sink=None,
                                    header_lines=()) -> str | None:
-    parts = [f"#{h}" for h in header_lines]
-    parts.append(f"#U {finst.U}")
-    set_ids, elem_ids = finst.base.edges()
-    numer = finst.numer_set_order
-    parts.extend(
-        f"{s} {e} {a}" for s, e, a in
-        zip(set_ids.tolist(), elem_ids.tolist(), numer.tolist()))
-    text = "\n".join(parts) + "\n"
-    if sink is None:
-        return text
-    if isinstance(sink, (str, Path)):
-        Path(sink).write_text(text)
-    else:
-        sink.write(text)
-    return None
+    head = [f"#{h}" for h in header_lines] + [f"#U {finst.U}"]
+    return _write_rows(sink, head, *finst.base.edges(), finst.numer_set_order)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .instance import (
     FractionalInstance,
     ProbabilisticInstance,
     WeightedInstance,
+    _write_rows,
 )
 
 __all__ = [
@@ -526,14 +527,4 @@ def serialize_sketch(sk: Sketch, sink=None) -> str | None:
                 f"delta={p.delta!r}")
     parts = [head, f"#original_m {sk.original_m}",
              "#selected " + " ".join(map(str, sk.selected_elements.tolist()))]
-    set_ids, elem_ids = sk.instance.edges()
-    parts.extend(f"{s} {e}" for s, e in zip(set_ids.tolist(), elem_ids.tolist()))
-    text = "\n".join(parts) + "\n"
-    if sink is None:
-        return text
-    if hasattr(sink, "write"):
-        sink.write(text)
-    else:
-        from pathlib import Path
-        Path(sink).write_text(text)
-    return None
+    return _write_rows(sink, parts, *sk.instance.edges())

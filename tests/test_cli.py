@@ -107,6 +107,16 @@ class TestSketchCommand:
         want = sk.edge_count / inst.edge_count
         assert f"ratio={want:.4f}" in stdout
 
+    def test_huge_id_is_parse_error(self, tmp_path, capsys):
+        inp = tmp_path / "inst.txt"
+        inp.write_text("0 1000000000000\n")
+        code, _, err = run(
+            ["sketch", "--in", str(inp), "--out", str(tmp_path / "sk.txt"),
+             "--rho", "1", "--sigma", "1"], capsys)
+        assert code == 1
+        assert "line 1: integer out of range" in err
+        assert "Traceback" not in err
+
     def test_theory_k_too_large_is_error(self, tmp_path, capsys):
         inp = tmp_path / "inst.txt"
         inp.write_text("0 0\n1 1\n")

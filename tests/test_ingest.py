@@ -1,0 +1,339 @@
+"""Edge-list ingest against a per-line reference parser.
+
+The loaders parse the whole input with array operations.  The reference
+below reads the same format one line at a time and is the specification the
+properties hold the loaders to: rows, headers and the line an error names
+must agree on every input.
+"""
+
+import io
+import re
+import time
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from coversketch import CoverageInstance, ParseError, load_edge_list, \
+    loads_edge_list
+from coversketch import instance as instance_mod
+from coversketch.cli import _load_graph_adjacency, main
+from coversketch.instance import FractionalInstance, WeightedInstance, \
+    _read_table, load_weighted_edge_list, serialize_edge_list, \
+    serialize_fractional_edge_list, serialize_weighted_edge_list
+from coversketch.sketch import HashSource, build_sketch, practical_params, \
+    serialize_sketch
+
+_LINE_END = re.compile(rb"\r\n|\r|\n")
+_TOKEN = re.compile(rb"[0-9]{1,18}")
+_MAX_VALUE = 2**31 - 1
+
+
+def _integer(token: bytes) -> bool:
+    return bool(_TOKEN.fullmatch(token)) and int(token) <= _MAX_VALUE
+
+
+def reference_parse(data: bytes, columns: int):
+    """Per-line parser of the edge-list format; returns (rows, headers)."""
+    rows, headers = [], {}
+    for lineno, raw in enumerate(_LINE_END.split(data), start=1):
+        line = raw.strip(b" \t")
+        if not line:
+            continue
+        if line.startswith(b"#"):
+            tokens = line[1:].split()
+            if len(tokens) == 2 and tokens[0] == b"U":
+                if not _integer(tokens[1]):
+                    raise ParseError(f"line {lineno}: bad #U header")
+                headers["U"] = int(tokens[1])
+            continue
+        tokens = [t for t in line.replace(b"\t", b" ").split(b" ") if t]
+        if len(tokens) != columns or not all(map(_integer, tokens)):
+            raise ParseError(f"line {lineno}: malformed")
+        rows.append([int(t) for t in tokens])
+    if not rows:
+        raise ValueError("empty instance")
+    return rows, headers
+
+
+def _outcome(parse, data, columns):
+    """(rows, headers) on success, else the line named by the ParseError."""
+    try:
+        rows, headers = parse(data, columns)
+    except ParseError as exc:
+        return re.match(r"line (\d+):", str(exc)).group(1)
+    except ValueError as exc:
+        return str(exc)
+    return np.asarray(rows, dtype=np.int64).tolist(), headers
+
+
+_blank = st.text(alphabet=" \t", max_size=2)
+_sep = st.text(alphabet=" \t", min_size=1, max_size=2)
+_small = st.one_of(st.integers(0, 40).map(str),
+                   st.integers(0, 40).map(lambda v: f"00{v}"))
+# The parser alone allocates nothing by id, so it also gets the largest id.
+_number = st.one_of(_small, st.just(str(_MAX_VALUE)))
+
+
+@st.composite
+def _data_line(draw, columns, number):
+    tokens = draw(st.lists(number, min_size=columns, max_size=columns))
+    seps = draw(st.lists(_sep, min_size=columns - 1, max_size=columns - 1))
+    body = tokens[0] + "".join(s + t for s, t in zip(seps, tokens[1:]))
+    return draw(_blank) + body + draw(_blank)
+
+
+_comment = st.builds(
+    lambda lead, text: lead + "#" + text, _blank,
+    st.text(alphabet="abU #\t0123456789", max_size=12))
+_header = st.builds(lambda a, b, u: f"#{a}U{b}{u}", _blank, _sep,
+                    st.integers(1, 99))
+
+
+@st.composite
+def edge_file(draw, columns, number=_number):
+    """Edge-list bytes plus the 0-based indices of its data lines."""
+    kinds = draw(st.lists(st.sampled_from("ddddcbh"), min_size=1,
+                          max_size=25))
+    lines, data_lines = [], []
+    for i, kind in enumerate(kinds):
+        if kind == "d":
+            data_lines.append(i)
+            lines.append(draw(_data_line(columns, number)))
+        elif kind == "c":
+            lines.append(draw(_comment))
+        elif kind == "h":
+            lines.append(draw(_header))
+        else:
+            lines.append(draw(_blank))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return lines, ends, data_lines
+
+
+def _join(lines, ends) -> bytes:
+    return "".join(a + b for a, b in zip(lines, ends)).encode("utf-8")
+
+
+_BAD_TOKENS = ["x", "-1", "+5", "1.5", "1_0", "\u0663", "0x1", "9" * 19,
+               str(_MAX_VALUE + 1), "1000000000000", "1\x0b2", "1\x0c2",
+               "1\u20282", "1#", "1 2"]
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("columns", [2, 3])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_files_agree(self, columns, data):
+        lines, ends, _ = data.draw(edge_file(columns))
+        raw = _join(lines, ends)
+        assert _outcome(_read_table, raw, columns) == \
+            _outcome(reference_parse, raw, columns)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_edge_list_loader_agrees(self, data):
+        # Small ids only: the instance allocates arrays of size max id + 1.
+        lines, ends, _ = data.draw(edge_file(2, _small))
+        raw = _join(lines, ends)
+        try:
+            rows, _ = reference_parse(raw, 2)
+        except ValueError:
+            with pytest.raises(ValueError):
+                load_edge_list(raw)
+            return
+        arr = np.asarray(rows, dtype=np.int64)
+        want = CoverageInstance.from_edges(
+            arr[:, 0].max() + 1, arr[:, 1].max() + 1, arr[:, 0], arr[:, 1])
+        assert load_edge_list(raw) == want
+
+    @pytest.mark.parametrize("columns", [2, 3])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_one_token_mutation_names_same_line(self, columns, data):
+        lines, ends, data_lines = data.draw(edge_file(columns))
+        if not data_lines:
+            lines.insert(0, "0" + " 1" * (columns - 1))
+            ends.insert(0, "\n")
+            data_lines = [0]
+        i = data.draw(st.sampled_from(data_lines))
+        tokens = lines[i].split()
+        j = data.draw(st.integers(0, columns - 1))
+        action = data.draw(st.sampled_from(["replace", "drop", "extra"]))
+        if action == "replace":
+            tokens[j] = data.draw(st.sampled_from(_BAD_TOKENS))
+        elif action == "drop":
+            del tokens[j]
+        else:
+            tokens.insert(j, "7")
+        lines[i] = " ".join(tokens)
+        raw = _join(lines, ends)
+        want = _outcome(reference_parse, raw, columns)
+        assert isinstance(want, str) and want.isdigit()
+        assert _outcome(_read_table, raw, columns) == want
+
+
+class TestIngestContract:
+    def test_messages(self):
+        cases = [(b"0 x\n", "line 1: non-integer token"),
+                 (b"0 1\n2\n", "line 2: expected 2 fields, got 1"),
+                 (b"0 1\r\n\r\n0 -1\r\n", "line 3: negative id"),
+                 (b"0 1\r2 3\r\r0 +5", "line 4: non-integer token"),
+                 (b"#U x\n0 1\n", "line 1: bad #U header"),
+                 (b"0 1 # trailing\n", "line 1: expected 2 fields, got 4"),
+                 (b"0 2147483648\n", "line 1: integer out of range")]
+        for raw, message in cases:
+            with pytest.raises(ParseError, match=re.escape(message)):
+                load_edge_list(raw)
+
+    def test_first_bad_line_wins_across_kinds(self):
+        with pytest.raises(ParseError, match="line 2: integer out of range"):
+            load_edge_list(b"0 1\n0 99999999999\n0 x\n")
+        with pytest.raises(ParseError, match="line 2: non-integer"):
+            load_edge_list(b"0 1\n0 x\n0 99999999999\n")
+        with pytest.raises(ParseError, match="line 2: non-integer"):
+            load_edge_list(b"0 1\n0 x\n#U x\n")
+        with pytest.raises(ParseError, match="line 2: bad #U header"):
+            load_edge_list(b"0 1\n#U x\n0 x\n")
+
+    def test_largest_id_accepted_by_parser(self):
+        rows, _ = _read_table(b"0 2147483647\n", 2)
+        assert rows.tolist() == [[0, 2147483647]]
+
+    def test_source_kinds_agree(self, tmp_path):
+        text = "# c\n3 1\r\n0 0\n\n 0\t5 \n2 3"
+        path = tmp_path / "inst.txt"
+        path.write_bytes(text.encode())
+        want = loads_edge_list(text)
+        assert want.n == 4 and want.m == 6
+        for source in (str(path), path, text.encode(),
+                       io.BytesIO(text.encode()), io.StringIO(text)):
+            assert load_edge_list(source) == want
+        with pytest.raises(TypeError):
+            load_edge_list(123)
+
+    def test_long_hash_comment_is_linear(self):
+        raw = b"#" * 1_000_000 + b"\n0 1\n"
+        start = time.perf_counter()
+        inst = load_edge_list(raw)
+        assert time.perf_counter() - start < 1.0
+        assert inst.edge_count == 1
+
+    def test_many_comment_lines(self):
+        raw = b"# note\n" * 100_000 + b"#U 3\n0 1\n"
+        start = time.perf_counter()
+        rows, headers = _read_table(raw, 2)
+        assert time.perf_counter() - start < 1.0
+        assert rows.tolist() == [[0, 1]] and headers == {"U": 3}
+
+
+def reference_weights(rows, m):
+    """The per-row weight check, in file order."""
+    weight = np.ones(m, dtype=np.int64)
+    seen = np.zeros(m, dtype=bool)
+    for _, e, w in rows:
+        if w < 1:
+            raise ValueError(f"element {e}: weight must be >= 1")
+        if seen[e] and weight[e] != w:
+            raise ValueError(f"element {e}: conflicting weights")
+        weight[e] = w
+        seen[e] = True
+    return weight
+
+
+class TestWeightedLoader:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 5),
+                              st.integers(0, 3)), min_size=1, max_size=30))
+    def test_weight_checks_match_row_loop(self, rows):
+        raw = "".join(f"{s} {e} {w}\n" for s, e, w in rows).encode()
+        m = max(e for _, e, _ in rows) + 1
+        try:
+            want = reference_weights(rows, m)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                load_weighted_edge_list(raw)
+            return
+        assert load_weighted_edge_list(raw).element_weight.tolist() == \
+            want.tolist()
+
+
+def reference_adjacency(rows):
+    nv = max(max(u, v) for u, v in rows) + 1
+    adjacency = [set() for _ in range(nv)]
+    for u, v in rows:
+        if u != v:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+    return adjacency
+
+
+class TestGraphLoader:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
+                    min_size=1, max_size=30))
+    def test_neighbor_sets(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("g") / "graph.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in rows))
+        got = _load_graph_adjacency(str(path))
+        assert [set(a) for a in got] == reference_adjacency(rows)
+
+    @pytest.mark.parametrize("text,message", [
+        ("0 1\n1 x\n", "line 2: non-integer token"),
+        ("0 1 2\n", "line 1: expected 2 fields, got 3"),
+        ("0 -1\n", "line 1: negative id"),
+        ("# only\n", "empty instance")])
+    def test_khop_bad_graph_exits_one(self, tmp_path, capsys, text, message):
+        graph = tmp_path / "graph.txt"
+        graph.write_text(text)
+        code = main(["generate", "khop", "--graph", str(graph), "--hops",
+                     "1", "--out", str(tmp_path / "out.txt")])
+        err = capsys.readouterr().err
+        assert code == 1 and message in err and "Traceback" not in err
+
+
+def reference_text(head, *columns):
+    """The writers' format: header lines, then one f-string per row."""
+    rows = (" ".join(map(str, r)) for r in zip(*(c.tolist() for c in columns)))
+    return "\n".join([*head, *rows]) + "\n"
+
+
+class TestWriter:
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        # Rows then span several formatting blocks and a partial last one.
+        monkeypatch.setattr(instance_mod, "_WRITE_BLOCK", 2)
+
+    @pytest.mark.parametrize("edges", [0, 1, 2, 5, 12])
+    def test_writers_match_reference(self, tmp_path, edges):
+        rng = np.random.default_rng(edges)
+        inst = CoverageInstance.from_edges(
+            3, 4, rng.integers(0, 3, edges), rng.integers(0, 4, edges))
+        set_ids, elem_ids = inst.edges()
+        weight = rng.integers(1, 5, 4)
+        numer = rng.integers(0, 7, inst.edge_count)
+        winst = WeightedInstance(inst, weight, 9)
+        finst = FractionalInstance.from_edges(3, 4, set_ids, elem_ids, numer, 7)
+        sk = build_sketch(inst, practical_params(1.0, 10), HashSource(1))
+        sk_head = serialize_sketch(sk).split("\n")[:3]
+        cases = [
+            (lambda out: serialize_edge_list(inst, out, ["a", "#b"]),
+             reference_text(["#a", "#b"], set_ids, elem_ids)),
+            (lambda out: serialize_edge_list(inst, out),
+             reference_text([], set_ids, elem_ids)),
+            (lambda out: serialize_weighted_edge_list(winst, out, ["w"]),
+             reference_text(["#w", "#U 9"], set_ids, elem_ids,
+                            weight[elem_ids])),
+            (lambda out: serialize_fractional_edge_list(finst, out),
+             reference_text(["#U 7"], set_ids, elem_ids, numer)),
+            (lambda out: serialize_sketch(sk, out),
+             reference_text(sk_head, *sk.instance.edges())),
+        ]
+        path = tmp_path / "out.txt"
+        for write, want in cases:
+            assert write(None) == want
+            buf = io.StringIO()
+            assert write(buf) is None and buf.getvalue() == want
+            assert write(str(path)) is None and path.read_text() == want
