@@ -215,6 +215,15 @@ class ExperimentSpec:
             raise ValueError("baseline must be stochastic or lazy")
 
 
+# Instance parameters without a default, per instance kind.
+_SPEC_REQUIRED = {
+    "planted": ("k", "m", "kprime", "eps"),
+    "adversarial": ("n", "k", "beta"),
+    "khop": ("graph",),
+    "file": ("path",),
+}
+
+
 def parse_experiment_spec(path) -> ExperimentSpec:
     """Flat `key value` text; grid keys take comma-separated lists.
 
@@ -232,11 +241,14 @@ def parse_experiment_spec(path) -> ExperimentSpec:
             raise inst_mod.ParseError(f"line {lineno}: expected `key value`")
         kv[key.strip()] = value.strip()
     kind = kv.get("instance")
-    if kind not in ("planted", "adversarial", "khop", "file"):
+    if kind not in _SPEC_REQUIRED:
         raise ValueError("spec must name an instance kind "
                          "(planted, adversarial, khop, file)")
     iargs = {k.split(".", 1)[1]: v for k, v in kv.items()
              if k.startswith(kind + ".")}
+    missing = [f"{kind}.{k}" for k in _SPEC_REQUIRED[kind] if k not in iargs]
+    if missing:
+        raise ValueError(f"spec is missing {', '.join(missing)}")
     return ExperimentSpec(
         instance_kind=kind,
         instance_args=iargs,

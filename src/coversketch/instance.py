@@ -48,6 +48,27 @@ def _ceil_exact(x: float) -> int:
     return math.ceil(x - 1e-9)
 
 
+def _check_key_range(*factors: int) -> None:
+    """Raise ValueError unless int64 sort keys below ``prod(factors)`` fit."""
+    if math.prod(factors) > 2**63:
+        raise ValueError(f"sizes {factors} overflow a 64-bit sort key")
+
+
+def _edge_keys(n: int, m: int, set_ids, elem_ids) -> np.ndarray:
+    """Checked edge ids packed as ``set * m + element``, in input order."""
+    _check_key_range(n, m)
+    set_ids = np.asarray(set_ids, dtype=np.int64)
+    elem_ids = np.asarray(elem_ids, dtype=np.int64)
+    if set_ids.shape != elem_ids.shape:
+        raise ValueError("edge arrays must have equal length")
+    if set_ids.size:
+        if set_ids.min() < 0 or set_ids.max() >= n:
+            raise ValueError("set id out of range")
+        if elem_ids.min() < 0 or elem_ids.max() >= m:
+            raise ValueError("element id out of range")
+    return set_ids * m + elem_ids
+
+
 class CoverageInstance:
     """Immutable set/element incidence structure.
 
@@ -101,41 +122,27 @@ class CoverageInstance:
         Ids must lie in ``[0, n)`` and ``[0, m)``.  Duplicate (set, element)
         pairs are collapsed; coverage is set-semantic.
         """
-        n = int(n)
-        m = int(m)
+        n, m = int(n), int(m)
         if n < 1:
             raise ValueError("instance needs at least one set")
-        set_ids = np.asarray(set_ids, dtype=np.int64)
-        elem_ids = np.asarray(elem_ids, dtype=np.int64)
-        if set_ids.shape != elem_ids.shape:
-            raise ValueError("edge arrays must have equal length")
-        if set_ids.size:
-            if set_ids.min() < 0 or set_ids.max() >= n:
-                raise ValueError("set id out of range")
-            if elem_ids.min() < 0 or elem_ids.max() >= m:
-                raise ValueError("element id out of range")
         # Canonical order is (set, element); drop duplicate pairs.
-        order = np.lexsort((elem_ids, set_ids))
-        s = set_ids[order]
-        e = elem_ids[order]
-        if s.size:
-            keep = np.empty(s.size, dtype=bool)
-            keep[0] = True
-            keep[1:] = (s[1:] != s[:-1]) | (e[1:] != e[:-1])
-            s = s[keep]
-            e = e[keep]
-        return cls._from_sorted_pairs(n, m, s, e, element_labels)
+        key = _edge_keys(n, m, set_ids, elem_ids)
+        key.sort()
+        key = key[np.diff(key, prepend=-1) != 0]
+        s, e = np.divmod(key, max(m, 1))
+        del key  # freed before the element-order sort allocates
+        return cls._from_sorted_pairs(n, m, s, e, element_labels)[0]
 
     @classmethod
     def _from_sorted_pairs(cls, n, m, set_ids, elem_ids, element_labels=None):
-        # Assumes pairs already sorted by (set, element) and unique.
+        # Pairs are unique and in (set, element) order: any argsort is exact.
         set_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(set_ids, minlength=n), out=set_indptr[1:])
-        eorder = np.lexsort((set_ids, elem_ids))
+        eorder = np.argsort(elem_ids * n + set_ids)
         elem_indptr = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(np.bincount(elem_ids, minlength=m), out=elem_indptr[1:])
         return cls(n, m, set_indptr, elem_ids, elem_indptr, set_ids[eorder],
-                   element_labels)
+                   element_labels), eorder
 
     def set_elements(self, s: int) -> np.ndarray:
         """Sorted element ids contained in set ``s``."""
@@ -224,24 +231,16 @@ class FractionalInstance:
         Edges must be unique; duplicates are rejected rather than merged since
         they would carry conflicting fractions.
         """
-        set_ids = np.asarray(set_ids, dtype=np.int64)
-        elem_ids = np.asarray(elem_ids, dtype=np.int64)
-        numer = np.asarray(numer, dtype=np.int64)
-        order = np.lexsort((elem_ids, set_ids))
-        s, e, a = set_ids[order], elem_ids[order], numer[order]
-        if s.size > 1 and np.any((s[1:] == s[:-1]) & (e[1:] == e[:-1])):
+        n, m = int(n), int(m)
+        key = _edge_keys(n, m, set_ids, elem_ids)
+        order = np.argsort(key)
+        key = key[order]
+        if np.any(key[1:] == key[:-1]):
             raise ValueError("duplicate edge with fractional coverage")
-        base = CoverageInstance._from_sorted_pairs(int(n), int(m), s, e)
-        eorder = np.lexsort((s, e))
+        s, e = np.divmod(key, max(m, 1))
+        base, eorder = CoverageInstance._from_sorted_pairs(n, m, s, e)
+        a = np.asarray(numer, dtype=np.int64)[order]
         return cls(base, a, a[eorder], int(U))
-
-    @property
-    def alpha_set_order(self) -> np.ndarray:
-        return self.numer_set_order / self.U
-
-    @property
-    def alpha_elem_order(self) -> np.ndarray:
-        return self.numer_elem_order / self.U
 
 
 class ProbabilisticInstance(FractionalInstance):

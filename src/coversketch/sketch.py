@@ -11,6 +11,7 @@ of sets.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ from .instance import (
     FractionalInstance,
     ProbabilisticInstance,
     WeightedInstance,
+    _check_key_range,
     _write_rows,
 )
 
@@ -225,15 +227,12 @@ class Sketch:
 def _select_elements(hashes: np.ndarray, capped: np.ndarray,
                      params: SketchParams) -> np.ndarray:
     """Indices kept by the sampling rule, in selection order."""
-    ids = np.arange(len(hashes), dtype=np.int64)
     if params.mode == "practical":
-        return ids[hashes < params.rho]
-    order = np.lexsort((ids, hashes))  # by hash, ties by smaller id
+        return np.flatnonzero(hashes < params.rho)
+    order = np.argsort(hashes, kind="stable")  # by hash, ties by smaller id
+    # Every element when their capped mass stays below n_tilde.
     cum = np.cumsum(capped[order])
-    if len(cum) == 0 or cum[-1] < params.n_tilde:
-        return order
-    stop = int(np.searchsorted(cum, params.n_tilde, side="left")) + 1
-    return order[:stop]
+    return order[:int(np.searchsorted(cum, params.n_tilde)) + 1]
 
 
 def _gather_capped(indptr: np.ndarray, flat_sets: np.ndarray,
@@ -359,16 +358,44 @@ def sketch_weighted(winst: WeightedInstance, params: SketchParams,
     """
     base = winst.base
     w = winst.element_weight
-    offsets = np.concatenate(([0], np.cumsum(w)))
-    total = int(offsets[-1])
+    total = int(w.sum())
     v_of_copy = np.repeat(np.arange(base.m, dtype=np.int64), w)
     flat_ids = np.arange(total, dtype=np.int64)
     deg = base.elem_degrees[v_of_copy]
     copy_indptr = np.concatenate(([0], np.cumsum(deg)))
     copy_sets, _ = _gather_capped(base.elem_indptr, base.elem_set_ids,
-                                  v_of_copy, base.elem_degrees[v_of_copy])
+                                  v_of_copy, deg)
     return _sketch_over_copies(base.n, flat_ids, copy_indptr, copy_sets,
                                params, source, total)
+
+
+def _copy_graph(base: CoverageInstance, per_elem: int, counts: np.ndarray,
+                j: np.ndarray):
+    """(flat copy ids, indptr, sets) of copies with at least one edge.
+
+    The edge at element-order position p joins ``counts[p]`` copies of its
+    element v, whose indices ``j < per_elem`` are listed grouped by p; copy
+    j has flat id ``v * per_elem + j``.  With ``lo, deg`` the start and
+    length of v's edges, ``lo * per_elem + j * deg + (p - lo)`` orders the
+    entries by element, copy and set, and stays below ``per_elem * E``.
+    """
+    _check_key_range(per_elem, max(base.m, base.edge_count))
+    v = np.repeat(np.arange(base.m, dtype=np.int64), base.elem_degrees)
+    lo, deg = base.elem_indptr[v], base.elem_degrees[v]
+    # Sorting leaves each element's entries in its own block, so any
+    # per-position value spread over its entries lines up with sorted keys.
+    spread = functools.partial(np.repeat, repeats=counts)
+    key = spread(lo * (per_elem - 1) + np.arange(len(v)))
+    key += j * spread(deg)
+    key.sort()
+    key -= spread(lo * per_elem)
+    copy, key = np.divmod(key, spread(deg))
+    key += spread(lo)  # element-order position of each entry's edge
+    sets = base.elem_set_ids[key]
+    del key  # freed before the boundaries below allocate
+    copy += spread(v * per_elem)  # flat copy ids
+    starts = np.flatnonzero(np.diff(copy, prepend=-1))
+    return copy[starts], np.append(starts, copy.size), sets
 
 
 def _fractional_copy_graph(finst: FractionalInstance):
@@ -377,23 +404,11 @@ def _fractional_copy_graph(finst: FractionalInstance):
     Copies with no edges are dropped (an all-zero fraction contributes no
     copies); remaining flat ids are ``v * U + j``.
     """
-    base = finst.base
-    U = finst.U
-    numer = finst.numer_elem_order
-    # Edge (v, s, a) appears in copies j = 0 .. a-1.
-    reps = numer
-    total = int(reps.sum())
-    v_per_edge = np.repeat(np.arange(base.m, dtype=np.int64), base.elem_degrees)
-    src_sets = base.elem_set_ids
-    block_start = np.cumsum(reps) - reps
-    j_of = np.arange(total, dtype=np.int64) - np.repeat(block_start, reps)
-    flat = np.repeat(v_per_edge * U, reps) + j_of
-    sets = np.repeat(src_sets, reps)
-    order = np.lexsort((sets, flat))
-    flat, sets = flat[order], sets[order]
-    uniq, counts = np.unique(flat, return_counts=True)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    return uniq, indptr, sets
+    # The edge at element-order position p joins copies 0 .. numer[p]-1.
+    reps = finst.numer_elem_order
+    j = np.arange(int(reps.sum()), dtype=np.int64)
+    j -= np.repeat(np.cumsum(reps) - reps, reps)
+    return _copy_graph(finst.base, finst.U, reps, j)
 
 
 def sketch_fractional(finst: FractionalInstance, params: SketchParams,
@@ -419,35 +434,20 @@ def _probabilistic_copy_graph(pinst: ProbabilisticInstance, zeta: int,
                               source: HashSource):
     """Seeded Bernoulli expansion: copy (v, j) joins S with prob alpha_{S,v}."""
     base = pinst.base
-    flat_chunks = []
-    set_chunks = []
+    counts = np.zeros(base.edge_count, dtype=np.int64)
+    hits = [np.empty(0, dtype=np.int64)]
     for v in range(base.m):
-        sets_v = base.element_sets(v)
-        numer_v = pinst.numer_elem_order[base.elem_indptr[v]:base.elem_indptr[v + 1]]
-        if len(sets_v) == 0:
-            continue
-        flat0 = v * zeta
-        flat_ids = flat0 + np.arange(zeta, dtype=np.int64)
-        for s, a in zip(sets_v.tolist(), numer_v.tolist()):
+        lo, hi = base.elem_indptr[v], base.elem_indptr[v + 1]
+        flat_ids = v * zeta + np.arange(zeta, dtype=np.int64)
+        for p, s, a in zip(range(lo, hi), base.elem_set_ids[lo:hi].tolist(),
+                           pinst.numer_elem_order[lo:hi].tolist()):
             if a == 0:
                 continue
             coins = _edge_coin_array(source, flat_ids,
                                      np.full(zeta, s, dtype=np.int64))
-            hit = coins < a / pinst.U
-            if hit.any():
-                flat_chunks.append(flat_ids[hit])
-                set_chunks.append(np.full(int(hit.sum()), s, dtype=np.int64))
-    if flat_chunks:
-        flat = np.concatenate(flat_chunks)
-        sets = np.concatenate(set_chunks)
-    else:
-        flat = np.empty(0, dtype=np.int64)
-        sets = np.empty(0, dtype=np.int64)
-    order = np.lexsort((sets, flat))
-    flat, sets = flat[order], sets[order]
-    uniq, counts = np.unique(flat, return_counts=True)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    return uniq, indptr, sets
+            hits.append(np.flatnonzero(coins < a / pinst.U))
+            counts[p] = hits[-1].size
+    return _copy_graph(base, zeta, counts, np.concatenate(hits))
 
 
 def sketch_probabilistic(pinst: ProbabilisticInstance, eps: float,

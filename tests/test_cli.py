@@ -268,6 +268,24 @@ class TestExperimentCommand:
         code, _, err = run(["experiment", "--spec", str(path)], capsys)
         assert code == 1 and "distinct" in err
 
+    @pytest.mark.parametrize("kind, present, missing", [
+        ("planted", {"planted.m": "200"}, "planted.k"),
+        ("adversarial", {"adversarial.n": "10", "adversarial.k": "2"},
+         "adversarial.beta"),
+        ("khop", {"khop.hops": "2"}, "khop.graph"),
+        ("file", {}, "file.path"),
+    ])
+    def test_missing_instance_key_exit_one(self, tmp_path, capsys, kind,
+                                           present, missing):
+        lines = [f"instance {kind}", *(f"{k} {v}" for k, v in present.items()),
+                 "rho 0.5", "sigma 50", "k 5", "seeds 1",
+                 f"out {tmp_path / 'results.csv'}"]
+        path = tmp_path / "spec.txt"
+        path.write_text("\n".join(lines) + "\n")
+        code, _, err = run(["experiment", "--spec", str(path)], capsys)
+        assert code == 1 and missing in err and "Traceback" not in err
+        assert not (tmp_path / "results.csv").exists()
+
     def test_columns_fixed(self, tmp_path, capsys):
         path, out = self._write_spec(tmp_path)
         assert run(["experiment", "--spec", str(path)], capsys)[0] == 0

@@ -1,0 +1,244 @@
+"""CSR construction against lexsort/unique reference builders.
+
+The constructors sort one packed int64 key per edge (or per edge copy).  The
+references below build the same arrays with chained ``np.lexsort`` calls and
+``np.unique``, one sort per key column, and are the specification the
+properties hold the constructors to: every array must be equal, with the
+same dtype, on every input.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from coversketch import CoverageInstance, FractionalInstance, \
+    ProbabilisticInstance
+from coversketch.instance import _check_key_range
+from coversketch.sketch import HashSource, _edge_coin_array, \
+    _fractional_copy_graph, _probabilistic_copy_graph, _select_elements, \
+    practical_params, sketch_fractional, SketchParams
+
+
+def _indptr(ids, size):
+    return np.concatenate(([0], np.cumsum(np.bincount(ids, minlength=size))))
+
+
+def reference_csr(n, m, set_ids, elem_ids):
+    """(set_indptr, set_elems, elem_indptr, elem_set_ids) of unique pairs."""
+    set_ids = np.asarray(set_ids, dtype=np.int64)
+    elem_ids = np.asarray(elem_ids, dtype=np.int64)
+    order = np.lexsort((elem_ids, set_ids))
+    s, e = set_ids[order], elem_ids[order]
+    keep = np.ones(s.size, dtype=bool)
+    keep[1:] = (s[1:] != s[:-1]) | (e[1:] != e[:-1])
+    s, e = s[keep], e[keep]
+    eorder = np.lexsort((s, e))
+    return _indptr(s, n), e, _indptr(e, m), s[eorder]
+
+
+def reference_numerators(set_ids, elem_ids, numer):
+    """Numerators in (set, element) and (element, set) order."""
+    set_ids, elem_ids, numer = (np.asarray(a, dtype=np.int64)
+                                for a in (set_ids, elem_ids, numer))
+    return (numer[np.lexsort((elem_ids, set_ids))],
+            numer[np.lexsort((set_ids, elem_ids))])
+
+
+def _group_copies(flat, sets):
+    order = np.lexsort((sets, flat))
+    flat, sets = flat[order], sets[order]
+    uniq, counts = np.unique(flat, return_counts=True)
+    return uniq, np.concatenate(([0], np.cumsum(counts))), sets
+
+
+def reference_fractional_copies(finst):
+    base, U, reps = finst.base, finst.U, finst.numer_elem_order
+    v = np.repeat(np.arange(base.m, dtype=np.int64), base.elem_degrees)
+    start = np.cumsum(reps) - reps
+    j = np.arange(int(reps.sum()), dtype=np.int64) - np.repeat(start, reps)
+    return _group_copies(np.repeat(v * U, reps) + j,
+                         np.repeat(base.elem_set_ids, reps))
+
+
+def reference_probabilistic_copies(pinst, zeta, source):
+    base = pinst.base
+    flat, sets = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for v in range(base.m):
+        ids = v * zeta + np.arange(zeta, dtype=np.int64)
+        lo, hi = base.elem_indptr[v], base.elem_indptr[v + 1]
+        for s, a in zip(base.elem_set_ids[lo:hi].tolist(),
+                        pinst.numer_elem_order[lo:hi].tolist()):
+            coins = _edge_coin_array(source, ids,
+                                     np.full(zeta, s, dtype=np.int64))
+            hit = coins < a / pinst.U
+            flat.append(ids[hit])
+            sets.append(np.full(int(hit.sum()), s, dtype=np.int64))
+    return _group_copies(np.concatenate(flat), np.concatenate(sets))
+
+
+def assert_arrays_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64 and np.asarray(w).dtype == np.int64
+        np.testing.assert_array_equal(g, w)
+
+
+def csr_arrays(inst):
+    return (inst.set_indptr, inst.set_elems, inst.elem_indptr,
+            inst.elem_set_ids)
+
+
+@st.composite
+def edge_lists(draw, max_side=9, max_edges=60):
+    """(n, m, set_ids, elem_ids) in arbitrary order, duplicates allowed."""
+    n = draw(st.integers(1, max_side))
+    m = draw(st.integers(1, max_side))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, m - 1)),
+                          max_size=max_edges))
+    set_ids = np.array([s for s, _ in pairs], dtype=np.int64)
+    elem_ids = np.array([e for _, e in pairs], dtype=np.int64)
+    return n, m, set_ids, elem_ids
+
+
+@st.composite
+def fractional_lists(draw, max_side=7, max_u=6):
+    """Unique edges in arbitrary order with numerators in [0, U]."""
+    n = draw(st.integers(1, max_side))
+    m = draw(st.integers(1, max_side))
+    U = draw(st.integers(1, max_u))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, m - 1)),
+                          unique=True, max_size=n * m))
+    numer = draw(st.lists(st.integers(0, U), min_size=len(pairs),
+                          max_size=len(pairs)))
+    set_ids = np.array([s for s, _ in pairs], dtype=np.int64)
+    elem_ids = np.array([e for _, e in pairs], dtype=np.int64)
+    return n, m, set_ids, elem_ids, np.array(numer, dtype=np.int64), U
+
+
+class TestCoverageFromEdges:
+    @settings(max_examples=300, deadline=None)
+    @given(edge_lists())
+    def test_matches_reference(self, case):
+        n, m, set_ids, elem_ids = case
+        inst = CoverageInstance.from_edges(n, m, set_ids, elem_ids)
+        assert_arrays_equal(csr_arrays(inst),
+                            reference_csr(n, m, set_ids, elem_ids))
+        assert inst.edge_count == len(inst.set_elems)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_large_shuffled_with_duplicates(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(1, 300)), int(rng.integers(1, 3000))
+        set_ids = rng.integers(0, n, 20_000)
+        elem_ids = rng.integers(0, m, 20_000)
+        inst = CoverageInstance.from_edges(n, m, set_ids, elem_ids)
+        assert_arrays_equal(csr_arrays(inst),
+                            reference_csr(n, m, set_ids, elem_ids))
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 5), (5, 1), (3, 0)])
+    def test_empty_edge_arrays(self, n, m):
+        inst = CoverageInstance.from_edges(n, m, [], [])
+        assert_arrays_equal(csr_arrays(inst), reference_csr(n, m, [], []))
+        assert inst.edge_count == 0
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 7), (7, 1), (6, 9)])
+    def test_largest_ids(self, n, m):
+        set_ids = [n - 1, 0, n - 1, n - 1, 0]
+        elem_ids = [m - 1, m - 1, 0, m - 1, 0]
+        inst = CoverageInstance.from_edges(n, m, set_ids, elem_ids)
+        assert_arrays_equal(csr_arrays(inst),
+                            reference_csr(n, m, set_ids, elem_ids))
+
+    def test_key_overflow_is_value_error(self):
+        with pytest.raises(ValueError, match="overflow a 64-bit sort key"):
+            CoverageInstance.from_edges(2**32, 2**31 + 1, [0], [0])
+
+    def test_key_range_boundary(self):
+        _check_key_range(2**32, 2**31)  # largest key 2**63 - 1
+        with pytest.raises(ValueError):
+            _check_key_range(2**32, 2**31 + 1)
+
+
+class TestFractionalFromEdges:
+    @settings(max_examples=300, deadline=None)
+    @given(fractional_lists())
+    def test_matches_reference(self, case):
+        n, m, set_ids, elem_ids, numer, U = case
+        for cls in (FractionalInstance, ProbabilisticInstance):
+            finst = cls.from_edges(n, m, set_ids, elem_ids, numer, U)
+            assert_arrays_equal(csr_arrays(finst.base),
+                                reference_csr(n, m, set_ids, elem_ids))
+            assert_arrays_equal(
+                (finst.numer_set_order, finst.numer_elem_order),
+                reference_numerators(set_ids, elem_ids, numer))
+
+    @settings(max_examples=100, deadline=None)
+    @given(fractional_lists(), st.data())
+    def test_duplicate_edge_rejected(self, case, data):
+        n, m, set_ids, elem_ids, numer, U = case
+        if not set_ids.size:
+            return
+        i = data.draw(st.integers(0, set_ids.size - 1))
+        with pytest.raises(ValueError, match="duplicate edge"):
+            FractionalInstance.from_edges(
+                n, m, np.append(set_ids, set_ids[i]),
+                np.append(elem_ids, elem_ids[i]), np.append(numer, numer[i]),
+                U)
+
+    def test_key_overflow_is_value_error(self):
+        with pytest.raises(ValueError, match="overflow a 64-bit sort key"):
+            FractionalInstance.from_edges(2**40, 2**40, [0], [0], [1], 1)
+
+
+class TestCopyGraphs:
+    @settings(max_examples=200, deadline=None)
+    @given(fractional_lists())
+    def test_fractional_matches_reference(self, case):
+        finst = FractionalInstance.from_edges(*case)
+        assert_arrays_equal(_fractional_copy_graph(finst),
+                            reference_fractional_copies(finst))
+
+    @settings(max_examples=60, deadline=None)
+    @given(fractional_lists(max_side=5, max_u=4), st.integers(1, 24),
+           st.integers(0, 2**32))
+    def test_probabilistic_matches_reference(self, case, zeta, seed):
+        pinst = ProbabilisticInstance.from_edges(*case)
+        source = HashSource(seed)
+        assert_arrays_equal(_probabilistic_copy_graph(pinst, zeta, source),
+                            reference_probabilistic_copies(pinst, zeta,
+                                                           source))
+
+    def test_fractional_largest_file_u(self):
+        U = 2**31 - 1
+        finst = FractionalInstance.from_edges(
+            3, 4, [2, 0, 1, 2, 0], [3, 3, 0, 1, 0], [2, 5, 1, 0, 3], U)
+        want = reference_fractional_copies(finst)
+        assert_arrays_equal(_fractional_copy_graph(finst), want)
+        assert want[0][-1] == 3 * U + 4  # last copy of element 3
+        sk = sketch_fractional(finst, practical_params(1.0, 3),
+                               HashSource(1))
+        assert sk.instance.edge_count == len(want[2])
+
+    def test_fractional_key_overflow_is_value_error(self):
+        finst = FractionalInstance.from_edges(2, 2, [0, 1, 1], [1, 0, 1],
+                                              [1, 2, 3], 2**62)
+        with pytest.raises(ValueError, match="overflow a 64-bit sort key"):
+            _fractional_copy_graph(finst)
+
+
+class TestSelectElements:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75]), max_size=40),
+           st.integers(1, 3), st.integers(1, 60))
+    def test_theory_order_breaks_ties_by_id(self, hashes, cap, n_tilde):
+        hashes = np.array(hashes, dtype=np.float64)
+        capped = np.full(hashes.size, cap, dtype=np.int64)
+        params = SketchParams(mode="theory", n_tilde=n_tilde, degree_cap=cap)
+        order = np.lexsort((np.arange(hashes.size), hashes))
+        cum = np.cumsum(capped[order])
+        stop = (int(np.searchsorted(cum, n_tilde)) + 1
+                if hashes.size and cum[-1] >= n_tilde else hashes.size)
+        np.testing.assert_array_equal(
+            _select_elements(hashes, capped, params), order[:stop])
