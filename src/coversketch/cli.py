@@ -145,14 +145,10 @@ def _cmd_solve(args) -> int:
     if args.problem == "kcover":
         if args.k is None:
             raise ValueError("kcover requires --k")
-        if args.solver == "greedy":
-            sol = solvers.greedy_kcover(inst, args.k)
-        elif args.solver == "lazy":
-            sol = solvers.lazy_greedy(inst, args.k)
-        elif args.solver == "stochastic":
-            sol = solvers.stochastic_greedy(inst, args.k, args.eps, args.seed)
-        else:
+        if args.solver == "brute-force":
             sol = solvers.brute_force_kcover(inst, args.k)
+        else:
+            sol = _solve_target(args.solver, inst, args.k, args.eps, args.seed)
     else:
         sol = solvers.set_cover_outliers(inst, args.lam, args.eps,
                                          args.delta_dprime, args.seed,
@@ -280,6 +276,7 @@ def _build_spec_instance(spec: ExperimentSpec):
 
 
 def _solve_target(solver, target, k, eps, seed):
+    # Looked up in ``solvers`` at call time, so a wrapped solver is seen too.
     if solver == "greedy":
         return solvers.greedy_kcover(target, k)
     if solver == "lazy":

@@ -233,13 +233,16 @@ class FractionalInstance:
         """
         n, m = int(n), int(m)
         key = _edge_keys(n, m, set_ids, elem_ids)
+        numer = np.asarray(numer, dtype=np.int64)
+        if numer.shape != key.shape:
+            raise ValueError("one numerator per edge required")
         order = np.argsort(key)
         key = key[order]
         if np.any(key[1:] == key[:-1]):
             raise ValueError("duplicate edge with fractional coverage")
         s, e = np.divmod(key, max(m, 1))
         base, eorder = CoverageInstance._from_sorted_pairs(n, m, s, e)
-        a = np.asarray(numer, dtype=np.int64)[order]
+        a = numer[order]
         return cls(base, a, a[eorder], int(U))
 
 
@@ -688,12 +691,15 @@ def feature_pairs_instance(matrix) -> CoverageInstance:
             continue
         a, b = np.triu_indices(len(active), k=1)
         col_codes.append(active[a].astype(np.int64) * nrows + active[b])
-    all_codes = np.unique(np.concatenate(col_codes)) if col_codes else np.empty(0)
+    codes = np.concatenate(col_codes) if col_codes else np.empty(0, np.int64)
+    # Sort and drop equal neighbours: np.unique's hash path is far slower.
+    all_codes = np.sort(codes)
+    all_codes = all_codes[np.diff(all_codes, prepend=-1) != 0]
     if all_codes.size == 0:
         raise ValueError("empty instance")
     set_ids = np.repeat(np.arange(ncols, dtype=np.int64),
                         [len(c) for c in col_codes])
-    elem_ids = np.searchsorted(all_codes, np.concatenate(col_codes))
+    elem_ids = np.searchsorted(all_codes, codes)
     return CoverageInstance.from_edges(
         ncols, len(all_codes), set_ids, elem_ids,
         element_labels=all_codes.tolist())

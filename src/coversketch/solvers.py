@@ -2,12 +2,13 @@
 
 All solvers run uniformly on a :class:`~coversketch.instance.CoverageInstance`
 or a :class:`~coversketch.sketch.Sketch`.  Tie-breaking is globally "smallest
-set id" so sketch-vs-instance and lazy-vs-eager comparisons are bit-exact.
+set id" so sketch-vs-instance comparisons are bit-exact.  Every greedy-family
+solver reads marginal gains from one maintained array, updated by
+:func:`_take` after each pick.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -56,8 +57,11 @@ class Solution:
 
     ``evaluated_on`` records whether the value was measured on a full
     instance or on a sketch.  ``gains`` is the per-pick marginal-gain trace
-    for greedy-family solvers; ``evaluations`` counts marginal-gain
-    computations for the lazy variant.
+    for greedy-family solvers.  ``evaluations`` is set by the k-cover greedy
+    (:func:`greedy_kcover`, :func:`lazy_greedy`, and
+    :func:`stochastic_greedy` when its sample spans all sets) to the number
+    of marginal gains it computes from scratch, ``n``; after that, gains are
+    only decremented.
     """
 
     chosen: list[int]
@@ -139,7 +143,7 @@ def _greedy_run(inst: CoverageInstance, max_picks: int,
     ``max_picks`` sets are chosen; otherwise it stops at zero gain or once
     ``stop_threshold`` covered elements are reached.
     """
-    gains = inst.set_sizes.astype(np.int64).copy()
+    gains = inst.set_sizes.astype(np.int64)
     covered = np.zeros(inst.m, dtype=bool)
     chosen: list[int] = []
     trace: list[int] = []
@@ -159,29 +163,41 @@ def _greedy_run(inst: CoverageInstance, max_picks: int,
                 chosen.append(int(t))
                 trace.append(0)
             break
-        gains[s] = -1
-        elems = inst.set_elements(s)
-        fresh = elems[~covered[elems]]
-        covered[fresh] = True
-        cov += len(fresh)
+        cov += _take(inst, gains, covered, s)
         chosen.append(s)
         trace.append(g)
-        if len(fresh):
-            touched_sets, _ = _gather_elem_sets(inst, fresh)
-            gains -= np.bincount(touched_sets, minlength=inst.n)
-            gains[s] = -1
     return chosen, trace, cov
 
 
-def _gather_elem_sets(inst: CoverageInstance, elems: np.ndarray):
-    counts = inst.elem_degrees[elems]
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), counts
-    start = np.cumsum(counts) - counts
-    within = np.arange(total, dtype=np.int64) - np.repeat(start, counts)
-    src = np.repeat(inst.elem_indptr[elems], counts) + within
-    return inst.elem_set_ids[src], counts
+def _take(inst: CoverageInstance, gains: np.ndarray, covered: np.ndarray,
+          s: int) -> int:
+    """Pick set ``s``: mark its fresh elements covered and subtract them from
+    the gain of every set holding them.  Chosen sets keep gain -1 (their
+    elements are covered, so no later pick touches them).  Returns the
+    number of newly covered elements.
+    """
+    elems = inst.set_elements(s)
+    fresh = elems[~covered[elems]]
+    covered[fresh] = True
+    if len(fresh):
+        # The sets of every fresh element in one gather: run i of the
+        # output starts at elem_indptr[fresh[i]].
+        counts = inst.elem_degrees[fresh]
+        start = np.cumsum(counts) - counts
+        offset = np.repeat(inst.elem_indptr[fresh] - start, counts)
+        touched = inst.elem_set_ids[offset + np.arange(len(offset))]
+        gains -= np.bincount(touched, minlength=inst.n)
+    gains[s] = -1
+    return len(fresh)
+
+
+def _kcover(target, k: int) -> Solution:
+    inst, tag = _unwrap(target)
+    if not 0 <= k <= inst.n:
+        raise ValueError("need 0 <= k <= n")
+    chosen, trace, cov = _greedy_run(inst, k, fill_zero=True)
+    return Solution(chosen=chosen, coverage_value=cov, evaluated_on=tag,
+                    gains=trace, evaluations=inst.n)
 
 
 def greedy_kcover(target, k: int) -> Solution:
@@ -190,52 +206,18 @@ def greedy_kcover(target, k: int) -> Solution:
     Runs ``k`` picks; once marginal gains hit zero the remaining slots are
     filled with the smallest-id unchosen sets.
     """
-    inst, tag = _unwrap(target)
-    if not 0 <= k <= inst.n:
-        raise ValueError("need 0 <= k <= n")
-    chosen, trace, cov = _greedy_run(inst, k, fill_zero=True)
-    return Solution(chosen=chosen, coverage_value=cov, evaluated_on=tag,
-                    gains=trace)
+    return _kcover(target, k)
 
 
 def lazy_greedy(target, k: int) -> Solution:
-    """Accelerated greedy with cached gain upper bounds.
+    """The k-cover greedy under its accelerated-greedy name.
 
-    Returns exactly the same solution as :func:`greedy_kcover`, including
-    tie-breaking and zero-gain fillers, while re-evaluating far fewer
-    marginal gains on most inputs.
+    Runs the same engine as :func:`greedy_kcover` and returns an equal
+    solution.  Lazy evaluation (Minoux 1978) saves nothing here: the engine
+    already keeps every marginal gain exact with one vectorised update per
+    pick.
     """
-    inst, tag = _unwrap(target)
-    if not 0 <= k <= inst.n:
-        raise ValueError("need 0 <= k <= n")
-    covered = np.zeros(inst.m, dtype=bool)
-    # Heap entries: (-gain, set id, coverage version the gain was exact at).
-    heap = [(-int(sz), s, 0) for s, sz in enumerate(inst.set_sizes.tolist())]
-    heapq.heapify(heap)
-    evaluations = inst.n
-    version = 0
-    chosen: list[int] = []
-    trace: list[int] = []
-    cov = 0
-    while heap and len(chosen) < k:
-        neg_g, s, stamp = heapq.heappop(heap)
-        if stamp != version:
-            elems = inst.set_elements(s)
-            g = int((~covered[elems]).sum())
-            evaluations += 1
-            heapq.heappush(heap, (-g, s, version))
-            continue
-        g = -neg_g
-        chosen.append(s)
-        trace.append(g)
-        if g > 0:
-            elems = inst.set_elements(s)
-            fresh = elems[~covered[elems]]
-            covered[fresh] = True
-            cov += g
-            version += 1
-    return Solution(chosen=chosen, coverage_value=cov, evaluated_on=tag,
-                    gains=trace, evaluations=evaluations)
+    return _kcover(target, k)
 
 
 def stochastic_greedy(target, k: int, eps: float, seed: int) -> Solution:
@@ -254,34 +236,23 @@ def stochastic_greedy(target, k: int, eps: float, seed: int) -> Solution:
         raise ValueError("need 1 <= k <= n")
     sample = math.ceil((inst.n / k) * math.log(1.0 / eps))
     if sample >= inst.n:
-        sol = greedy_kcover(inst, k)
-        return Solution(chosen=sol.chosen, coverage_value=sol.coverage_value,
-                        evaluated_on=tag, gains=sol.gains)
+        return _kcover(target, k)
     rng = np.random.default_rng(seed)
+    gains = inst.set_sizes.astype(np.int64)
     covered = np.zeros(inst.m, dtype=bool)
-    is_chosen = np.zeros(inst.n, dtype=bool)
     chosen: list[int] = []
     trace: list[int] = []
     cov = 0
     for _ in range(k):
         cand = np.unique(rng.integers(0, inst.n, size=sample))
-        cand = cand[~is_chosen[cand]]
+        cand = cand[gains[cand] >= 0]
         if len(cand) == 0:
             continue
-        best_s = -1
-        best_g = -1
-        for s in cand.tolist():
-            elems = inst.set_elements(s)
-            g = int((~covered[elems]).sum())
-            if g > best_g:
-                best_g, best_s = g, s
-        is_chosen[best_s] = True
-        chosen.append(best_s)
-        trace.append(best_g)
-        if best_g > 0:
-            elems = inst.set_elements(best_s)
-            covered[elems] = True
-            cov += best_g
+        # ``cand`` is sorted, so argmax breaks ties by smallest id.
+        s = int(cand[np.argmax(gains[cand])])
+        trace.append(int(gains[s]))
+        chosen.append(s)
+        cov += _take(inst, gains, covered, s)
     return Solution(chosen=chosen, coverage_value=cov, evaluated_on=tag,
                     gains=trace)
 
@@ -352,10 +323,9 @@ def set_cover_outliers(instance: CoverageInstance, lam: float, eps: float,
     if engine not in ("direct", "sketch"):
         raise ValueError("engine must be 'direct' or 'sketch'")
     n, m = instance.n, instance.m
-    guesses = guess_ladder(n, eps)
     if engine == "sketch":
         pairs = []
-        for i, g in enumerate(guesses):
+        for i, g in enumerate(guess_ladder(n, eps)):
             params = theory_params(n, m, instance.edge_count, k=g, eps=eps,
                                    delta_dprime=delta_dprime)
             pairs.append((g, build_sketch(instance, params,
@@ -363,20 +333,15 @@ def set_cover_outliers(instance: CoverageInstance, lam: float, eps: float,
         return select_outlier_solution(pairs, lam, eps)
 
     # Direct engine: the greedy pick sequence is deterministic, so every
-    # guess's run is a prefix of one full run; compute it once.
+    # guess's budgeted run is a prefix of one run stopped at the threshold.
+    # The first guess whose budget reaches that run returns it, and when no
+    # budget does (only for lam > 1/e) the run is returned as well.
     thresh = cover_threshold(m, lam)
     chosen, trace, cov = _greedy_run(instance, n, stop_threshold=thresh)
-    if cov >= thresh:
-        hit = len(chosen)
-        for g in guesses:
-            if _guess_budget(g, eps, lam) >= hit:
-                return Solution(chosen=chosen, coverage_value=cov,
-                                evaluated_on="instance", gains=trace)
-        # All ladder budgets fall short of the feasible greedy prefix; can
-        # only happen for lam > 1/e where budgets shrink below the guess.
-        return Solution(chosen=chosen, coverage_value=cov,
-                        evaluated_on="instance", gains=trace)
-    raise InfeasibleError("infeasible outlier fraction")
+    if cov < thresh:
+        raise InfeasibleError("infeasible outlier fraction")
+    return Solution(chosen=chosen, coverage_value=cov, evaluated_on="instance",
+                    gains=trace)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coversketch import CoverageInstance, FractionalInstance, \
-    ProbabilisticInstance
+    ProbabilisticInstance, feature_pairs_instance
 from coversketch.instance import _check_key_range
 from coversketch.sketch import HashSource, _edge_coin_array, \
     _fractional_copy_graph, _probabilistic_copy_graph, _select_elements, \
@@ -34,6 +34,21 @@ def reference_csr(n, m, set_ids, elem_ids):
     s, e = s[keep], e[keep]
     eorder = np.lexsort((s, e))
     return _indptr(s, n), e, _indptr(e, m), s[eorder]
+
+
+def reference_feature_pairs(mat):
+    """(element_labels, CSR arrays) of the row-pair instance, via np.unique."""
+    nrows, ncols = mat.shape
+    codes, sets = [], []
+    for c in range(ncols):
+        active = np.flatnonzero(mat[:, c])
+        a, b = np.triu_indices(len(active), k=1)
+        codes.append(active[a].astype(np.int64) * nrows + active[b])
+        sets.append(np.full(len(a), c, dtype=np.int64))
+    codes = np.concatenate(codes)
+    labels = np.unique(codes)
+    return labels, reference_csr(ncols, len(labels), np.concatenate(sets),
+                                 np.searchsorted(labels, codes))
 
 
 def reference_numerators(set_ids, elem_ids, numer):
@@ -191,6 +206,16 @@ class TestFractionalFromEdges:
         with pytest.raises(ValueError, match="overflow a 64-bit sort key"):
             FractionalInstance.from_edges(2**40, 2**40, [0], [0], [1], 1)
 
+    @pytest.mark.parametrize("set_ids, elem_ids, numer", [
+        ([0], [0], [1, 2, 2]),      # extra numerators
+        ([0, 1], [0, 1], [1]),      # too few numerators
+        ([0], [0], []),
+    ])
+    def test_numerator_count_must_match_edges(self, set_ids, elem_ids, numer):
+        for cls in (FractionalInstance, ProbabilisticInstance):
+            with pytest.raises(ValueError, match="one numerator per edge"):
+                cls.from_edges(2, 2, set_ids, elem_ids, numer, 2)
+
 
 class TestCopyGraphs:
     @settings(max_examples=200, deadline=None)
@@ -242,3 +267,27 @@ class TestSelectElements:
                 if hashes.size and cum[-1] >= n_tilde else hashes.size)
         np.testing.assert_array_equal(
             _select_elements(hashes, capped, params), order[:stop])
+
+
+class TestFeaturePairs:
+    def check(self, mat):
+        labels, csr = reference_feature_pairs(mat)
+        if not labels.size:
+            with pytest.raises(ValueError, match="empty instance"):
+                feature_pairs_instance(mat)
+            return
+        inst = feature_pairs_instance(mat)
+        assert inst.element_labels == labels.tolist()
+        assert_arrays_equal(csr_arrays(inst), csr)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 6), st.data())
+    def test_matches_unique_reference(self, nrows, ncols, data):
+        cells = data.draw(st.lists(st.integers(0, 1), min_size=nrows * ncols,
+                                   max_size=nrows * ncols))
+        self.check(np.array(cells).reshape(nrows, ncols))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_dense_random_matrix(self, seed):
+        rng = np.random.default_rng(seed)
+        self.check((rng.random((150, 12)) < 0.5).astype(int))
