@@ -12,6 +12,10 @@ under modular placement.  Both pipelines run in exactly four rounds:
 3. owners ship the retained (capped) edges of selected elements,
 4. the coordinator assembles the sketch and runs the solver.
 
+Each round's data from one machine to another travels as one batched payload
+per guess tag (in round 3: ids, capped counts and the concatenated edges),
+but ``total_messages`` counts one message per element the payload carries.
+
 Accounting: a (id, hash, degree) tuple costs 3 units, an element-id
 notification 1 unit, an edge 1 unit; guess tags on messages are routing
 metadata and cost nothing.  A machine's load is its initial storage (its edge
@@ -29,6 +33,7 @@ from .instance import CoverageInstance
 from .sketch import (
     HashSource,
     _assemble,
+    _gather_capped,
     derive_seed,
     element_hash_array,
     theory_params,
@@ -116,14 +121,14 @@ def partition_input(instance: CoverageInstance, machine_count: int) -> Placement
     """
     if machine_count < 2:
         raise ValueError("need a coordinator plus at least one worker")
-    ids = np.arange(instance.m, dtype=np.int64)
-    owner = 1 + ids % (machine_count - 1)
+    workers = machine_count - 1
+    owner = 1 + np.arange(instance.m, dtype=np.int64) % workers
     elements = [np.empty(0, dtype=np.int64)]
-    storage = [0]
-    for w in range(1, machine_count):
-        owned = ids[owner == w]
-        elements.append(owned)
-        storage.append(int(instance.elem_degrees[owned].sum()))
+    elements += [np.arange(w - 1, instance.m, workers, dtype=np.int64)
+                 for w in range(1, machine_count)]
+    units = np.bincount(owner, weights=instance.elem_degrees,
+                        minlength=machine_count)
+    storage = [int(u) for u in units]
     return Placement(machine_count, owner, elements, storage)
 
 
@@ -149,21 +154,29 @@ class _Recorder:
 def _boot_machines(instance: CoverageInstance, placement: Placement):
     """Create machines and load each worker's private edge lists.
 
-    Initial storage counts toward load; the coordinator starts empty.
+    A worker stores its owned elements as a CSR slice: ascending ``ids``,
+    their ``degrees``, and ``sets`` split by ``indptr``.  Initial storage
+    counts toward load; the coordinator starts empty.
     """
     machines = [Machine(id=i, inbox=[], storage={},
                         load_counter=placement.storage_units[i])
                 for i in range(placement.machine_count)]
     for w in range(1, placement.machine_count):
-        store = machines[w].storage
-        for v in placement.elements[w].tolist():
-            lo, hi = instance.elem_indptr[v], instance.elem_indptr[v + 1]
-            store[v] = instance.elem_set_ids[lo:hi]
+        ids = placement.elements[w]
+        degrees = instance.elem_degrees[ids]
+        sets, _ = _gather_capped(instance.elem_indptr, instance.elem_set_ids,
+                                 ids, degrees)
+        machines[w].storage.update(
+            ids=ids, degrees=degrees, sets=sets,
+            indptr=np.concatenate(([0], np.cumsum(degrees))))
     return machines
 
 
 def _barrier(machines, rec, rnd, outbox):
-    """Deliver queued (dst, units, count, payload) messages into ``rnd``."""
+    """Deliver queued (dst, units, count, payload) messages into ``rnd``.
+
+    The outbox is emptied, so delivered payloads live only in inboxes.
+    """
     for mach in machines:
         mach.inbox = []
     for dst, units, count, payload in outbox:
@@ -171,6 +184,18 @@ def _barrier(machines, rec, rnd, outbox):
         machines[dst].load_counter += units
         rec.units_in[dst, rnd] += units
         rec.total_messages += count
+    outbox.clear()
+
+
+def _fields_by_tag(inbox, tags):
+    """Per tag, one tuple of arrays per payload field, one array per message.
+
+    Every worker sends one payload per tag each round, so no tag is missing.
+    """
+    parts = {tag: [] for tag in tags}
+    for tag, *fields in inbox:
+        parts[tag].append(fields)
+    return {tag: list(zip(*p)) for tag, p in parts.items()}
 
 
 def _run_sketch_rounds(instance, placement, rec, families):
@@ -191,9 +216,7 @@ def _run_sketch_rounds(instance, placement, rec, families):
     outbox = []
     for w in range(1, mc):
         store = machines[w].storage
-        owned = placement.elements[w]
-        degs = np.asarray([len(store[v]) for v in owned.tolist()],
-                          dtype=np.int64)
+        owned, degs = store["ids"], store["degrees"]
         for tag, (source, params) in families.items():
             thresh = 2.0 * params.n_tilde / m if m else 0.0
             h = element_hash_array(source, owned)
@@ -207,17 +230,12 @@ def _run_sketch_rounds(instance, placement, rec, families):
     # Round 2: coordinator picks the smallest-hash prefix per family and
     # notifies each owner of its selected elements.
     coord = machines[COORDINATOR]
+    reports = _fields_by_tag(coord.inbox, families)
     selections = {}
     divergence = False
     tuples_held = 0
-    outbox = []
     for tag, (source, params) in families.items():
-        parts = [msg for msg in coord.inbox if msg[0] == tag]
-        ids = (np.concatenate([p[1] for p in parts]) if parts
-               else np.empty(0, dtype=np.int64))
-        hs = np.concatenate([p[2] for p in parts]) if parts else np.empty(0)
-        dg = (np.concatenate([p[3] for p in parts]) if parts
-              else np.empty(0, dtype=np.int64))
+        ids, hs, dg = map(np.concatenate, reports[tag])
         tuples_held += 3 * len(ids)
         order = np.lexsort((ids, hs))
         ids, dg = ids[order], dg[order]
@@ -243,32 +261,33 @@ def _run_sketch_rounds(instance, placement, rec, families):
     rec.storage_peak[COORDINATOR, 3] = sel_units
     _barrier(machines, rec, 3, outbox)
 
-    # Round 3: owners ship capped edges of the selected elements, one
-    # message per element.
-    outbox = []
+    # Round 3: owners ship the capped edges of their selected elements, one
+    # batched payload per guess tag, counted as one message per element.
     for w in range(1, mc):
         store = machines[w].storage
         for tag, mine in machines[w].inbox:
-            cap = families[tag][1].degree_cap
-            for v in mine.tolist():
-                edges = store[v][:cap]
-                rec.units_out[w, 3] += len(edges)
-                outbox.append((COORDINATOR, len(edges), 1, (tag, v, edges)))
+            pos = np.searchsorted(store["ids"], mine)
+            counts = np.minimum(store["degrees"][pos],
+                                families[tag][1].degree_cap)
+            edges, _ = _gather_capped(store["indptr"], store["sets"], pos,
+                                      counts)
+            rec.units_out[w, 3] += len(edges)
+            outbox.append((COORDINATOR, len(edges), len(mine),
+                           (tag, mine, counts, edges)))
     _barrier(machines, rec, 4, outbox)
 
-    # Round 4: coordinator assembles one sketch per family.
-    received = {tag: {} for tag in families}
-    for tag, v, edges in coord.inbox:
-        received[tag][v] = edges
+    # Round 4: coordinator assembles one sketch per family; from_edges puts
+    # the edges in canonical order whatever order the owners sent them in.
+    received = _fields_by_tag(coord.inbox, families)
+    coord.inbox = []  # consumed; each tag's parts are freed once assembled
+    rank = np.empty(m, dtype=np.int64)
     sketches = {}
     sketch_units = 0
     for tag, (source, params) in families.items():
         sel = coord.storage[("selected", tag)]
-        blocks = [received[tag][v] for v in sel.tolist()]
-        set_ids = (np.concatenate(blocks) if blocks
-                   else np.empty(0, dtype=np.int64))
-        new_elems = np.repeat(np.arange(len(sel), dtype=np.int64),
-                              [len(b) for b in blocks])
+        ids, counts, set_ids = map(np.concatenate, received.pop(tag))
+        rank[sel] = np.arange(len(sel), dtype=np.int64)
+        new_elems = np.repeat(rank[ids], counts)
         sketches[tag] = _assemble(instance.n, sel, set_ids, new_elems,
                                   source.seed, params, m)
         sketch_units += len(set_ids)

@@ -77,6 +77,11 @@ def _mix_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _unit_array(z: np.ndarray) -> np.ndarray:
+    """Top 53 bits of each hash as a float on [0, 1)."""
+    return (z >> _U(11)).astype(np.float64) * _INV53
+
+
 def _combine_scalar(state: int, key: int) -> int:
     return _mix_scalar(state ^ _mix_scalar((key + _GOLDEN) & _MASK64))
 
@@ -105,18 +110,21 @@ def element_hash(source: HashSource, element_id: int) -> float:
 
 def element_hash_array(source: HashSource, ids: np.ndarray) -> np.ndarray:
     """Vectorized :func:`element_hash`; bit-identical to the scalar form."""
-    z = _combine_array(source._base(_TAG_ELEMENT), np.asarray(ids, dtype=np.int64))
-    return (z >> _U(11)).astype(np.float64) * _INV53
+    return _unit_array(_combine_array(source._base(_TAG_ELEMENT),
+                                      np.asarray(ids, dtype=np.int64)))
 
 
 def _edge_coin_array(source: HashSource, flat_ids: np.ndarray,
                      set_ids: np.ndarray) -> np.ndarray:
-    """Uniform coins on [0, 1) keyed by (copy id, set id)."""
+    """Uniform coins on [0, 1) keyed by (copy id, set id).
+
+    :func:`_probabilistic_copy_graph` draws the same coins with each half of
+    the key hashed once; the tests compare it against this form.
+    """
     base = source._base(_TAG_EDGE_COIN)
     z = _combine_array(base, np.asarray(flat_ids, dtype=np.int64))
-    z = _mix_array(z ^ _combine_array(base ^ _GOLDEN,
-                                      np.asarray(set_ids, dtype=np.int64)))
-    return (z >> _U(11)).astype(np.float64) * _INV53
+    return _unit_array(_mix_array(
+        z ^ _combine_array(base ^ _GOLDEN, np.asarray(set_ids, dtype=np.int64))))
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -436,15 +444,18 @@ def _probabilistic_copy_graph(pinst: ProbabilisticInstance, zeta: int,
     base = pinst.base
     counts = np.zeros(base.edge_count, dtype=np.int64)
     hits = [np.empty(0, dtype=np.int64)]
+    coin_base = source._base(_TAG_EDGE_COIN)
     for v in range(base.m):
         lo, hi = base.elem_indptr[v], base.elem_indptr[v + 1]
-        flat_ids = v * zeta + np.arange(zeta, dtype=np.int64)
+        # Copy half of the coin key once per element, set half once per edge.
+        copy_half = _combine_array(
+            coin_base, v * zeta + np.arange(zeta, dtype=np.int64))
         for p, s, a in zip(range(lo, hi), base.elem_set_ids[lo:hi].tolist(),
                            pinst.numer_elem_order[lo:hi].tolist()):
             if a == 0:
                 continue
-            coins = _edge_coin_array(source, flat_ids,
-                                     np.full(zeta, s, dtype=np.int64))
+            set_half = _U(_combine_scalar(coin_base ^ _GOLDEN, s))
+            coins = _unit_array(_mix_array(copy_half ^ set_half))
             hits.append(np.flatnonzero(coins < a / pinst.U))
             counts[p] = hits[-1].size
     return _copy_graph(base, zeta, counts, np.concatenate(hits))

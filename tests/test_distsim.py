@@ -1,9 +1,13 @@
+import hashlib
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coversketch import (
     CoverageInstance,
     HashSource,
     build_sketch,
+    distsim,
     generate_planted,
     loads_edge_list,
     partition_input,
@@ -11,8 +15,9 @@ from coversketch import (
     run_setcover_mapreduce,
     theory_params,
 )
-from coversketch.solvers import greedy_kcover, set_cover_outliers, \
-    stochastic_greedy
+from coversketch.solvers import InfeasibleError, greedy_kcover, \
+    guess_ladder, set_cover_outliers, stochastic_greedy
+from coversketch.sketch import derive_seed
 
 from conftest import random_instance
 
@@ -175,3 +180,129 @@ class TestReportText:
         summary = report.to_text().splitlines()[-1]
         assert summary.startswith("rounds=4 machines=3 ")
         assert "divergence=" in summary
+
+    def test_golden_demo_reports(self):
+        # Pinned on the demo-03 runs: payloads are batched per owner and
+        # guess, but every element still counts as one message.
+        inst, _ = generate_planted(5, 10_000, 5, 0.2, seed=1)
+        _, kcover = run_kcover_mapreduce(inst, 3, 0.9, 0.5, 42, 6)
+        _, setcover = run_setcover_mapreduce(inst, 0.05, 0.2, 0.5, 7, 4)
+        golden = [
+            (kcover, 2256, 4552, "0 4 554 0 1108",
+             "cbfd9cd48ce1432eb4ddc93a8c4fe3d0"
+             "ae010e0342b1eba631987ae1b3bb299e"),
+            (setcover, 300_000, 620_000, "0 4 220000 0 320000",
+             "6057872dd529eaa5a3782c35b33c362f"
+             "884ed6c5a1e078ca09e1d961cf7ef8f3"),
+        ]
+        for report, messages, units, round4, digest in golden:
+            text = report.to_text()
+            assert report.total_messages == messages
+            assert report.total_message_units == units
+            assert round4 in text.splitlines()
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# Simulated == single-process whenever the divergence flag is clear
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def sim_cases(draw, max_n=7, max_m=24):
+    """(instance, machines, eps, delta_dprime, seed) with empty elements,
+    fewer elements than machines, degrees above the theory cap, and
+    ``n_tilde`` both clamped to the edge count and below it."""
+    n = draw(st.integers(1, max_n))
+    rows = draw(st.lists(st.sets(st.integers(0, n - 1), max_size=n),
+                         min_size=2, max_size=max_m))
+    set_ids = [s for row in rows for s in sorted(row)]
+    elem_ids = [v for v, row in enumerate(rows) for _ in row]
+    inst = CoverageInstance.from_edges(n, len(rows), set_ids, elem_ids)
+    return (inst, draw(st.integers(2, 9)),
+            draw(st.sampled_from([0.1, 0.5, 0.9])),
+            draw(st.sampled_from([0.01, 0.5, 1.0])),
+            draw(st.integers(0, 2**64 - 1)))
+
+
+def simulated_sketches(inst, machines, families):
+    """Round-4 sketches and the divergence flag of one simulated run."""
+    sketches, divergence, _ = distsim._run_sketch_rounds(
+        inst, partition_input(inst, machines),
+        distsim._Recorder(machines, 4), families)
+    return sketches, divergence
+
+
+def outcome(sol):
+    return sol.chosen, sol.coverage_value, sol.gains, sol.evaluated_on
+
+
+def check_accounting(inst, report):
+    """Loads are storage plus units received; every unit sent arrives; the
+    coordinator receives exactly the sketch edges in round 4."""
+    placement = partition_input(inst, report.machine_count)
+    units_in = [0] * report.machine_count
+    units_out = 0
+    for mach, rnd, uin, uout, _ in report.records:
+        units_in[mach] += uin
+        units_out += uout
+    assert report.loads == [store + got for store, got
+                            in zip(placement.storage_units, units_in)]
+    assert report.total_message_units == sum(units_in) == units_out
+    assert report.records[3][:3] == (0, 4, report.sketch_edges)
+
+
+class TestSimulateEqualsSingleProcess:
+    @settings(max_examples=150, deadline=None)
+    @given(sim_cases(), st.data())
+    def test_kcover(self, case, data):
+        inst, machines, eps, delta_dprime, seed = case
+        k = data.draw(st.integers(1, inst.n))
+        params = theory_params(inst.n, inst.m, inst.edge_count, k=k, eps=eps,
+                               delta_dprime=delta_dprime)
+        source = HashSource(seed)
+        sketches, divergence = simulated_sketches(
+            inst, machines, {0: (source, params)})
+        reference = build_sketch(inst, params, source)
+        if not divergence:
+            assert sketches[0] == reference
+        for solver, ref in (
+                ("greedy", greedy_kcover(reference, k)),
+                ("stochastic", stochastic_greedy(reference, k, eps, seed))):
+            sol, report = run_kcover_mapreduce(inst, k, eps, delta_dprime,
+                                               seed, machines, solver=solver)
+            assert report.divergence_flag == divergence
+            check_accounting(inst, report)
+            if not divergence:
+                assert outcome(sol) == outcome(ref)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sim_cases(), st.sampled_from([0.05, 0.2, 0.5]))
+    def test_setcover(self, case, lam):
+        inst, machines, eps, delta_dprime, seed = case
+        families = {
+            i: (HashSource(derive_seed(seed, i)),
+                theory_params(inst.n, inst.m, inst.edge_count, k=g, eps=eps,
+                              delta_dprime=delta_dprime))
+            for i, g in enumerate(guess_ladder(inst.n, eps))}
+        sketches, divergence = simulated_sketches(inst, machines, families)
+        if not divergence:
+            for i, (source, params) in families.items():
+                assert sketches[i] == build_sketch(inst, params, source)
+        try:
+            sol, report = run_setcover_mapreduce(inst, lam, eps,
+                                                 delta_dprime, seed, machines)
+            got = outcome(sol)
+        except InfeasibleError:
+            got = report = None
+        if report is not None:
+            assert report.divergence_flag == divergence
+            check_accounting(inst, report)
+        if not divergence:
+            try:
+                want = outcome(set_cover_outliers(inst, lam, eps,
+                                                  delta_dprime, seed,
+                                                  engine="sketch"))
+            except InfeasibleError:
+                want = None
+            assert got == want
