@@ -3,8 +3,9 @@
 Each variant reduces to plain coverage by replacing an element with unit
 copies: weight-w elements become w copies, fractional coverage connects the
 first alpha*U of U copies, and probabilistic coverage flips a seeded coin per
-(copy, set).  The sketch constructors sample the copies without ever
-materializing them.
+(copy, set).  The sketch constructors hash the flat id of every candidate
+copy, then gather edges (and draw coins) only for the copies that the
+sampling rule keeps; no copy graph of the whole expansion is built.
 """
 
 import numpy as np

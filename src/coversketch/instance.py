@@ -152,14 +152,6 @@ class CoverageInstance:
         """Sorted set ids containing element ``v``."""
         return self.elem_set_ids[self.elem_indptr[v]:self.elem_indptr[v + 1]]
 
-    @property
-    def set_edges(self) -> list[np.ndarray]:
-        return [self.set_elements(s) for s in range(self.n)]
-
-    @property
-    def element_edges(self) -> list[np.ndarray]:
-        return [self.element_sets(v) for v in range(self.m)]
-
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Edge arrays (set_ids, elem_ids) in canonical (set, element) order."""
         set_ids = np.repeat(np.arange(self.n, dtype=np.int64), self.set_sizes)

@@ -11,7 +11,6 @@ of sets.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -41,9 +40,6 @@ __all__ = [
     "sketch_fractional",
     "sketch_probabilistic",
     "probabilistic_copy_count",
-    "materialize_weighted",
-    "materialize_fractional",
-    "materialize_probabilistic",
     "serialize_sketch",
 ]
 
@@ -118,8 +114,9 @@ def _edge_coin_array(source: HashSource, flat_ids: np.ndarray,
                      set_ids: np.ndarray) -> np.ndarray:
     """Uniform coins on [0, 1) keyed by (copy id, set id).
 
-    :func:`_probabilistic_copy_graph` draws the same coins with each half of
-    the key hashed once; the tests compare it against this form.
+    :func:`sketch_probabilistic` draws the same coins for the edges of the
+    copies it keeps, hashing the copy half of the key once per copy and the
+    set half once per set; the tests compare it against this form.
     """
     base = source._base(_TAG_EDGE_COIN)
     z = _combine_array(base, np.asarray(flat_ids, dtype=np.int64))
@@ -243,17 +240,20 @@ def _select_elements(hashes: np.ndarray, capped: np.ndarray,
     return order[:int(np.searchsorted(cum, params.n_tilde)) + 1]
 
 
+def _gather_positions(indptr: np.ndarray, picks: np.ndarray,
+                      counts: np.ndarray):
+    """Positions of the first ``counts[i]`` entries of each picked list, and
+    the index ``i`` that owns each position."""
+    shift = np.cumsum(counts) - counts - indptr[picks]
+    src = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(shift,
+                                                                  counts)
+    return src, np.repeat(np.arange(len(picks), dtype=np.int64), counts)
+
+
 def _gather_capped(indptr: np.ndarray, flat_sets: np.ndarray,
                    picks: np.ndarray, counts: np.ndarray):
     """First ``counts[i]`` entries of each picked adjacency list, concatenated."""
-    total = int(counts.sum())
-    if total == 0:
-        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    block_start = np.cumsum(counts) - counts
-    offsets = np.repeat(block_start, counts)
-    within = np.arange(total, dtype=np.int64) - offsets
-    src = np.repeat(indptr[picks], counts) + within
-    new_elem = np.repeat(np.arange(len(picks), dtype=np.int64), counts)
+    src, new_elem = _gather_positions(indptr, picks, counts)
     return flat_sets[src], new_elem
 
 
@@ -338,97 +338,183 @@ def build_sketch_lazy(element_count: int, degree_oracle, edge_oracle,
 #
 # Each transform views the input as an implicit unweighted expansion: element
 # v becomes copies with flat ids offset(v) + j, and copies are hashed exactly
-# as the materialized expansion's elements would be.  Degenerate parameters
-# (all weights one, rho = 1 with no cap) therefore reproduce the plain
-# constructions bit for bit.
+# as the materialized expansion's elements would be.  Only the copies that the
+# sampling rule keeps are expanded: their edges are gathered from the base
+# adjacency, filtered per copy (by numerator or by seeded coin) and capped.
+# The expansion itself is never built.  Degenerate parameters (all weights
+# one, rho = 1 with no cap) therefore reproduce the plain constructions bit
+# for bit.
 # ---------------------------------------------------------------------------
 
+_HASH_BLOCK = 1 << 18  # candidate copies hashed per block
+_FIRST_CHUNK = 1 << 12  # kept copies expanded in the first chunk
+_MAX_CHUNK = 1 << 16  # chunks double up to this many copies
 
-def _sketch_over_copies(n: int, flat_ids: np.ndarray, copy_indptr: np.ndarray,
-                        copy_sets: np.ndarray, params: SketchParams,
-                        source: HashSource, original_m: int) -> Sketch:
-    degrees = np.diff(copy_indptr)
-    hashes = element_hash_array(source, flat_ids)
-    capped = np.minimum(degrees, params.cap)
-    picks = _select_elements(hashes, capped, params)
-    set_ids, new_elems = _gather_capped(copy_indptr, copy_sets, picks,
-                                        capped[picks])
-    return _assemble(n, flat_ids[picks], set_ids, new_elems,
+
+def _copy_count(copies: np.ndarray) -> int:
+    """Sum of per-element copy counts; unlike an int64 sum it never wraps."""
+    approx = float(copies.sum(dtype=np.float64))
+    return int(copies.sum()) if approx < 2**62 else int(approx)
+
+
+def _check_budget(total: int, budget: int, advice: str) -> None:
+    if total > budget:
+        raise ValueError(f"expansion needs {total} copies, over the budget of "
+                         f"{budget}; {advice}")
+
+
+def _copy_hashes(source: HashSource, shift: np.ndarray, starts: np.ndarray,
+                 ends: np.ndarray, total: int):
+    """Yield ``(lo, hashes)`` for the candidate copies, one block at a time.
+
+    Candidate ``i`` of element v (``starts[v] <= i < ends[v]``) has flat id
+    ``i + shift[v]``.
+    """
+    for lo in range(0, total, _HASH_BLOCK):
+        hi = min(lo + _HASH_BLOCK, total)
+        v0 = int(np.searchsorted(ends, lo, side="right"))
+        v1 = int(np.searchsorted(ends, hi - 1, side="right")) + 1
+        reps = np.minimum(ends[v0:v1], hi) - np.maximum(starts[v0:v1], lo)
+        flat = np.arange(lo, hi, dtype=np.int64)
+        flat += np.repeat(shift[v0:v1], reps)
+        yield lo, element_hash_array(source, flat)
+
+
+def _sketch_copies(base: CoverageInstance, first: np.ndarray,
+                   copies: np.ndarray, total: int, edge_filter,
+                   params: SketchParams, source: HashSource,
+                   original_m: int) -> Sketch:
+    """Sketch of the expansion where element v has copies ``j < copies[v]``.
+
+    Copy (v, j) has flat id ``first[v] + j``; flat ids ascend with (v, j).  It
+    holds the edges of v that ``edge_filter(flat, j, pos, copy)`` accepts,
+    where ``pos`` are element-order positions in ``base`` and ``copy`` indexes
+    ``flat`` and ``j``.  Copies left without an edge by the filter are
+    dropped; with ``edge_filter=None`` every copy keeps all of v's edges and
+    edgeless copies stay.  The result equals :func:`build_sketch` over the
+    expansion's copies, but only the copies that the sampling rule reaches
+    gather edges.
+    """
+    ends = np.cumsum(copies)
+    starts = ends - copies
+    cap = params.cap
+
+    def expand(idx):
+        """(flat ids, capped counts, edge positions, owning copy) of idx."""
+        v = np.searchsorted(ends, idx, side="right")
+        j = idx - starts[v]
+        flat_ids = first[v] + j
+        if edge_filter is None:
+            counts = np.minimum(base.elem_degrees[v], cap)
+            pos, copy = _gather_positions(base.elem_indptr, v, counts)
+        else:
+            pos, copy = _gather_positions(base.elem_indptr, v,
+                                          base.elem_degrees[v])
+            hit = edge_filter(flat_ids, j, pos, copy)
+            pos, copy = pos[hit], copy[hit]
+            counts = np.bincount(copy, minlength=len(idx))
+            rank = np.arange(len(copy)) - np.repeat(np.cumsum(counts) - counts,
+                                                    counts)
+            under = rank < cap
+            pos, copy = pos[under], copy[under]
+            np.minimum(counts, cap, out=counts)
+            has_edge = counts > 0
+            flat_ids, counts = flat_ids[has_edge], counts[has_edge]
+            copy = (np.cumsum(has_edge) - 1)[copy]
+        return flat_ids, counts, pos, copy
+
+    blocks = _copy_hashes(source, first - starts, starts, ends, total)
+    if params.mode == "practical":
+        walk = np.concatenate([np.empty(0, dtype=np.int64)] + [
+            lo + np.flatnonzero(h < params.rho) for lo, h in blocks])
+        n_tilde = None
+    else:
+        hashes = np.empty(total, dtype=np.float64)
+        for lo, h in blocks:
+            hashes[lo:lo + len(h)] = h
+        walk = np.argsort(hashes, kind="stable")  # ties by smaller flat id
+        del hashes
+        n_tilde = params.n_tilde
+    selected, pos, new_elems = _expand_in_chunks(expand, walk, n_tilde)
+    return _assemble(base.n, selected, base.elem_set_ids[pos], new_elems,
                      source.seed, params, original_m)
 
 
+def _expand_in_chunks(expand, walk: np.ndarray, n_tilde: int | None):
+    """(flat ids, edge positions, owning copy) of the candidates ``walk``.
+
+    Expands ``walk`` in order, in chunks of doubling size.  With ``n_tilde``
+    set (theory mode) the walk stops at the first copy whose cumulative
+    capped mass reaches it, the cut :func:`_select_elements` makes over every
+    copy at once; when the mass never gets there, every copy is kept.
+    """
+    empty = np.empty(0, dtype=np.int64)
+    flats, positions, owners = [empty], [empty], [empty]
+    kept = mass = lo = 0
+    size = _FIRST_CHUNK
+    while lo < len(walk):
+        flat_ids, counts, pos, copy = expand(walk[lo:lo + size])
+        lo, size = lo + size, min(2 * size, _MAX_CHUNK)
+        cum = mass + np.cumsum(counts)
+        done = n_tilde is not None and cum.size and cum[-1] >= n_tilde
+        if done:
+            cut = int(np.searchsorted(cum, n_tilde)) + 1
+            inside = copy < cut
+            flat_ids, pos, copy = flat_ids[:cut], pos[inside], copy[inside]
+        flats.append(flat_ids)
+        positions.append(pos)
+        owners.append(copy + kept)
+        if done:
+            break
+        kept += len(flat_ids)
+        mass = int(cum[-1]) if cum.size else mass
+    return tuple(map(np.concatenate, (flats, positions, owners)))
+
+
 def sketch_weighted(winst: WeightedInstance, params: SketchParams,
-                    source: HashSource) -> Sketch:
+                    source: HashSource,
+                    expansion_budget: int = 10_000_000) -> Sketch:
     """Sketch of the implicit expansion with ``w_v`` unit copies per element.
 
     Copy (v, j) keeps v's edge list; its flat id is ``sum(w_u, u < v) + j``.
     With all weights one this is exactly :func:`build_sketch` on the base.
+    The ``sum(w)`` copies are hashed; only the kept ones gather edges.
     """
-    base = winst.base
     w = winst.element_weight
-    total = int(w.sum())
-    v_of_copy = np.repeat(np.arange(base.m, dtype=np.int64), w)
-    flat_ids = np.arange(total, dtype=np.int64)
-    deg = base.elem_degrees[v_of_copy]
-    copy_indptr = np.concatenate(([0], np.cumsum(deg)))
-    copy_sets, _ = _gather_capped(base.elem_indptr, base.elem_set_ids,
-                                  v_of_copy, deg)
-    return _sketch_over_copies(base.n, flat_ids, copy_indptr, copy_sets,
-                               params, source, total)
-
-
-def _copy_graph(base: CoverageInstance, per_elem: int, counts: np.ndarray,
-                j: np.ndarray):
-    """(flat copy ids, indptr, sets) of copies with at least one edge.
-
-    The edge at element-order position p joins ``counts[p]`` copies of its
-    element v, whose indices ``j < per_elem`` are listed grouped by p; copy
-    j has flat id ``v * per_elem + j``.  With ``lo, deg`` the start and
-    length of v's edges, ``lo * per_elem + j * deg + (p - lo)`` orders the
-    entries by element, copy and set, and stays below ``per_elem * E``.
-    """
-    _check_key_range(per_elem, max(base.m, base.edge_count))
-    v = np.repeat(np.arange(base.m, dtype=np.int64), base.elem_degrees)
-    lo, deg = base.elem_indptr[v], base.elem_degrees[v]
-    # Sorting leaves each element's entries in its own block, so any
-    # per-position value spread over its entries lines up with sorted keys.
-    spread = functools.partial(np.repeat, repeats=counts)
-    key = spread(lo * (per_elem - 1) + np.arange(len(v)))
-    key += j * spread(deg)
-    key.sort()
-    key -= spread(lo * per_elem)
-    copy, key = np.divmod(key, spread(deg))
-    key += spread(lo)  # element-order position of each entry's edge
-    sets = base.elem_set_ids[key]
-    del key  # freed before the boundaries below allocate
-    copy += spread(v * per_elem)  # flat copy ids
-    starts = np.flatnonzero(np.diff(copy, prepend=-1))
-    return copy[starts], np.append(starts, copy.size), sets
-
-
-def _fractional_copy_graph(finst: FractionalInstance):
-    """Copy-level adjacency: copy (v, j) joins sets with numerator > j.
-
-    Copies with no edges are dropped (an all-zero fraction contributes no
-    copies); remaining flat ids are ``v * U + j``.
-    """
-    # The edge at element-order position p joins copies 0 .. numer[p]-1.
-    reps = finst.numer_elem_order
-    j = np.arange(int(reps.sum()), dtype=np.int64)
-    j -= np.repeat(np.cumsum(reps) - reps, reps)
-    return _copy_graph(finst.base, finst.U, reps, j)
+    total = _copy_count(w)
+    _check_budget(total, expansion_budget,
+                  "lower the weights or increase the budget")
+    return _sketch_copies(winst.base, np.cumsum(w) - w, w, total, None,
+                          params, source, total)
 
 
 def sketch_fractional(finst: FractionalInstance, params: SketchParams,
-                      source: HashSource) -> Sketch:
+                      source: HashSource,
+                      expansion_budget: int = 10_000_000) -> Sketch:
     """Sketch of the implicit expansion with ``U`` copies per element.
 
     Copy (v, j) is connected to set S iff ``j < alpha_{S,v} * U``; expansion
     coverage of any solution is exactly ``U`` times its fractional coverage.
+    Flat ids are ``v * U + j``.  Only the copies with an edge, ``j`` below
+    v's largest numerator, are hashed; copies with no edge are left out.
     """
-    flat_ids, indptr, sets = _fractional_copy_graph(finst)
-    return _sketch_over_copies(finst.base.n, flat_ids, indptr, sets, params,
-                               source, finst.base.m * finst.U)
+    base, U = finst.base, finst.U
+    copies = np.zeros(base.m, dtype=np.int64)
+    has_edge = base.elem_degrees > 0
+    if has_edge.any():
+        copies[has_edge] = np.maximum.reduceat(finst.numer_elem_order,
+                                               base.elem_indptr[:-1][has_edge])
+    total = _copy_count(copies)
+    _check_budget(total, expansion_budget,
+                  "lower U or increase the budget")
+    _check_key_range(base.m, U)
+
+    def numer_hit(flat_ids, j, pos, copy):
+        return finst.numer_elem_order[pos] > j[copy]
+
+    first = np.arange(base.m, dtype=np.int64) * U
+    return _sketch_copies(base, first, copies, total, numer_hit, params,
+                          source, base.m * U)
 
 
 def probabilistic_copy_count(n: int, U: int, eps: float) -> int:
@@ -436,29 +522,6 @@ def probabilistic_copy_count(n: int, U: int, eps: float) -> int:
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
     return math.ceil(12.0 * (n + 1 + math.log(n)) * U / (eps * eps))
-
-
-def _probabilistic_copy_graph(pinst: ProbabilisticInstance, zeta: int,
-                              source: HashSource):
-    """Seeded Bernoulli expansion: copy (v, j) joins S with prob alpha_{S,v}."""
-    base = pinst.base
-    counts = np.zeros(base.edge_count, dtype=np.int64)
-    hits = [np.empty(0, dtype=np.int64)]
-    coin_base = source._base(_TAG_EDGE_COIN)
-    for v in range(base.m):
-        lo, hi = base.elem_indptr[v], base.elem_indptr[v + 1]
-        # Copy half of the coin key once per element, set half once per edge.
-        copy_half = _combine_array(
-            coin_base, v * zeta + np.arange(zeta, dtype=np.int64))
-        for p, s, a in zip(range(lo, hi), base.elem_set_ids[lo:hi].tolist(),
-                           pinst.numer_elem_order[lo:hi].tolist()):
-            if a == 0:
-                continue
-            set_half = _U(_combine_scalar(coin_base ^ _GOLDEN, s))
-            coins = _unit_array(_mix_array(copy_half ^ set_half))
-            hits.append(np.flatnonzero(coins < a / pinst.U))
-            counts[p] = hits[-1].size
-    return _copy_graph(base, zeta, counts, np.concatenate(hits))
 
 
 def sketch_probabilistic(pinst: ProbabilisticInstance, eps: float,
@@ -470,49 +533,29 @@ def sketch_probabilistic(pinst: ProbabilisticInstance, eps: float,
     each copy's edge to a containing set is present independently with
     probability ``alpha_{S,v}``.  Expansion coverage divided by ``zeta``
     estimates probabilistic coverage within a relative ``eps/2`` for all
-    solutions simultaneously, with high probability.
+    solutions simultaneously, with high probability.  Coins are drawn only
+    for the edges of copies that the sampling rule reaches; copies whose
+    coins all fail are left out.
     """
-    zeta = probabilistic_copy_count(pinst.base.n, pinst.U, eps)
-    if zeta * pinst.base.m > expansion_budget:
-        raise ValueError(
-            f"expansion needs {zeta * pinst.base.m} copies, over the budget of "
-            f"{expansion_budget}; increase eps or the budget")
-    flat_ids, indptr, sets = _probabilistic_copy_graph(pinst, zeta, source)
-    return _sketch_over_copies(pinst.base.n, flat_ids, indptr, sets, params,
-                               source, pinst.base.m * zeta)
+    base = pinst.base
+    zeta = probabilistic_copy_count(base.n, pinst.U, eps)
+    _check_budget(zeta * base.m, expansion_budget,
+                  "increase eps or the budget")
+    coin_base = source._base(_TAG_EDGE_COIN)
+    # Copy half of each coin key once per copy, set half once per set.
+    set_half = _combine_array(coin_base ^ _GOLDEN,
+                              np.arange(base.n, dtype=np.int64))
 
+    def coin_hit(flat_ids, j, pos, copy):
+        copy_half = _combine_array(coin_base, flat_ids)
+        coins = _unit_array(_mix_array(
+            copy_half[copy] ^ set_half[base.elem_set_ids[pos]]))
+        return coins < pinst.numer_elem_order[pos] / pinst.U
 
-# --- materialized expansions (verification mirrors of the implicit route) ---
-
-
-def materialize_weighted(winst: WeightedInstance) -> CoverageInstance:
-    """Explicit unit-copy expansion; flat ids match :func:`sketch_weighted`."""
-    base = winst.base
-    w = winst.element_weight
-    total = int(w.sum())
-    v_of_copy = np.repeat(np.arange(base.m, dtype=np.int64), w)
-    copy_sets, copy_ids = _gather_capped(base.elem_indptr, base.elem_set_ids,
-                                         v_of_copy, base.elem_degrees[v_of_copy])
-    return CoverageInstance.from_edges(base.n, total, copy_sets, copy_ids)
-
-
-def materialize_fractional(finst: FractionalInstance) -> CoverageInstance:
-    """Explicit U-copy expansion on flat ids ``v * U + j`` (isolated copies kept)."""
-    flat_ids, indptr, sets = _fractional_copy_graph(finst)
-    elem_ids = np.repeat(flat_ids, np.diff(indptr))
-    return CoverageInstance.from_edges(finst.base.n, finst.base.m * finst.U,
-                                       sets, elem_ids)
-
-
-def materialize_probabilistic(pinst: ProbabilisticInstance, eps: float,
-                              source: HashSource) -> tuple[CoverageInstance, int]:
-    """Explicit seeded Bernoulli expansion; returns (instance, zeta)."""
-    zeta = probabilistic_copy_count(pinst.base.n, pinst.U, eps)
-    flat_ids, indptr, sets = _probabilistic_copy_graph(pinst, zeta, source)
-    elem_ids = np.repeat(flat_ids, np.diff(indptr))
-    inst = CoverageInstance.from_edges(pinst.base.n, pinst.base.m * zeta,
-                                       sets, elem_ids)
-    return inst, zeta
+    return _sketch_copies(base, np.arange(base.m, dtype=np.int64) * zeta,
+                          np.full(base.m, zeta, dtype=np.int64),
+                          zeta * base.m, coin_hit, params, source,
+                          base.m * zeta)
 
 
 # ---------------------------------------------------------------------------

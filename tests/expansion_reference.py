@@ -1,0 +1,171 @@
+"""Materialized unit-copy expansions: the reference for the variant sketches.
+
+``sketch_weighted``, ``sketch_fractional`` and ``sketch_probabilistic`` expand
+only the copies that their sampling rule keeps.  This module builds the whole
+copy graph first (every copy's edge list, and for the probabilistic variant
+every coin) and then samples it, the way the library did before.  The tests
+hold the library sketches equal to the ``reference_*`` sketches here.
+
+Hashes are looked up on the sketch module at call time, so a test that
+patches ``coversketch.sketch.element_hash_array`` patches both sides.
+"""
+
+import functools
+
+import numpy as np
+from hypothesis import strategies as st
+
+from coversketch import CoverageInstance, sketch
+from coversketch.instance import _check_key_range
+from coversketch.sketch import (
+    SketchParams,
+    _GOLDEN,
+    _TAG_EDGE_COIN,
+    _U,
+    _assemble,
+    _combine_array,
+    _combine_scalar,
+    _gather_capped,
+    _mix_array,
+    _select_elements,
+    _unit_array,
+    practical_params,
+    probabilistic_copy_count,
+)
+
+
+@st.composite
+def sketch_params(draw, max_cap=6, max_n_tilde=40):
+    """Practical or theory params for small instances.
+
+    Caps fall below and above the degrees; ``n_tilde`` is either reachable
+    or beyond every small instance's mass, so theory mode takes all of it.
+    """
+    cap = draw(st.integers(1, max_cap))
+    if draw(st.booleans()):
+        rho = draw(st.sampled_from([0.2, 0.5, 0.8, 1.0]))
+        return practical_params(rho, cap)
+    n_tilde = draw(st.one_of(st.integers(1, max_n_tilde), st.just(10**9)))
+    return SketchParams(mode="theory", n_tilde=n_tilde, degree_cap=cap)
+
+
+def copy_graph(base, per_elem, counts, j):
+    """(flat copy ids, indptr, sets) of copies with at least one edge.
+
+    The edge at element-order position p joins ``counts[p]`` copies of its
+    element v, whose indices ``j < per_elem`` are listed grouped by p; copy
+    j has flat id ``v * per_elem + j``.  With ``lo, deg`` the start and
+    length of v's edges, ``lo * per_elem + j * deg + (p - lo)`` orders the
+    entries by element, copy and set, and stays below ``per_elem * E``.
+    """
+    _check_key_range(per_elem, max(base.m, base.edge_count))
+    v = np.repeat(np.arange(base.m, dtype=np.int64), base.elem_degrees)
+    lo, deg = base.elem_indptr[v], base.elem_degrees[v]
+    spread = functools.partial(np.repeat, repeats=counts)
+    key = spread(lo * (per_elem - 1) + np.arange(len(v)))
+    key += j * spread(deg)
+    key.sort()
+    key -= spread(lo * per_elem)
+    copy, key = np.divmod(key, spread(deg))
+    key += spread(lo)  # element-order position of each entry's edge
+    sets = base.elem_set_ids[key]
+    copy += spread(v * per_elem)  # flat copy ids
+    starts = np.flatnonzero(np.diff(copy, prepend=-1))
+    return copy[starts], np.append(starts, copy.size), sets
+
+
+def weighted_copy_graph(winst):
+    """(flat ids, indptr, sets) of every copy, isolated ones included."""
+    base, w = winst.base, winst.element_weight
+    v_of_copy = np.repeat(np.arange(base.m, dtype=np.int64), w)
+    deg = base.elem_degrees[v_of_copy]
+    copy_sets, _ = _gather_capped(base.elem_indptr, base.elem_set_ids,
+                                  v_of_copy, deg)
+    return (np.arange(int(w.sum()), dtype=np.int64),
+            np.concatenate(([0], np.cumsum(deg))), copy_sets)
+
+
+def fractional_copy_graph(finst):
+    """Copy-level adjacency: copy (v, j) joins sets with numerator > j."""
+    reps = finst.numer_elem_order
+    j = np.arange(int(reps.sum()), dtype=np.int64)
+    j -= np.repeat(np.cumsum(reps) - reps, reps)
+    return copy_graph(finst.base, finst.U, reps, j)
+
+
+def probabilistic_copy_graph(pinst, zeta, source):
+    """Seeded Bernoulli expansion: copy (v, j) joins S with prob alpha_{S,v}."""
+    base = pinst.base
+    counts = np.zeros(base.edge_count, dtype=np.int64)
+    hits = [np.empty(0, dtype=np.int64)]
+    coin_base = source._base(_TAG_EDGE_COIN)
+    for v in range(base.m):
+        lo, hi = base.elem_indptr[v], base.elem_indptr[v + 1]
+        copy_half = _combine_array(
+            coin_base, v * zeta + np.arange(zeta, dtype=np.int64))
+        for p, s, a in zip(range(lo, hi), base.elem_set_ids[lo:hi].tolist(),
+                           pinst.numer_elem_order[lo:hi].tolist()):
+            if a == 0:
+                continue
+            set_half = _U(_combine_scalar(coin_base ^ _GOLDEN, s))
+            coins = _unit_array(_mix_array(copy_half ^ set_half))
+            hits.append(np.flatnonzero(coins < a / pinst.U))
+            counts[p] = hits[-1].size
+    return copy_graph(base, zeta, counts, np.concatenate(hits))
+
+
+def sketch_over_copies(n, flat_ids, copy_indptr, copy_sets, params, source,
+                       original_m):
+    """``build_sketch`` over a copy graph, keyed by flat copy ids."""
+    degrees = np.diff(copy_indptr)
+    hashes = sketch.element_hash_array(source, flat_ids)
+    capped = np.minimum(degrees, params.cap)
+    picks = _select_elements(hashes, capped, params)
+    set_ids, new_elems = _gather_capped(copy_indptr, copy_sets, picks,
+                                        capped[picks])
+    return _assemble(n, flat_ids[picks], set_ids, new_elems,
+                     source.seed, params, original_m)
+
+
+def reference_weighted(winst, params, source):
+    graph = weighted_copy_graph(winst)
+    return sketch_over_copies(winst.base.n, *graph, params, source,
+                              int(winst.element_weight.sum()))
+
+
+def reference_fractional(finst, params, source):
+    return sketch_over_copies(finst.base.n, *fractional_copy_graph(finst),
+                              params, source, finst.base.m * finst.U)
+
+
+def reference_probabilistic(pinst, eps, params, source):
+    zeta = probabilistic_copy_count(pinst.base.n, pinst.U, eps)
+    graph = probabilistic_copy_graph(pinst, zeta, source)
+    return sketch_over_copies(pinst.base.n, *graph, params, source,
+                              pinst.base.m * zeta)
+
+
+def materialize_weighted(winst):
+    """Explicit unit-copy expansion; flat ids match ``sketch_weighted``."""
+    flat_ids, indptr, sets = weighted_copy_graph(winst)
+    return CoverageInstance.from_edges(
+        winst.base.n, len(flat_ids), sets,
+        np.repeat(flat_ids, np.diff(indptr)))
+
+
+def materialize_fractional(finst):
+    """Explicit U-copy expansion on flat ids ``v * U + j`` (isolated copies kept)."""
+    flat_ids, indptr, sets = fractional_copy_graph(finst)
+    elem_ids = np.repeat(flat_ids, np.diff(indptr))
+    return CoverageInstance.from_edges(finst.base.n, finst.base.m * finst.U,
+                                       sets, elem_ids)
+
+
+def materialize_probabilistic(pinst, eps, source):
+    """Explicit seeded Bernoulli expansion; returns (instance, zeta)."""
+    zeta = probabilistic_copy_count(pinst.base.n, pinst.U, eps)
+    flat_ids, indptr, sets = probabilistic_copy_graph(pinst, zeta, source)
+    elem_ids = np.repeat(flat_ids, np.diff(indptr))
+    inst = CoverageInstance.from_edges(pinst.base.n, pinst.base.m * zeta,
+                                       sets, elem_ids)
+    return inst, zeta

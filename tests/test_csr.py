@@ -1,10 +1,10 @@
 """CSR construction against lexsort/unique reference builders.
 
-The constructors sort one packed int64 key per edge (or per edge copy).  The
-references below build the same arrays with chained ``np.lexsort`` calls and
-``np.unique``, one sort per key column, and are the specification the
-properties hold the constructors to: every array must be equal, with the
-same dtype, on every input.
+The constructors sort one packed int64 key per edge, as does the copy graph
+of ``expansion_reference``.  The references below build the same arrays
+with chained ``np.lexsort`` calls and ``np.unique``, one sort per key
+column, and are the specification the properties hold the constructors to:
+every array must be equal, with the same dtype, on every input.
 """
 
 import numpy as np
@@ -15,8 +15,11 @@ from coversketch import CoverageInstance, FractionalInstance, \
     ProbabilisticInstance, feature_pairs_instance
 from coversketch.instance import _check_key_range
 from coversketch.sketch import HashSource, _edge_coin_array, \
-    _fractional_copy_graph, _probabilistic_copy_graph, _select_elements, \
-    practical_params, sketch_fractional, SketchParams
+    _select_elements, practical_params, probabilistic_copy_count, \
+    sketch_fractional, sketch_probabilistic, SketchParams
+
+from expansion_reference import fractional_copy_graph, \
+    probabilistic_copy_graph, sketch_over_copies, sketch_params
 
 
 def _indptr(ids, size):
@@ -218,39 +221,72 @@ class TestFractionalFromEdges:
 
 
 class TestCopyGraphs:
+    """The variant sketches against sketches of the materialized copy graph.
+
+    Each test also holds the copy graph of ``expansion_reference`` to the
+    lexsort builders above, so the reference is itself checked.
+    """
+
     @settings(max_examples=200, deadline=None)
-    @given(fractional_lists())
-    def test_fractional_matches_reference(self, case):
+    @given(fractional_lists(), sketch_params(), st.integers(0, 2**32))
+    def test_fractional_matches_reference(self, case, params, seed):
         finst = FractionalInstance.from_edges(*case)
-        assert_arrays_equal(_fractional_copy_graph(finst),
-                            reference_fractional_copies(finst))
+        want = reference_fractional_copies(finst)
+        assert_arrays_equal(fractional_copy_graph(finst), want)
+        source = HashSource(seed)
+        assert sketch_fractional(finst, params, source) == sketch_over_copies(
+            finst.base.n, *want, params, source, finst.base.m * finst.U)
 
     @settings(max_examples=60, deadline=None)
     @given(fractional_lists(max_side=5, max_u=4), st.integers(1, 24),
+           st.sampled_from([0.7, 0.85, 1.0]), sketch_params(),
            st.integers(0, 2**32))
-    def test_probabilistic_matches_reference(self, case, zeta, seed):
+    def test_probabilistic_matches_reference(self, case, zeta, eps, params,
+                                             seed):
         pinst = ProbabilisticInstance.from_edges(*case)
         source = HashSource(seed)
-        assert_arrays_equal(_probabilistic_copy_graph(pinst, zeta, source),
+        assert_arrays_equal(probabilistic_copy_graph(pinst, zeta, source),
                             reference_probabilistic_copies(pinst, zeta,
                                                            source))
+        zeta = probabilistic_copy_count(pinst.base.n, pinst.U, eps)
+        want = reference_probabilistic_copies(pinst, zeta, source)
+        assert sketch_probabilistic(pinst, eps, params, source) == \
+            sketch_over_copies(pinst.base.n, *want, params, source,
+                               pinst.base.m * zeta)
 
     def test_fractional_largest_file_u(self):
         U = 2**31 - 1
         finst = FractionalInstance.from_edges(
             3, 4, [2, 0, 1, 2, 0], [3, 3, 0, 1, 0], [2, 5, 1, 0, 3], U)
         want = reference_fractional_copies(finst)
-        assert_arrays_equal(_fractional_copy_graph(finst), want)
+        assert_arrays_equal(fractional_copy_graph(finst), want)
         assert want[0][-1] == 3 * U + 4  # last copy of element 3
-        sk = sketch_fractional(finst, practical_params(1.0, 3),
-                               HashSource(1))
+        for params in (practical_params(1.0, 3),
+                       SketchParams(mode="theory", n_tilde=5, degree_cap=1)):
+            sk = sketch_fractional(finst, params, HashSource(1))
+            assert sk == sketch_over_copies(3, *want, params, HashSource(1),
+                                            4 * U)
+        sk = sketch_fractional(finst, practical_params(1.0, 3), HashSource(1))
         assert sk.instance.edge_count == len(want[2])
+        assert sk.selected_elements[-1] == 3 * U + 4
 
     def test_fractional_key_overflow_is_value_error(self):
-        finst = FractionalInstance.from_edges(2, 2, [0, 1, 1], [1, 0, 1],
+        # Three elements of 2**62 copies: flat ids reach 3 * 2**62 > 2**63.
+        finst = FractionalInstance.from_edges(2, 3, [0, 1, 1], [1, 0, 1],
                                               [1, 2, 3], 2**62)
         with pytest.raises(ValueError, match="overflow a 64-bit sort key"):
-            _fractional_copy_graph(finst)
+            sketch_fractional(finst, practical_params(1.0, 2), HashSource(0))
+        with pytest.raises(ValueError, match="overflow a 64-bit sort key"):
+            fractional_copy_graph(finst)
+
+    def test_fractional_flat_ids_at_key_limit(self):
+        # Two elements of 2**62 copies: every flat id is below 2**63.
+        U = 2**62
+        finst = FractionalInstance.from_edges(2, 2, [0, 1, 1], [1, 0, 1],
+                                              [1, 2, 3], U)
+        sk = sketch_fractional(finst, practical_params(1.0, 2), HashSource(0))
+        assert sk.selected_elements.tolist() == [0, 1, U, U + 1, U + 2]
+        assert sk.original_m == 2 * U
 
 
 class TestSelectElements:

@@ -28,6 +28,16 @@ from coversketch.instance import (
 )
 
 
+def set_edges(inst):
+    """Element list of every set, in set order."""
+    return [inst.set_elements(s) for s in range(inst.n)]
+
+
+def element_edges(inst):
+    """Set list of every element, in element order."""
+    return [inst.element_sets(v) for v in range(inst.m)]
+
+
 class TestLoadEdgeList:
     def test_basic(self):
         inst = loads_edge_list("0 0\n0 1\n1 1\n")
@@ -77,8 +87,8 @@ class TestCoverageInstance:
         inst = loads_edge_list("0 0\n0 1\n1 1\n2 0\n")
         assert inst.set_elements(0).tolist() == [0, 1]
         assert inst.element_sets(1).tolist() == [0, 1]
-        assert inst.edge_count == sum(len(e) for e in inst.set_edges)
-        assert inst.edge_count == sum(len(e) for e in inst.element_edges)
+        assert inst.edge_count == sum(len(e) for e in set_edges(inst))
+        assert inst.edge_count == sum(len(e) for e in element_edges(inst))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,10 @@
 import io
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 from coversketch import (
@@ -21,23 +24,32 @@ from coversketch import (
     sketch_weighted,
     theory_params,
 )
+from coversketch import sketch as sketch_module
 from coversketch.instance import (
     FractionalInstance,
     ProbabilisticInstance,
     WeightedInstance,
+    load_fractional_edge_list,
 )
 from coversketch.sketch import (
+    Sketch,
     SketchParams,
     derive_seed,
-    materialize_fractional,
-    materialize_probabilistic,
-    materialize_weighted,
     probabilistic_copy_count,
     serialize_sketch,
 )
 from coversketch.solvers import brute_force_kcover
 
 from conftest import random_instance
+from expansion_reference import (
+    materialize_fractional,
+    materialize_probabilistic,
+    materialize_weighted,
+    reference_fractional,
+    reference_probabilistic,
+    reference_weighted,
+    sketch_params,
+)
 
 
 class TestElementHash:
@@ -412,6 +424,146 @@ class TestSketchProbabilistic:
         ref = build_sketch(expanded, params, HashSource(4))
         for s in range(pinst.base.n):
             assert coverage(sk, [s]) == coverage(ref, [s])
+
+
+@st.composite
+def variant_cases(draw, max_n=4, max_m=6, max_u=3):
+    """(fractional instance, weights) with empty elements, zero numerators
+    and weights up to U."""
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(1, max_m))
+    U = draw(st.integers(1, max_u))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, m - 1)),
+                          unique=True, max_size=n * m))
+    numer = draw(st.lists(st.integers(0, U), min_size=len(pairs),
+                          max_size=len(pairs)))
+    weights = draw(st.lists(st.integers(1, U), min_size=m, max_size=m))
+    finst = FractionalInstance.from_edges(
+        n, m, [s for s, _ in pairs], [e for _, e in pairs], numer, U)
+    return finst, np.array(weights, dtype=np.int64)
+
+
+def _coarse_hashes(src, ids, exact=sketch_module.element_hash_array):
+    """Element hashes rounded down to quarters, so that many of them tie."""
+    return np.floor(exact(src, ids) * 4) / 4
+
+
+def assert_same_sketch(got, want):
+    """``==`` plus the dtypes that ``Sketch.__eq__`` does not compare."""
+    assert got == want
+    for sk in (got, want):
+        inst = sk.instance
+        assert sk.selected_elements.dtype == np.int64
+        assert type(sk.original_m) is int
+        for arr in (inst.set_indptr, inst.set_elems, inst.elem_indptr,
+                    inst.elem_set_ids):
+            assert arr.dtype == np.int64
+
+
+def without_empty(sk):
+    """``sk`` with its edgeless elements dropped, selection order kept."""
+    keep = sk.instance.elem_degrees > 0
+    set_ids, elems = sk.instance.edges()
+    inst = CoverageInstance.from_edges(sk.instance.n, int(keep.sum()),
+                                       set_ids, (np.cumsum(keep) - 1)[elems])
+    return Sketch(inst, sk.hash_seed, sk.params, sk.selected_elements[keep],
+                  sk.original_m)
+
+
+class TestVariantsMatchReference:
+    """Sketches of the kept copies equal sketches of the whole expansion."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(variant_cases(), sketch_params(), st.integers(0, 2**32),
+           st.booleans(), st.integers(1, 3), st.integers(1, 8),
+           st.integers(1, 16), st.sampled_from([0.8, 1.0]))
+    def test_all_variants_match_reference(self, case, params, seed, tied,
+                                          first_chunk, max_chunk, hash_block,
+                                          eps):
+        finst, weights = case
+        base, U = finst.base, finst.U
+        winst = WeightedInstance(base, weights, U)
+        pinst = ProbabilisticInstance(base, finst.numer_set_order,
+                                      finst.numer_elem_order, U)
+        source = HashSource(seed)
+        hashes = _coarse_hashes if tied else sketch_module.element_hash_array
+        # Small chunks and hash blocks walk the chunked paths on tiny inputs.
+        with mock.patch.multiple(sketch_module, element_hash_array=hashes,
+                                 _FIRST_CHUNK=first_chunk,
+                                 _MAX_CHUNK=max_chunk, _HASH_BLOCK=hash_block):
+            assert_same_sketch(sketch_weighted(winst, params, source),
+                               reference_weighted(winst, params, source))
+            assert_same_sketch(sketch_fractional(finst, params, source),
+                               reference_fractional(finst, params, source))
+            assert_same_sketch(
+                sketch_probabilistic(pinst, eps, params, source),
+                reference_probabilistic(pinst, eps, params, source))
+
+    @settings(max_examples=150, deadline=None)
+    @given(variant_cases(), sketch_params(), st.integers(0, 2**32))
+    def test_unit_expansions_reduce_to_plain_sketch(self, case, params, seed):
+        finst, _ = case
+        base, U = finst.base, finst.U
+        source = HashSource(seed)
+        plain = build_sketch(base, params, source)
+        ones = np.ones(base.m, dtype=np.int64)
+        assert_same_sketch(
+            sketch_weighted(WeightedInstance(base, ones, U), params, source),
+            plain)
+        # All numerators U: copy (v, j) has flat id v * U + j, as in the
+        # weighted expansion with every weight U, minus its edgeless copies.
+        full = np.full(base.edge_count, U, dtype=np.int64)
+        frac = sketch_fractional(FractionalInstance(base, full, full, U),
+                                 params, source)
+        heavy = sketch_weighted(WeightedInstance(base, U * ones, U), params,
+                                source)
+        assert_same_sketch(frac, without_empty(heavy))
+        if U == 1:
+            assert_same_sketch(frac, without_empty(plain))
+
+
+class TestExpansionBudget:
+    """Oversized expansions fail before anything of their size is allocated."""
+
+    def _raises_without_allocating(self, build, count):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError,
+                               match=f"expansion needs {count} copies, over "
+                                     f"the budget of 10000000"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_weighted_largest_file_weight(self):
+        base = loads_edge_list("0 0\n1 1\n")
+        winst = WeightedInstance(base, np.array([2**31 - 1, 1]), 2**31 - 1)
+        self._raises_without_allocating(
+            lambda: sketch_weighted(winst, practical_params(0.5, 2),
+                                    HashSource(0)), 2**31)
+
+    def test_fractional_largest_file_numerator(self):
+        finst = load_fractional_edge_list(
+            io.BytesIO(b"#U 2147483647\n0 0 2147483647\n1 1 3\n"))
+        self._raises_without_allocating(
+            lambda: sketch_fractional(finst, practical_params(0.5, 2),
+                                      HashSource(0)), 2**31 + 2)
+
+    def test_budget_is_a_parameter(self):
+        winst = WeightedInstance(loads_edge_list("0 0\n"), np.array([4]), 4)
+        with pytest.raises(ValueError, match="needs 4 copies"):
+            sketch_weighted(winst, practical_params(1.0, 1), HashSource(0),
+                            expansion_budget=3)
+        sk = sketch_weighted(winst, practical_params(1.0, 1), HashSource(0),
+                             expansion_budget=4)
+        assert sk.instance.m == 4
+        finst = FractionalInstance.from_edges(1, 2, [0, 0], [0, 1], [2, 0], 2)
+        with pytest.raises(ValueError, match="needs 2 copies"):
+            sketch_fractional(finst, practical_params(1.0, 1), HashSource(0),
+                              expansion_budget=1)
 
 
 def _elem_order(inst, numer_set_order):
