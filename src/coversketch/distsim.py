@@ -9,8 +9,10 @@ under modular placement.  Both pipelines run in exactly four rounds:
    hash threshold to the coordinator,
 2. the coordinator picks the smallest-hash prefix whose capped degree mass
    reaches the target and notifies the owners,
-3. owners ship the retained (capped) edges of selected elements,
-4. the coordinator assembles the sketch and runs the solver.
+3. owners ship the retained (capped) edges of selected elements, one run of
+   ascending set ids per element,
+4. the coordinator puts the runs in selection order, assembles the sketch
+   from them without sorting edges, and runs the solver.
 
 Each round's data from one machine to another travels as one batched payload
 per guess tag (in round 3: ids, capped counts and the concatenated edges),
@@ -34,6 +36,7 @@ from .sketch import (
     HashSource,
     _assemble,
     _gather_capped,
+    _gather_positions,
     derive_seed,
     element_hash_array,
     theory_params,
@@ -164,8 +167,8 @@ def _boot_machines(instance: CoverageInstance, placement: Placement):
     for w in range(1, placement.machine_count):
         ids = placement.elements[w]
         degrees = instance.elem_degrees[ids]
-        sets, _ = _gather_capped(instance.elem_indptr, instance.elem_set_ids,
-                                 ids, degrees)
+        sets = _gather_capped(instance.elem_indptr, instance.elem_set_ids,
+                              ids, degrees)
         machines[w].storage.update(
             ids=ids, degrees=degrees, sets=sets,
             indptr=np.concatenate(([0], np.cumsum(degrees))))
@@ -269,15 +272,16 @@ def _run_sketch_rounds(instance, placement, rec, families):
             pos = np.searchsorted(store["ids"], mine)
             counts = np.minimum(store["degrees"][pos],
                                 families[tag][1].degree_cap)
-            edges, _ = _gather_capped(store["indptr"], store["sets"], pos,
-                                      counts)
+            edges = _gather_capped(store["indptr"], store["sets"], pos,
+                                   counts)
             rec.units_out[w, 3] += len(edges)
             outbox.append((COORDINATOR, len(edges), len(mine),
                            (tag, mine, counts, edges)))
     _barrier(machines, rec, 4, outbox)
 
-    # Round 4: coordinator assembles one sketch per family; from_edges puts
-    # the edges in canonical order whatever order the owners sent them in.
+    # Round 4: coordinator assembles one sketch per family.  Each shipped
+    # run is a capped prefix of an element's ascending set list, so putting
+    # the runs in selection-rank order gives the sketch's element view.
     received = _fields_by_tag(coord.inbox, families)
     coord.inbox = []  # consumed; each tag's parts are freed once assembled
     rank = np.empty(m, dtype=np.int64)
@@ -287,8 +291,12 @@ def _run_sketch_rounds(instance, placement, rec, families):
         sel = coord.storage[("selected", tag)]
         ids, counts, set_ids = map(np.concatenate, received.pop(tag))
         rank[sel] = np.arange(len(sel), dtype=np.int64)
-        new_elems = np.repeat(rank[ids], counts)
-        sketches[tag] = _assemble(instance.n, sel, set_ids, new_elems,
+        order = np.empty(len(ids), dtype=np.int64)
+        order[rank[ids]] = np.arange(len(ids), dtype=np.int64)
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        counts = counts[order]
+        set_ids = set_ids[_gather_positions(indptr, order, counts)]
+        sketches[tag] = _assemble(instance.n, sel, counts, set_ids,
                                   source.seed, params, m)
         sketch_units += len(set_ids)
     rec.storage_peak[COORDINATOR, 4] = sel_units + sketch_units

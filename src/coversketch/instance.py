@@ -69,6 +69,42 @@ def _edge_keys(n: int, m: int, set_ids, elem_ids) -> np.ndarray:
     return set_ids * m + elem_ids
 
 
+def _set_runs(n: int, m: int, key: np.ndarray):
+    """``(set_indptr, set_elems)`` of sorted unique ``set * m + element`` keys."""
+    starts = np.searchsorted(key, np.arange(n, dtype=np.int64) * m)
+    return np.append(starts, key.size), key % max(m, 1)
+
+
+def _run_ids(indptr: np.ndarray) -> np.ndarray:
+    """Index of the run that holds each entry of CSR runs ``indptr``."""
+    return np.repeat(np.arange(len(indptr) - 1, dtype=np.int64),
+                     np.diff(indptr))
+
+
+def _transpose(indptr: np.ndarray, minor: np.ndarray, minor_count: int):
+    """The other CSR view of runs of distinct, ascending minor ids.
+
+    Run ``r`` holds ``minor[indptr[r]:indptr[r + 1]]``.  Returns
+    ``(minor_indptr, major_ids, order)``: run ``c`` of the new view lists the
+    ascending majors whose runs hold ``c``, and its entries are the input
+    entries ``order``.  Either sort orders entries by (minor, major), so the
+    two branches give the same result.
+    """
+    major_count = len(indptr) - 1
+    if minor_count <= 2**16:
+        # numpy radix-sorts 16-bit keys when asked for a stable sort.
+        order = np.argsort(minor.astype(np.uint16), kind="stable")
+    else:
+        _check_key_range(minor_count, major_count)
+        # The keys are unique, so an unstable sort is exact.
+        order = np.argsort(minor * major_count + _run_ids(indptr))
+    minor_indptr = np.zeros(minor_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(minor, minlength=minor_count),
+              out=minor_indptr[1:])
+    # Built after the sort, so it never coexists with the sort's buffers.
+    return minor_indptr, _run_ids(indptr)[order], order
+
+
 class CoverageInstance:
     """Immutable set/element incidence structure.
 
@@ -129,20 +165,11 @@ class CoverageInstance:
         key = _edge_keys(n, m, set_ids, elem_ids)
         key.sort()
         key = key[np.diff(key, prepend=-1) != 0]
-        s, e = np.divmod(key, max(m, 1))
-        del key  # freed before the element-order sort allocates
-        return cls._from_sorted_pairs(n, m, s, e, element_labels)[0]
-
-    @classmethod
-    def _from_sorted_pairs(cls, n, m, set_ids, elem_ids, element_labels=None):
-        # Pairs are unique and in (set, element) order: any argsort is exact.
-        set_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(set_ids, minlength=n), out=set_indptr[1:])
-        eorder = np.argsort(elem_ids * n + set_ids)
-        elem_indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.bincount(elem_ids, minlength=m), out=elem_indptr[1:])
-        return cls(n, m, set_indptr, elem_ids, elem_indptr, set_ids[eorder],
-                   element_labels), eorder
+        set_indptr, set_elems = _set_runs(n, m, key)
+        del key  # freed before the element view is sorted
+        elem_indptr, elem_set_ids, _ = _transpose(set_indptr, set_elems, m)
+        return cls(n, m, set_indptr, set_elems, elem_indptr, elem_set_ids,
+                   element_labels)
 
     def set_elements(self, s: int) -> np.ndarray:
         """Sorted element ids contained in set ``s``."""
@@ -154,8 +181,7 @@ class CoverageInstance:
 
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Edge arrays (set_ids, elem_ids) in canonical (set, element) order."""
-        set_ids = np.repeat(np.arange(self.n, dtype=np.int64), self.set_sizes)
-        return set_ids, self.set_elems
+        return _run_ids(self.set_indptr), self.set_elems
 
     def __eq__(self, other):
         if not isinstance(other, CoverageInstance):
@@ -232,8 +258,11 @@ class FractionalInstance:
         key = key[order]
         if np.any(key[1:] == key[:-1]):
             raise ValueError("duplicate edge with fractional coverage")
-        s, e = np.divmod(key, max(m, 1))
-        base, eorder = CoverageInstance._from_sorted_pairs(n, m, s, e)
+        set_indptr, set_elems = _set_runs(n, m, key)
+        elem_indptr, elem_set_ids, eorder = _transpose(set_indptr, set_elems,
+                                                       m)
+        base = CoverageInstance(n, m, set_indptr, set_elems, elem_indptr,
+                                elem_set_ids)
         a = numer[order]
         return cls(base, a, a[eorder], int(U))
 

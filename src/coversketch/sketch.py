@@ -22,6 +22,7 @@ from .instance import (
     ProbabilisticInstance,
     WeightedInstance,
     _check_key_range,
+    _transpose,
     _write_rows,
 )
 
@@ -63,8 +64,12 @@ def _mix_scalar(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix_array(z: np.ndarray) -> np.ndarray:
-    z = z.astype(_U, copy=True)
+def _mix_inplace(z: np.ndarray) -> np.ndarray:
+    """Mix the uint64 array ``z`` in place and return it.
+
+    Every caller passes a temporary it owns; the array form of
+    :func:`_mix_scalar`.
+    """
     z ^= z >> _U(30)
     z *= _U(_MIX1)
     z ^= z >> _U(27)
@@ -83,9 +88,11 @@ def _combine_scalar(state: int, key: int) -> int:
 
 
 def _combine_array(state: int, keys: np.ndarray) -> np.ndarray:
-    z = _mix_array(keys.astype(_U) + _U(_GOLDEN))
+    z = keys.astype(_U)
+    z += _U(_GOLDEN)
+    _mix_inplace(z)
     z ^= _U(state)
-    return _mix_array(z)
+    return _mix_inplace(z)
 
 
 @dataclass(frozen=True)
@@ -120,8 +127,8 @@ def _edge_coin_array(source: HashSource, flat_ids: np.ndarray,
     """
     base = source._base(_TAG_EDGE_COIN)
     z = _combine_array(base, np.asarray(flat_ids, dtype=np.int64))
-    return _unit_array(_mix_array(
-        z ^ _combine_array(base ^ _GOLDEN, np.asarray(set_ids, dtype=np.int64))))
+    z ^= _combine_array(base ^ _GOLDEN, np.asarray(set_ids, dtype=np.int64))
+    return _unit_array(_mix_inplace(z))
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -241,26 +248,30 @@ def _select_elements(hashes: np.ndarray, capped: np.ndarray,
 
 
 def _gather_positions(indptr: np.ndarray, picks: np.ndarray,
-                      counts: np.ndarray):
-    """Positions of the first ``counts[i]`` entries of each picked list, and
-    the index ``i`` that owns each position."""
+                      counts: np.ndarray) -> np.ndarray:
+    """Positions of the first ``counts[i]`` entries of each picked list."""
     shift = np.cumsum(counts) - counts - indptr[picks]
-    src = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(shift,
-                                                                  counts)
-    return src, np.repeat(np.arange(len(picks), dtype=np.int64), counts)
+    return np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(shift,
+                                                                   counts)
 
 
 def _gather_capped(indptr: np.ndarray, flat_sets: np.ndarray,
-                   picks: np.ndarray, counts: np.ndarray):
+                   picks: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """First ``counts[i]`` entries of each picked adjacency list, concatenated."""
-    src, new_elem = _gather_positions(indptr, picks, counts)
-    return flat_sets[src], new_elem
+    return flat_sets[_gather_positions(indptr, picks, counts)]
 
 
-def _assemble(n: int, selected: np.ndarray, set_ids: np.ndarray,
-              new_elem_ids: np.ndarray, seed: int, params: SketchParams,
+def _assemble(n: int, selected: np.ndarray, counts: np.ndarray,
+              set_ids: np.ndarray, seed: int, params: SketchParams,
               original_m: int, lookups: int | None = None) -> Sketch:
-    inst = CoverageInstance.from_edges(n, len(selected), set_ids, new_elem_ids)
+    """Sketch whose element ``i`` is ``selected[i]`` with the next
+    ``counts[i]`` entries of ``set_ids``, distinct and ascending, as its sets.
+    """
+    elem_indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=elem_indptr[1:])
+    set_indptr, set_elems, _ = _transpose(elem_indptr, set_ids, n)
+    inst = CoverageInstance(n, len(selected), set_indptr, set_elems,
+                            elem_indptr, set_ids)
     return Sketch(instance=inst, hash_seed=seed, params=params,
                   selected_elements=np.asarray(selected, dtype=np.int64),
                   original_m=int(original_m), oracle_lookups=lookups)
@@ -279,10 +290,11 @@ def build_sketch(instance: CoverageInstance, params: SketchParams,
     hashes = element_hash_array(source, np.arange(instance.m, dtype=np.int64))
     capped = np.minimum(instance.elem_degrees, params.cap)
     selected = _select_elements(hashes, capped, params)
-    set_ids, new_elems = _gather_capped(
-        instance.elem_indptr, instance.elem_set_ids, selected, capped[selected])
-    return _assemble(instance.n, selected, set_ids, new_elems,
-                     source.seed, params, instance.m)
+    counts = capped[selected]
+    set_ids = _gather_capped(instance.elem_indptr, instance.elem_set_ids,
+                             selected, counts)
+    return _assemble(instance.n, selected, counts, set_ids, source.seed,
+                     params, instance.m)
 
 
 def build_sketch_lazy(element_count: int, degree_oracle, edge_oracle,
@@ -295,10 +307,12 @@ def build_sketch_lazy(element_count: int, degree_oracle, edge_oracle,
     hash order, stopping once the retained edge mass reaches ``n_tilde``.
     Only the selected elements' degrees and retained edges are probed;
     ``oracle_lookups`` on the result counts the probes.  ``set_count`` bounds
-    valid set ids coming back from ``edge_oracle``.
+    valid set ids coming back from ``edge_oracle``; repeated ids count once.
     """
     if params.mode != "theory":
         raise ValueError("lazy construction requires theory-mode params")
+    if set_count < 1:
+        raise ValueError("instance needs at least one set")
     m = int(element_count)
     rng = np.random.default_rng(source.seed & _MASK64)
     swap: dict[int, int] = {}
@@ -323,14 +337,12 @@ def build_sketch_lazy(element_count: int, degree_oracle, edge_oracle,
                 raise ValueError(f"edge oracle returned out-of-range set id {s}")
             edges.append(s)
         selected.append(v)
-        blocks.append(edges)
+        blocks.append(sorted(set(edges)))
         mass += take
     set_ids = np.asarray([s for b in blocks for s in b], dtype=np.int64)
-    new_elems = np.repeat(np.arange(len(selected), dtype=np.int64),
-                          [len(b) for b in blocks])
-    return _assemble(set_count, np.asarray(selected, dtype=np.int64),
-                     set_ids, new_elems, source.seed, params, m,
-                     lookups=lookups)
+    counts = np.asarray([len(b) for b in blocks], dtype=np.int64)
+    return _assemble(set_count, np.asarray(selected, dtype=np.int64), counts,
+                     set_ids, source.seed, params, m, lookups=lookups)
 
 
 # ---------------------------------------------------------------------------
@@ -400,28 +412,26 @@ def _sketch_copies(base: CoverageInstance, first: np.ndarray,
     cap = params.cap
 
     def expand(idx):
-        """(flat ids, capped counts, edge positions, owning copy) of idx."""
+        """(flat ids, capped counts, edge positions grouped by copy) of idx."""
         v = np.searchsorted(ends, idx, side="right")
         j = idx - starts[v]
         flat_ids = first[v] + j
         if edge_filter is None:
             counts = np.minimum(base.elem_degrees[v], cap)
-            pos, copy = _gather_positions(base.elem_indptr, v, counts)
-        else:
-            pos, copy = _gather_positions(base.elem_indptr, v,
-                                          base.elem_degrees[v])
-            hit = edge_filter(flat_ids, j, pos, copy)
-            pos, copy = pos[hit], copy[hit]
-            counts = np.bincount(copy, minlength=len(idx))
-            rank = np.arange(len(copy)) - np.repeat(np.cumsum(counts) - counts,
-                                                    counts)
-            under = rank < cap
-            pos, copy = pos[under], copy[under]
-            np.minimum(counts, cap, out=counts)
-            has_edge = counts > 0
-            flat_ids, counts = flat_ids[has_edge], counts[has_edge]
-            copy = (np.cumsum(has_edge) - 1)[copy]
-        return flat_ids, counts, pos, copy
+            return flat_ids, counts, _gather_positions(base.elem_indptr, v,
+                                                       counts)
+        degrees = base.elem_degrees[v]
+        pos = _gather_positions(base.elem_indptr, v, degrees)
+        copy = np.repeat(np.arange(len(idx), dtype=np.int64), degrees)
+        hit = edge_filter(flat_ids, j, pos, copy)
+        pos, copy = pos[hit], copy[hit]
+        counts = np.bincount(copy, minlength=len(idx))
+        rank = np.arange(len(copy)) - np.repeat(np.cumsum(counts) - counts,
+                                                counts)
+        pos = pos[rank < cap]
+        np.minimum(counts, cap, out=counts)
+        has_edge = counts > 0
+        return flat_ids[has_edge], counts[has_edge], pos
 
     blocks = _copy_hashes(source, first - starts, starts, ends, total)
     if params.mode == "practical":
@@ -435,13 +445,13 @@ def _sketch_copies(base: CoverageInstance, first: np.ndarray,
         walk = np.argsort(hashes, kind="stable")  # ties by smaller flat id
         del hashes
         n_tilde = params.n_tilde
-    selected, pos, new_elems = _expand_in_chunks(expand, walk, n_tilde)
-    return _assemble(base.n, selected, base.elem_set_ids[pos], new_elems,
+    selected, counts, pos = _expand_in_chunks(expand, walk, n_tilde)
+    return _assemble(base.n, selected, counts, base.elem_set_ids[pos],
                      source.seed, params, original_m)
 
 
 def _expand_in_chunks(expand, walk: np.ndarray, n_tilde: int | None):
-    """(flat ids, edge positions, owning copy) of the candidates ``walk``.
+    """(flat ids, capped counts, edge positions) of the candidates ``walk``.
 
     Expands ``walk`` in order, in chunks of doubling size.  With ``n_tilde``
     set (theory mode) the walk stops at the first copy whose cumulative
@@ -449,26 +459,23 @@ def _expand_in_chunks(expand, walk: np.ndarray, n_tilde: int | None):
     copy at once; when the mass never gets there, every copy is kept.
     """
     empty = np.empty(0, dtype=np.int64)
-    flats, positions, owners = [empty], [empty], [empty]
-    kept = mass = lo = 0
+    parts = [(empty, empty, empty)]
+    mass = lo = 0
     size = _FIRST_CHUNK
     while lo < len(walk):
-        flat_ids, counts, pos, copy = expand(walk[lo:lo + size])
+        flat_ids, counts, pos = expand(walk[lo:lo + size])
         lo, size = lo + size, min(2 * size, _MAX_CHUNK)
         cum = mass + np.cumsum(counts)
         done = n_tilde is not None and cum.size and cum[-1] >= n_tilde
         if done:
             cut = int(np.searchsorted(cum, n_tilde)) + 1
-            inside = copy < cut
-            flat_ids, pos, copy = flat_ids[:cut], pos[inside], copy[inside]
-        flats.append(flat_ids)
-        positions.append(pos)
-        owners.append(copy + kept)
+            flat_ids, counts = flat_ids[:cut], counts[:cut]
+            pos = pos[:int(cum[cut - 1]) - mass]
+        parts.append((flat_ids, counts, pos))
         if done:
             break
-        kept += len(flat_ids)
         mass = int(cum[-1]) if cum.size else mass
-    return tuple(map(np.concatenate, (flats, positions, owners)))
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def sketch_weighted(winst: WeightedInstance, params: SketchParams,
@@ -547,9 +554,9 @@ def sketch_probabilistic(pinst: ProbabilisticInstance, eps: float,
                               np.arange(base.n, dtype=np.int64))
 
     def coin_hit(flat_ids, j, pos, copy):
-        copy_half = _combine_array(coin_base, flat_ids)
-        coins = _unit_array(_mix_array(
-            copy_half[copy] ^ set_half[base.elem_set_ids[pos]]))
+        z = _combine_array(coin_base, flat_ids)[copy]
+        z ^= set_half[base.elem_set_ids[pos]]
+        coins = _unit_array(_mix_inplace(z))
         return coins < pinst.numer_elem_order[pos] / pinst.U
 
     return _sketch_copies(base, np.arange(base.m, dtype=np.int64) * zeta,

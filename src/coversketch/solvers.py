@@ -267,8 +267,23 @@ def cover_threshold(m: int, lam: float) -> int:
     return math.ceil((1.0 - lam) * m - 1e-9)
 
 
+# Longest guess ladder built; eps = 0.05 needs fewer than 500 steps.
+_MAX_LADDER_STEPS = 10_000
+
+
 def guess_ladder(n: int, eps: float) -> list[int]:
-    """Geometric guesses ceil((1+eps/3)^i) capped at n, deduplicated."""
+    """Geometric guesses ceil((1+eps/3)^i) capped at n, deduplicated.
+
+    Raises ValueError before looping when the ladder would take more than
+    ``_MAX_LADDER_STEPS`` steps, ``ceil(ln n / ln(1 + eps/3))``.
+    """
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
+    steps = math.ceil(math.log(max(n, 1)) / math.log1p(eps / 3.0))
+    if steps > _MAX_LADDER_STEPS:
+        raise ValueError(
+            f"guess ladder for n={n}, eps={eps} needs {steps} steps, over "
+            f"the limit of {_MAX_LADDER_STEPS}; increase eps")
     vals: list[int] = []
     i = 0
     while True:

@@ -18,15 +18,15 @@ from hypothesis import strategies as st
 from coversketch import CoverageInstance, sketch
 from coversketch.instance import _check_key_range
 from coversketch.sketch import (
+    Sketch,
     SketchParams,
     _GOLDEN,
     _TAG_EDGE_COIN,
     _U,
-    _assemble,
     _combine_array,
     _combine_scalar,
     _gather_capped,
-    _mix_array,
+    _mix_inplace,
     _select_elements,
     _unit_array,
     practical_params,
@@ -79,8 +79,8 @@ def weighted_copy_graph(winst):
     base, w = winst.base, winst.element_weight
     v_of_copy = np.repeat(np.arange(base.m, dtype=np.int64), w)
     deg = base.elem_degrees[v_of_copy]
-    copy_sets, _ = _gather_capped(base.elem_indptr, base.elem_set_ids,
-                                  v_of_copy, deg)
+    copy_sets = _gather_capped(base.elem_indptr, base.elem_set_ids,
+                               v_of_copy, deg)
     return (np.arange(int(w.sum()), dtype=np.int64),
             np.concatenate(([0], np.cumsum(deg))), copy_sets)
 
@@ -108,7 +108,7 @@ def probabilistic_copy_graph(pinst, zeta, source):
             if a == 0:
                 continue
             set_half = _U(_combine_scalar(coin_base ^ _GOLDEN, s))
-            coins = _unit_array(_mix_array(copy_half ^ set_half))
+            coins = _unit_array(_mix_inplace(copy_half ^ set_half))
             hits.append(np.flatnonzero(coins < a / pinst.U))
             counts[p] = hits[-1].size
     return copy_graph(base, zeta, counts, np.concatenate(hits))
@@ -116,15 +116,22 @@ def probabilistic_copy_graph(pinst, zeta, source):
 
 def sketch_over_copies(n, flat_ids, copy_indptr, copy_sets, params, source,
                        original_m):
-    """``build_sketch`` over a copy graph, keyed by flat copy ids."""
+    """``build_sketch`` over a copy graph, keyed by flat copy ids.
+
+    The sketch instance comes from ``CoverageInstance.from_edges``, not from
+    the run-based assembly that the library sketches use.
+    """
     degrees = np.diff(copy_indptr)
     hashes = sketch.element_hash_array(source, flat_ids)
     capped = np.minimum(degrees, params.cap)
     picks = _select_elements(hashes, capped, params)
-    set_ids, new_elems = _gather_capped(copy_indptr, copy_sets, picks,
-                                        capped[picks])
-    return _assemble(n, flat_ids[picks], set_ids, new_elems,
-                     source.seed, params, original_m)
+    set_ids = _gather_capped(copy_indptr, copy_sets, picks, capped[picks])
+    new_elems = np.repeat(np.arange(len(picks), dtype=np.int64),
+                          capped[picks])
+    inst = CoverageInstance.from_edges(n, len(picks), set_ids, new_elems)
+    return Sketch(instance=inst, hash_seed=source.seed, params=params,
+                  selected_elements=flat_ids[picks],
+                  original_m=int(original_m))
 
 
 def reference_weighted(winst, params, source):

@@ -207,6 +207,16 @@ class TestSimulateCommand:
              "--machines", "1"], capsys)
         assert code == 1 and "error" in err
 
+    def test_tiny_eps_ladder_is_error(self, tmp_path, capsys):
+        inp = tmp_path / "inst.txt"
+        inp.write_text("0 0\n1 1\n2 2\n")
+        code, _, err = run(
+            ["simulate", "--in", str(inp), "--problem", "setcover-outliers",
+             "--machines", "4", "--eps", "1e-6"], capsys)
+        assert code == 1
+        assert "guess ladder for n=3, eps=1e-06 needs" in err
+        assert "Traceback" not in err
+
 
 class TestExperimentCommand:
     def _write_spec(self, tmp_path, **overrides):

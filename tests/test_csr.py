@@ -1,10 +1,11 @@
 """CSR construction against lexsort/unique reference builders.
 
 The constructors sort one packed int64 key per edge, as does the copy graph
-of ``expansion_reference``.  The references below build the same arrays
-with chained ``np.lexsort`` calls and ``np.unique``, one sort per key
-column, and are the specification the properties hold the constructors to:
-every array must be equal, with the same dtype, on every input.
+of ``expansion_reference``, and sketch assembly transposes element runs.
+The references below build the same arrays with chained ``np.lexsort``
+calls and ``np.unique``, one sort per key column, and are the specification
+the properties hold the constructors to: every array must be equal, with
+the same dtype, on every input.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from coversketch import CoverageInstance, FractionalInstance, \
     ProbabilisticInstance, feature_pairs_instance
 from coversketch.instance import _check_key_range
-from coversketch.sketch import HashSource, _edge_coin_array, \
+from coversketch.sketch import HashSource, _assemble, _edge_coin_array, \
     _select_elements, practical_params, probabilistic_copy_count, \
     sketch_fractional, sketch_probabilistic, SketchParams
 
@@ -106,11 +107,16 @@ def csr_arrays(inst):
             inst.elem_set_ids)
 
 
+# Side lengths on both sides of the 2**16 switch between the radix sort of
+# 16-bit ids and the packed-key sort.
+WIDE_SIDES = st.sampled_from((1, 3, 65_535, 65_536, 65_537))
+
+
 @st.composite
-def edge_lists(draw, max_side=9, max_edges=60):
+def edge_lists(draw, sides=st.integers(1, 9), max_edges=60):
     """(n, m, set_ids, elem_ids) in arbitrary order, duplicates allowed."""
-    n = draw(st.integers(1, max_side))
-    m = draw(st.integers(1, max_side))
+    n = draw(sides)
+    m = draw(sides)
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
                                     st.integers(0, m - 1)),
                           max_size=max_edges))
@@ -144,6 +150,14 @@ class TestCoverageFromEdges:
         assert_arrays_equal(csr_arrays(inst),
                             reference_csr(n, m, set_ids, elem_ids))
         assert inst.edge_count == len(inst.set_elems)
+
+    @settings(max_examples=100, deadline=None)
+    @given(edge_lists(WIDE_SIDES, max_edges=30))
+    def test_matches_reference_wide_ids(self, case):
+        n, m, set_ids, elem_ids = case
+        inst = CoverageInstance.from_edges(n, m, set_ids, elem_ids)
+        assert_arrays_equal(csr_arrays(inst),
+                            reference_csr(n, m, set_ids, elem_ids))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_large_shuffled_with_duplicates(self, seed):
@@ -179,6 +193,40 @@ class TestCoverageFromEdges:
             _check_key_range(2**32, 2**31 + 1)
 
 
+@st.composite
+def element_runs(draw, max_runs=8):
+    """(n, counts, set_ids): runs of distinct ascending set ids, one per
+    sketch element, with n small or on either side of 2**16."""
+    n = draw(st.one_of(st.integers(1, 9), WIDE_SIDES))
+    runs = draw(st.lists(st.sets(st.integers(0, n - 1), max_size=6),
+                         max_size=max_runs))
+    counts = np.array([len(r) for r in runs], dtype=np.int64)
+    set_ids = np.array([s for r in runs for s in sorted(r)], dtype=np.int64)
+    return n, counts, set_ids
+
+
+class TestRunAssembly:
+    """Sketch assembly from element runs equals ``from_edges`` of the same
+    edges: all four arrays, with their dtypes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(element_runs())
+    def test_matches_from_edges(self, case):
+        n, counts, set_ids = case
+        elems = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+        selected = np.arange(len(counts), dtype=np.int64) * 3
+        sk = _assemble(n, selected, counts, set_ids, 1,
+                       practical_params(1.0, 6), 3 * len(counts))
+        want = CoverageInstance.from_edges(n, len(counts), set_ids, elems)
+        assert_arrays_equal(csr_arrays(sk.instance), csr_arrays(want))
+        assert_arrays_equal(csr_arrays(sk.instance),
+                            reference_csr(n, len(counts), set_ids, elems))
+        assert sk.instance.edge_count == want.edge_count
+        assert_arrays_equal((sk.instance.set_sizes, sk.instance.elem_degrees),
+                            (want.set_sizes, want.elem_degrees))
+        assert_arrays_equal((sk.selected_elements,), (selected,))
+
+
 class TestFractionalFromEdges:
     @settings(max_examples=300, deadline=None)
     @given(fractional_lists())
@@ -204,6 +252,21 @@ class TestFractionalFromEdges:
                 n, m, np.append(set_ids, set_ids[i]),
                 np.append(elem_ids, elem_ids[i]), np.append(numer, numer[i]),
                 U)
+
+    @settings(max_examples=50, deadline=None)
+    @given(edge_lists(WIDE_SIDES, max_edges=30), st.randoms())
+    def test_numerators_match_reference_wide_ids(self, case, rnd):
+        n, m, set_ids, elem_ids = case
+        pairs = sorted(set(zip(set_ids.tolist(), elem_ids.tolist())))
+        rnd.shuffle(pairs)
+        set_ids = np.array([s for s, _ in pairs], dtype=np.int64)
+        elem_ids = np.array([e for _, e in pairs], dtype=np.int64)
+        numer = np.arange(len(pairs), dtype=np.int64)
+        finst = FractionalInstance.from_edges(n, m, set_ids, elem_ids, numer,
+                                              max(len(pairs), 1))
+        assert_arrays_equal(
+            (finst.numer_set_order, finst.numer_elem_order),
+            reference_numerators(set_ids, elem_ids, numer))
 
     def test_key_overflow_is_value_error(self):
         with pytest.raises(ValueError, match="overflow a 64-bit sort key"):

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coversketch import (
     CoverageInstance,
@@ -20,6 +21,8 @@ from coversketch import (
     stats,
 )
 from coversketch.instance import (
+    FractionalInstance,
+    WeightedInstance,
     load_fractional_edge_list,
     load_probabilistic_edge_list,
     load_weighted_edge_list,
@@ -311,3 +314,65 @@ class TestWeightedFormats:
         winst_src = io.BytesIO(b"#U 2\n0 0 0\n")
         with pytest.raises(ValueError):
             load_weighted_edge_list(winst_src)
+
+
+@st.composite
+def loadable_edges(draw):
+    """(n, m, set_ids, elem_ids) whose largest ids n - 1 and m - 1 both
+    occur, so the loader, which sizes by the largest ids, sees n and m."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 9)),
+                          min_size=1, max_size=40))
+    set_ids = np.array([s for s, _ in pairs], dtype=np.int64)
+    elem_ids = np.array([e for _, e in pairs], dtype=np.int64)
+    return int(set_ids.max()) + 1, int(elem_ids.max()) + 1, set_ids, elem_ids
+
+
+def assert_same_csr(got, want):
+    for name in ("set_indptr", "set_elems", "elem_indptr", "elem_set_ids"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype == np.int64
+        np.testing.assert_array_equal(a, b)
+    assert (got.n, got.m) == (want.n, want.m)
+
+
+class TestRoundTripProperties:
+    """serialize then load gives back the instance, in all three formats."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(loadable_edges())
+    def test_plain(self, case):
+        inst = CoverageInstance.from_edges(*case)
+        again = load_edge_list(serialize_edge_list(inst).encode())
+        assert_same_csr(again, inst)
+
+    @settings(max_examples=150, deadline=None)
+    @given(loadable_edges(), st.integers(1, 9), st.data())
+    def test_weighted(self, case, U, data):
+        inst = CoverageInstance.from_edges(*case)
+        w = np.array(data.draw(st.lists(st.integers(1, U), min_size=inst.m,
+                                        max_size=inst.m)), dtype=np.int64)
+        w[inst.elem_degrees == 0] = 1  # the loader's weight for no edge
+        winst = WeightedInstance(inst, w, U)
+        again = load_weighted_edge_list(
+            serialize_weighted_edge_list(winst).encode())
+        assert_same_csr(again.base, inst)
+        np.testing.assert_array_equal(again.element_weight, w)
+        assert again.U == U
+
+    @settings(max_examples=150, deadline=None)
+    @given(loadable_edges(), st.integers(1, 9), st.data())
+    def test_fractional(self, case, U, data):
+        n, m, set_ids, elem_ids = case
+        pairs = sorted(set(zip(set_ids.tolist(), elem_ids.tolist())))
+        numer = data.draw(st.lists(st.integers(0, U), min_size=len(pairs),
+                                   max_size=len(pairs)))
+        finst = FractionalInstance.from_edges(
+            n, m, [s for s, _ in pairs], [e for _, e in pairs], numer, U)
+        again = load_fractional_edge_list(
+            serialize_fractional_edge_list(finst).encode())
+        assert_same_csr(again.base, finst.base)
+        np.testing.assert_array_equal(again.numer_set_order,
+                                      finst.numer_set_order)
+        np.testing.assert_array_equal(again.numer_elem_order,
+                                      finst.numer_elem_order)
+        assert again.U == U

@@ -181,6 +181,26 @@ class TestBuildSketch:
         e = int(np.flatnonzero(sk.selected_elements == 0)[0])
         assert sk.instance.element_sets(e).tolist() == [1, 3]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 12), st.data(),
+           st.integers(0, 5), st.integers(0, 2**32))
+    def test_uncapped_full_rate_sketch_is_the_instance(self, n, m, data,
+                                                       extra, seed):
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                             st.integers(0, m - 1))))
+        inst = CoverageInstance.from_edges(n, m, [s for s, _ in pairs],
+                                           [e for _, e in pairs])
+        sigma = int(inst.elem_degrees.max()) + extra or 1
+        sk = build_sketch(inst, practical_params(1.0, sigma), HashSource(seed))
+        assert sk.instance == inst
+        for name in ("set_indptr", "set_elems", "elem_indptr",
+                     "elem_set_ids"):
+            got, want = getattr(sk.instance, name), getattr(inst, name)
+            assert got.dtype == want.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(sk.selected_elements, np.arange(m))
+        assert sk.original_m == m
+
 
 class TestLazySketch:
     @staticmethod
@@ -256,6 +276,30 @@ class TestLazySketch:
         sel = sk.selected_elements.tolist()
         assert len(sel) == len(set(sel))
 
+    def test_unsorted_repeated_oracle_ids(self):
+        # The oracle lists each element's sets in reverse with repeats; the
+        # sketch keeps each retained id once, as from_edges would.
+        inst = random_instance(10)
+        lists = [np.repeat(inst.element_sets(v)[::-1], 2).tolist()
+                 for v in range(inst.m)]
+        params = SketchParams(mode="theory", k=1, eps=0.5, delta_dprime=0.5,
+                              n_tilde=max(1, inst.edge_count), degree_cap=3,
+                              delta=1.0)
+        sk = build_sketch_lazy(inst.m, lambda v: len(lists[v]),
+                               lambda v, i: lists[v][i], params,
+                               HashSource(13), set_count=inst.n)
+        sel = sk.selected_elements
+        kept = [lists[v][:3] for v in sel.tolist()]
+        want = CoverageInstance.from_edges(
+            inst.n, len(sel), [s for k in kept for s in k],
+            np.repeat(np.arange(len(sel)), [len(k) for k in kept]))
+        assert sk == Sketch(want, 13, params, sel, inst.m)
+        for name in ("elem_indptr", "elem_set_ids"):
+            np.testing.assert_array_equal(getattr(sk.instance, name),
+                                          getattr(want, name))
+        assert sk.oracle_lookups == len(sel) + sum(map(len, kept))
+        assert any(len(set(k)) < len(k) for k in kept)
+
     def test_out_of_range_oracle_rejected(self):
         inst = random_instance(9)
         deg, _ = self._oracles(inst)
@@ -264,6 +308,12 @@ class TestLazySketch:
         with pytest.raises(ValueError, match="out-of-range"):
             build_sketch_lazy(inst.m, deg, lambda v, i: inst.n + 1, params,
                               HashSource(1), set_count=inst.n)
+
+    def test_no_sets_rejected(self):
+        params = SketchParams(mode="theory", n_tilde=1, degree_cap=1)
+        with pytest.raises(ValueError, match="at least one set"):
+            build_sketch_lazy(3, lambda v: 0, lambda v, i: 0, params,
+                              HashSource(0), set_count=0)
 
     def test_requires_theory_mode(self):
         with pytest.raises(ValueError):

@@ -203,6 +203,18 @@ class TestGuessLadder:
         assert all(b <= math.ceil(a * 1.1) + 1 for a, b in
                    zip(ladder, ladder[1:]))
 
+    def test_overlong_ladder_raises_before_looping(self):
+        # The loop would take about 4e7 steps; the count is computed first.
+        steps = math.ceil(math.log(10**6) / math.log1p(1e-6 / 3))
+        with pytest.raises(ValueError, match=f"n=1000000, eps=1e-06 needs "
+                                             f"{steps} steps"):
+            guess_ladder(10**6, 1e-6)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.5, 1.0])
+    def test_eps_outside_unit_interval_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps must lie in"):
+            guess_ladder(10, eps)
+
 
 class TestSetCoverOutliers:
     def test_single_dominating_set(self):
