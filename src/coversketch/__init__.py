@@ -56,7 +56,6 @@ from .solvers import (
     stochastic_greedy,
 )
 from .distsim import (
-    Machine,
     Placement,
     SimReport,
     partition_input,

@@ -40,7 +40,7 @@ def _header(kind: str, fields: dict, timestamp: bool) -> list[str]:
 def _load_graph_adjacency(path: str) -> list[list[int]]:
     """Undirected graph from a `u v` edge list; vertex count is 1 + max id."""
     rows, _ = inst_mod._read_table(path, 2)
-    adjacency = [[] for _ in range(int(rows.max()) + 1)]
+    adjacency = [[] for _ in range(max(inst_mod._id_counts(rows)))]
     for u, v in rows.tolist():
         if u != v:
             adjacency[u].append(v)

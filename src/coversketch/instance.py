@@ -188,7 +188,9 @@ class CoverageInstance:
             return NotImplemented
         return (self.n == other.n and self.m == other.m
                 and np.array_equal(self.set_indptr, other.set_indptr)
-                and np.array_equal(self.set_elems, other.set_elems))
+                and np.array_equal(self.set_elems, other.set_elems)
+                and np.array_equal(self.elem_indptr, other.elem_indptr)
+                and np.array_equal(self.elem_set_ids, other.elem_set_ids))
 
     def __hash__(self):  # identity hashing; instances are reference-compared
         return id(self)
@@ -329,6 +331,11 @@ _MAX_VALUE = 2**31 - 1
 _MAX_DIGITS = 18
 # Rows formatted per block by the writer.
 _WRITE_BLOCK = 1 << 16
+# Ids are positional, so a loaded instance's arrays grow with its largest id,
+# not its row count.  Loaders reject ids that reach this many plus
+# _IDS_PER_ROW per row, before anything sized by the ids is allocated.
+_ID_SLACK = 2**20
+_IDS_PER_ROW = 16
 
 
 def _read_bytes(source) -> bytes:
@@ -469,6 +476,22 @@ def _read_table(source, columns: int):
     return values.reshape(-1, columns), headers
 
 
+def _id_counts(rows: np.ndarray) -> list[int]:
+    """One past the largest id in each of the two id columns of ``rows``.
+
+    Raises ValueError, naming the largest id and the row count, when that id
+    is at least ``_ID_SLACK + _IDS_PER_ROW * len(rows)``.
+    """
+    counts = (rows[:, :2].max(axis=0) + 1).tolist()
+    limit = _ID_SLACK + _IDS_PER_ROW * len(rows)
+    if max(counts) > limit:
+        raise ValueError(
+            f"largest id {max(counts) - 1} is too large for {len(rows)} rows: "
+            f"ids are positional and must stay below {limit} "
+            f"({_ID_SLACK} + {_IDS_PER_ROW} per row)")
+    return counts
+
+
 def _write_rows(sink, head: list[str], *columns: np.ndarray) -> str | None:
     """Write header lines, then one line of space-separated integers per row.
 
@@ -499,10 +522,11 @@ def load_edge_list(source) -> CoverageInstance:
     """Load an unweighted edge list.
 
     ``n`` and ``m`` are one past the largest ids seen; ids are positional and
-    never compacted.  Duplicate edges are deduplicated.
+    never compacted, so an id far beyond the row count is rejected (see
+    ``_ID_SLACK``).  Duplicate edges are deduplicated.
     """
     rows, _ = _read_table(source, 2)
-    n, m = (rows.max(axis=0) + 1).tolist()
+    n, m = _id_counts(rows)
     return CoverageInstance.from_edges(n, m, rows[:, 0], rows[:, 1])
 
 
@@ -525,7 +549,7 @@ def load_weighted_edge_list(source) -> WeightedInstance:
     the maximum weight and may be declared with a `#U <int>` header.
     """
     rows, headers = _read_table(source, 3)
-    n, m, _ = (rows.max(axis=0) + 1).tolist()
+    n, m = _id_counts(rows)
     s, e, w = rows.T
     base = CoverageInstance.from_edges(n, m, s, e)
     # The first row in file order whose weight is below 1 or differs from the
@@ -557,7 +581,7 @@ def _load_alpha_edge_list(source, cls):
     rows, headers = _read_table(source, 3)
     if "U" not in headers:
         raise ParseError("missing #U header for fractional coverage values")
-    n, m, _ = (rows.max(axis=0) + 1).tolist()
+    n, m = _id_counts(rows)
     return cls.from_edges(n, m, rows[:, 0], rows[:, 1], rows[:, 2],
                           headers["U"])
 

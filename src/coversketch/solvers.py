@@ -35,6 +35,7 @@ __all__ = [
     "lazy_greedy",
     "stochastic_greedy",
     "guess_ladder",
+    "guess_families",
     "cover_threshold",
     "set_cover_outliers",
     "select_outlier_solution",
@@ -297,6 +298,18 @@ def guess_ladder(n: int, eps: float) -> list[int]:
     return vals
 
 
+def guess_families(instance: CoverageInstance, eps: float,
+                   delta_dprime: float, seed: int) -> list:
+    """(guess, HashSource, theory SketchParams) for each rung of the ladder.
+
+    Guess ``i`` hashes with its own family, seeded ``derive_seed(seed, i)``.
+    """
+    return [(g, HashSource(derive_seed(seed, i)),
+             theory_params(instance.n, instance.m, instance.edge_count, k=g,
+                           eps=eps, delta_dprime=delta_dprime))
+            for i, g in enumerate(guess_ladder(instance.n, eps))]
+
+
 def _guess_budget(guess: int, eps: float, lam: float) -> int:
     return math.ceil(guess * (1.0 + eps) * math.log(1.0 / lam))
 
@@ -339,12 +352,9 @@ def set_cover_outliers(instance: CoverageInstance, lam: float, eps: float,
         raise ValueError("engine must be 'direct' or 'sketch'")
     n, m = instance.n, instance.m
     if engine == "sketch":
-        pairs = []
-        for i, g in enumerate(guess_ladder(n, eps)):
-            params = theory_params(n, m, instance.edge_count, k=g, eps=eps,
-                                   delta_dprime=delta_dprime)
-            pairs.append((g, build_sketch(instance, params,
-                                          HashSource(derive_seed(seed, i)))))
+        pairs = [(g, build_sketch(instance, params, source))
+                 for g, source, params in guess_families(instance, eps,
+                                                         delta_dprime, seed)]
         return select_outlier_solution(pairs, lam, eps)
 
     # Direct engine: the greedy pick sequence is deterministic, so every

@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -202,6 +203,22 @@ class TestReportText:
             assert round4 in text.splitlines()
             assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    def test_golden_diverging_report(self):
+        # 300 edges on elements 0..199 of m = 3000: the reported mass stays
+        # below n_tilde, so the flag is set and every report is shipped.
+        rng = np.random.default_rng(0)
+        inst = CoverageInstance.from_edges(6, 3000, rng.integers(0, 6, 300),
+                                           rng.integers(0, 200, 300))
+        _, report = run_kcover_mapreduce(inst, 2, 0.5, 0.5, 0, 4)
+        text = report.to_text()
+        assert report.divergence_flag
+        assert report.total_messages == 1710
+        assert report.total_message_units == 2340
+        assert "0 4 60 0 630" in text.splitlines()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "cff0a1ec9da62069a9306e5187566a99"
+            "76d1c3e4620f254f8b48a0ba37e0cbcd")
+
 
 # ---------------------------------------------------------------------------
 # Simulated == single-process whenever the divergence flag is clear
@@ -227,10 +244,9 @@ def sim_cases(draw, max_n=7, max_m=24):
 
 def simulated_sketches(inst, machines, families):
     """Round-4 sketches and the divergence flag of one simulated run."""
-    sketches, divergence, _ = distsim._run_sketch_rounds(
+    return distsim._run_sketch_rounds(
         inst, partition_input(inst, machines),
         distsim._Recorder(machines, 4), families)
-    return sketches, divergence
 
 
 def outcome(sol):

@@ -9,6 +9,7 @@ must agree on every input.
 import io
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from coversketch import CoverageInstance, ParseError, load_edge_list, \
 from coversketch import instance as instance_mod
 from coversketch.cli import _load_graph_adjacency, main
 from coversketch.instance import FractionalInstance, WeightedInstance, \
-    _read_table, load_weighted_edge_list, serialize_edge_list, \
+    _read_table, load_fractional_edge_list, load_probabilistic_edge_list, \
+    load_weighted_edge_list, serialize_edge_list, \
     serialize_fractional_edge_list, serialize_weighted_edge_list
 from coversketch.sketch import HashSource, build_sketch, practical_params, \
     serialize_sketch
@@ -227,6 +229,45 @@ class TestIngestContract:
         rows, headers = _read_table(raw, 2)
         assert time.perf_counter() - start < 1.0
         assert rows.tolist() == [[0, 1]] and headers == {"U": 3}
+
+
+class TestIdBound:
+    """Ids are positional, so an id far beyond the row count would size the
+    instance's arrays by the id; every loader rejects it first."""
+
+    @pytest.mark.parametrize("load,raw", [
+        (load_edge_list, b"0 2147483646\n"),
+        (load_edge_list, b"2147483646 0\n"),
+        (load_weighted_edge_list, b"0 2147483646 1\n"),
+        (load_fractional_edge_list, b"#U 2\n0 2147483646 1\n"),
+        (load_probabilistic_edge_list, b"#U 2\n2147483646 0 1\n"),
+        (_load_graph_adjacency, b"0 2147483646\n")])
+    def test_rejected_before_allocation(self, load, raw):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="largest id 2147483646 is "
+                               "too large for 1 rows"):
+                load(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_limit_grows_with_rows(self):
+        limit = 2**20 + 16 * 2
+        assert load_edge_list(f"0 0\n0 {limit - 1}\n".encode()).m == limit
+        with pytest.raises(ValueError, match=f"largest id {limit} "):
+            load_edge_list(f"0 0\n0 {limit}\n".encode())
+
+    def test_cli_exits_one(self, tmp_path, capsys):
+        inp = tmp_path / "huge.txt"
+        inp.write_text("0 2147483646\n")
+        code = main(["sketch", "--in", str(inp), "--out",
+                     str(tmp_path / "sk.txt"), "--rho", "0.5"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: largest id 2147483646")
+        assert "Traceback" not in err
 
 
 def reference_weights(rows, m):

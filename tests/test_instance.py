@@ -102,6 +102,12 @@ class TestCoverageInstance:
         b = loads_edge_list("1 1\n0 0\n")
         assert a == b
 
+    def test_equality_compares_element_view(self):
+        a = CoverageInstance.from_edges(2, 2, [0, 1], [0, 1])
+        broken = CoverageInstance(2, 2, a.set_indptr, a.set_elems, [0, 2, 2],
+                                  [0, 1])
+        assert broken != a
+
 
 class TestKhopDominating:
     def test_path_one_hop(self):
