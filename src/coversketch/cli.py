@@ -68,7 +68,8 @@ def _load_matrix(path: str) -> np.ndarray:
 
 def _write_solution(path: str | None, sol: solvers.Solution):
     text = f"value={sol.coverage_value} k={len(sol.chosen)}\n"
-    text += "".join(f"{s}\n" for s in sol.chosen)
+    chosen = np.asarray(sol.chosen, dtype=np.int64)
+    text += inst_mod._format_rows([chosen]).decode("ascii")
     if path:
         _write_text(path, text)
     return text
@@ -111,8 +112,9 @@ def _cmd_generate(args) -> int:
                                      "cols": matrix.shape[1]}, ts)
         inst_mod.serialize_edge_list(inst, args.out, header_lines=head)
         if inst.element_labels is not None:
-            _write_text(args.out + ".labels", "".join(
-                f"{i} {code}\n" for i, code in enumerate(inst.element_labels)))
+            labels = np.asarray(inst.element_labels, dtype=np.int64)
+            inst_mod._write_rows(args.out + ".labels", [],
+                                 np.arange(len(labels)), labels)
     st = inst_mod.stats(inst)
     print(st.to_json_line())
     return 0

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import CoverageInstance
+from .instance import CoverageInstance, _format_rows
 from .sketch import (
     HashSource,
     _assemble,
@@ -93,16 +93,14 @@ class SimReport:
     within_budget: bool | None = None
 
     def to_text(self) -> str:
-        lines = [f"{mach} {rnd} {uin} {uout} {peak}"
-                 for mach, rnd, uin, uout, peak in self.records]
-        lines.append(
+        table = np.asarray(self.records, dtype=np.int64).reshape(-1, 5)
+        return _format_rows(table.T).decode("ascii") + (
             f"rounds={self.rounds_executed} machines={self.machine_count} "
             f"max_load={self.max_load} coordinator_load={self.coordinator_load} "
             f"total_messages={self.total_messages} "
             f"total_units={self.total_message_units} "
             f"divergence={int(self.divergence_flag)} "
-            f"value={self.solution_handoff.get('value')}")
-        return "\n".join(lines) + "\n"
+            f"value={self.solution_handoff.get('value')}\n")
 
 
 def partition_input(instance: CoverageInstance, machine_count: int) -> Placement:

@@ -8,10 +8,10 @@ Instances are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -43,9 +43,10 @@ class ParseError(ValueError):
     """Malformed input; the message carries the 1-based line number."""
 
 
-def _ceil_exact(x: float) -> int:
-    # Guard against float noise like 1.2 * 100 -> 120.00000000000001.
-    return math.ceil(x - 1e-9)
+def _decoy_size(block: int, eps: float) -> int:
+    """``ceil((1 + eps) * block)``, exact for ``eps`` read as the decimal it
+    prints as: 1.2 * 100 is 120, not the float 120.00000000000001."""
+    return math.ceil((1 + Fraction(repr(float(eps)))) * block)
 
 
 def _check_key_range(*factors: int) -> None:
@@ -492,29 +493,63 @@ def _id_counts(rows: np.ndarray) -> list[int]:
     return counts
 
 
+def _format_rows(columns, end: bytes = b"\n") -> bytes:
+    """ASCII text of nonnegative integer arrays: one row per index, the
+    values joined by spaces and each row closed by ``end``.
+
+    Each array fills a ``(rows, width)`` block of one uint8 matrix with its
+    ASCII digits, taken with repeated ``// 10``, where ``width`` is the
+    length of its largest value.  A leading zero is written as a 0 byte (the
+    last digit always stays), a one-byte column of spaces follows each block
+    and ``end`` replaces the last one.  One boolean mask then drops the 0
+    bytes.
+    """
+    rows = len(columns[0])
+    if not rows:
+        return b""
+    widths = [len(str(int(c.max()))) for c in columns]
+    mat = np.empty((rows, sum(widths) + len(widths)), dtype=np.uint8)
+    last = -1
+    for col, width in zip(columns, widths):
+        first, last = last + 1, last + width
+        rest = col
+        for j in range(last, first - 1, -1):
+            quot = rest // 10
+            digit = rest - quot * 10 + ord("0")
+            if j < last:
+                digit *= rest > 0
+            mat[:, j] = digit
+            rest = quot
+        last += 1
+        mat[:, last] = ord(" ")
+    mat[:, last] = end[0]
+    return mat[mat != 0].tobytes()
+
+
 def _write_rows(sink, head: list[str], *columns: np.ndarray) -> str | None:
     """Write header lines, then one line of space-separated integers per row.
 
-    Returns the text when ``sink`` is None; otherwise writes it to the path
-    or file object ``sink``.  Rows are formatted a block at a time, so the
-    Python strings alive at once stay bounded by the block, not the input.
+    Rows are formatted ``_WRITE_BLOCK`` at a time by ``_format_rows``, so
+    the digit matrices alive at once stay bounded by the block, not the
+    input.  Returns the text when ``sink`` is None.  A path sink is opened in
+    binary mode and gets the ASCII bytes of each block; a file object gets
+    each block as a ``str``.  The output is LF-only; with neither header nor
+    rows it is a single newline.
     """
-    row = " ".join(["%d"] * len(columns))
     size = len(columns[0])
-    # With neither header nor rows the text is a single newline.
     first = "".join(f"{h}\n" for h in head) or ("" if size else "\n")
-    pieces = itertools.chain([first], (
-        "\n".join(map(row.__mod__, zip(
-            *(c[lo:lo + _WRITE_BLOCK].tolist() for c in columns)))) + "\n"
-        for lo in range(0, size, _WRITE_BLOCK)))
+    blocks = (_format_rows([c[lo:lo + _WRITE_BLOCK] for c in columns])
+              for lo in range(0, size, _WRITE_BLOCK))
     if sink is None:
-        return "".join(pieces)
+        return first + b"".join(blocks).decode("ascii")
     if hasattr(sink, "write"):
-        for piece in pieces:
-            sink.write(piece)
+        sink.write(first)
+        for block in blocks:
+            sink.write(block.decode("ascii"))
     else:
-        with open(sink, "w") as fh:
-            fh.writelines(pieces)
+        with open(sink, "wb") as fh:
+            fh.write(first.encode())
+            fh.writelines(blocks)
     return None
 
 
@@ -663,7 +698,7 @@ def generate_planted(k: int, m: int, k_prime: int, eps: float,
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     block = m // k
-    decoy_size = _ceil_exact((1.0 + eps) * block)
+    decoy_size = _decoy_size(block, eps)
     if decoy_size > m:
         raise ValueError("decoy sets larger than the ground set")
     rng = np.random.default_rng(seed)

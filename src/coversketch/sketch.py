@@ -22,6 +22,7 @@ from .instance import (
     ProbabilisticInstance,
     WeightedInstance,
     _check_key_range,
+    _format_rows,
     _transpose,
     _write_rows,
 )
@@ -338,7 +339,7 @@ def build_sketch_lazy(element_count: int, degree_oracle, edge_oracle,
             edges.append(s)
         selected.append(v)
         blocks.append(sorted(set(edges)))
-        mass += take
+        mass += len(blocks[-1])
     set_ids = np.asarray([s for b in blocks for s in b], dtype=np.int64)
     counts = np.asarray([len(b) for b in blocks], dtype=np.int64)
     return _assemble(set_count, np.asarray(selected, dtype=np.int64), counts,
@@ -586,6 +587,7 @@ def serialize_sketch(sk: Sketch, sink=None) -> str | None:
                 f"eps={p.eps!r} delta_dprime={p.delta_dprime!r} "
                 f"n_tilde={p.n_tilde} degree_cap={p.degree_cap} "
                 f"delta={p.delta!r}")
+    selected = _format_rows([sk.selected_elements], end=b" ")[:-1]
     parts = [head, f"#original_m {sk.original_m}",
-             "#selected " + " ".join(map(str, sk.selected_elements.tolist()))]
+             "#selected " + selected.decode("ascii")]
     return _write_rows(sink, parts, *sk.instance.edges())

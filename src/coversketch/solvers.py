@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -264,8 +265,12 @@ def stochastic_greedy(target, k: int, eps: float, seed: int) -> Solution:
 
 
 def cover_threshold(m: int, lam: float) -> int:
-    """Smallest integer coverage that reaches a (1 - lam) fraction of m."""
-    return math.ceil((1.0 - lam) * m - 1e-9)
+    """Smallest integer coverage that reaches a (1 - lam) fraction of m.
+
+    ``lam`` is read as the decimal it prints as, so the ceiling is exact:
+    0.7 of 56,000,000 leaves 16,800,000, not 16,800,001.
+    """
+    return math.ceil((1 - Fraction(repr(float(lam)))) * m)
 
 
 # Longest guess ladder built; eps = 0.05 needs fewer than 500 steps.

@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import numpy as np
+from hypothesis import strategies as st
 
 from coversketch import CoverageInstance
 
@@ -15,3 +18,9 @@ def random_instance(seed, max_n=12, max_m=30):
             set_ids.append(int(s))
             elem_ids.append(v)
     return CoverageInstance.from_edges(n, m, set_ids, elem_ids)
+
+
+def decimals(low, high):
+    """Exact values with 1-3 decimals in ``[low, high)``, as Fractions."""
+    return st.integers(1, 3).flatmap(lambda d: st.integers(
+        low * 10**d, high * 10**d - 1).map(lambda i: Fraction(i, 10**d)))

@@ -6,17 +6,21 @@ properties hold the loaders to: rows, headers and the line an error names
 must agree on every input.
 """
 
+import hashlib
 import io
+import os
 import re
+import tempfile
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from coversketch import CoverageInstance, ParseError, load_edge_list, \
-    loads_edge_list
+from coversketch import CoverageInstance, ParseError, generate_planted, \
+    load_edge_list, loads_edge_list
 from coversketch import instance as instance_mod
 from coversketch.cli import _load_graph_adjacency, main
 from coversketch.instance import FractionalInstance, WeightedInstance, \
@@ -24,7 +28,7 @@ from coversketch.instance import FractionalInstance, WeightedInstance, \
     load_weighted_edge_list, serialize_edge_list, \
     serialize_fractional_edge_list, serialize_weighted_edge_list
 from coversketch.sketch import HashSource, build_sketch, practical_params, \
-    serialize_sketch
+    serialize_sketch, theory_params
 
 _LINE_END = re.compile(rb"\r\n|\r|\n")
 _TOKEN = re.compile(rb"[0-9]{1,18}")
@@ -378,3 +382,83 @@ class TestWriter:
             buf = io.StringIO()
             assert write(buf) is None and buf.getvalue() == want
             assert write(str(path)) is None and path.read_text() == want
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 3), st.integers(0, 9), st.integers(1, 3),
+           st.sampled_from([[], ["#a"], ["#a", "#U 7"]]), st.data())
+    def test_digit_widths_match_reference(self, ncols, rows, block, head,
+                                          data):
+        # Widths 1 to 19 digits, each power-of-ten boundary and both int
+        # limits, split into blocks of 1-3 rows.
+        value = st.one_of(st.sampled_from(
+            [0, 9, 10, 99, 100, 2**31 - 1, 2**63 - 1]),
+            st.integers(0, 2**63 - 1))
+        columns = [np.array(data.draw(st.lists(value, min_size=rows,
+                                               max_size=rows)),
+                            dtype=np.int64) for _ in range(ncols)]
+        want = reference_text(head, *columns)
+        with mock.patch.object(instance_mod, "_WRITE_BLOCK", block), \
+                tempfile.TemporaryDirectory() as tmp:
+            assert instance_mod._write_rows(None, head, *columns) == want
+            buf = io.StringIO()
+            assert instance_mod._write_rows(buf, head, *columns) is None
+            assert buf.getvalue() == want
+            path = os.path.join(tmp, "out.txt")
+            assert instance_mod._write_rows(path, head, *columns) is None
+            with open(path, "rb") as fh:
+                assert fh.read() == want.encode("ascii")
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+class TestWriterGolden:
+    """sha256 pins of every serializer on a 500,000-edge planted instance.
+
+    The texts span 8 write blocks, 5-digit element ids and, for the clamped
+    theory sketch, a `#selected` line of all 20,000 element ids.  The digests
+    were taken from the row-at-a-time writer that the digit-matrix writer
+    replaced.
+    """
+
+    @pytest.fixture(scope="class")
+    def planted(self):
+        inst, _ = generate_planted(100, 20000, 2000, 0.2, 3)
+        return inst
+
+    def test_edge_list(self, planted):
+        text = serialize_edge_list(planted, header_lines=[
+            "planted k=100 m=20000 k_prime=2000 eps=0.2 seed=3"])
+        assert _sha256(text) == ("e4d7d35126bde2f91a4b1eec4cb3c0d9"
+                                 "38af616dfce85c6e0f18d7f703a64b7d")
+
+    def test_weighted_and_fractional(self, planted):
+        rng = np.random.default_rng(3)
+        weights = rng.integers(1, 9, size=planted.m)
+        set_ids, elem_ids = planted.edges()
+        numer = rng.integers(1, 9, size=len(set_ids))
+        winst = WeightedInstance(planted, weights, 8)
+        finst = FractionalInstance.from_edges(planted.n, planted.m, set_ids,
+                                              elem_ids, numer, 8)
+        text = serialize_weighted_edge_list(winst, header_lines=["weighted"])
+        assert _sha256(text) == ("81f30c8433c0898cfe9b2529f8b26c87"
+                                 "a97c53a5f3653b72da309ff952eb2853")
+        assert _sha256(serialize_fractional_edge_list(finst)) == (
+            "1b3b521c52d2a9e4fa77fa5ba2d83823"
+            "149bf0a7444bc53676cf60d06401a07f")
+
+    def test_sketches(self, planted):
+        practical = build_sketch(planted, practical_params(0.1, 100),
+                                 HashSource(3))
+        params = theory_params(planted.n, planted.m, planted.edge_count, 10,
+                               0.5)
+        theory = build_sketch(planted, params, HashSource(3))
+        assert len(theory.selected_elements) == planted.m
+        assert _sha256(serialize_sketch(practical)) == (
+            "7a2d031256b1d6d763dfcd7e1160c01b"
+            "a8f3ca6cd03b985861a8c3067c85fec3")
+        assert _sha256(serialize_sketch(theory)) == (
+            "8d26c9897de9a037223d70a65974073e"
+            "d17beeb5f89ff66618bbcb83efde4810")

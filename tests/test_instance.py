@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -23,12 +24,15 @@ from coversketch import (
 from coversketch.instance import (
     FractionalInstance,
     WeightedInstance,
+    _decoy_size,
     load_fractional_edge_list,
     load_probabilistic_edge_list,
     load_weighted_edge_list,
     serialize_fractional_edge_list,
     serialize_weighted_edge_list,
 )
+
+from conftest import decimals
 
 
 def set_edges(inst):
@@ -188,6 +192,14 @@ class TestGeneratePlanted:
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             generate_planted(3, 10, 5, 0.2, seed=0)
+
+    def test_decoy_size_exact_at_scale(self):
+        # In floats 1.1 * 21e6 is 23100000.000000004.
+        assert _decoy_size(21_000_000, 0.1) == 23_100_000
+
+    @given(decimals(0, 3), st.integers(1, 10**9))
+    def test_decoy_size_is_exact(self, eps, block):
+        assert _decoy_size(block, float(eps)) == math.ceil((1 + eps) * block)
 
 
 class TestGenerateAdversarial:

@@ -276,6 +276,31 @@ class TestLazySketch:
         sel = sk.selected_elements.tolist()
         assert len(sel) == len(set(sel))
 
+    def test_repeated_lists_count_each_id_once(self):
+        # An oracle that lists each element's sets twice (degree 2 deg)
+        # keeps the same distinct ids, so it retains the same mass and
+        # stops at the same element as the plain oracle.  With the cap at
+        # the largest degree, counting the probes instead would stop early.
+        inst = random_instance(13)
+        base = [inst.element_sets(v).tolist() for v in range(inst.m)]
+        params = SketchParams(mode="theory", k=1, eps=0.5, delta_dprime=0.5,
+                              n_tilde=max(1, inst.edge_count // 2),
+                              degree_cap=int(inst.elem_degrees.max()),
+                              delta=1.0)
+        deg, edge = self._oracles(inst)
+        plain = build_sketch_lazy(inst.m, deg, edge, params, HashSource(4),
+                                  set_count=inst.n)
+        doubled = build_sketch_lazy(
+            inst.m, lambda v: 2 * len(base[v]),
+            lambda v, i: base[v][i % len(base[v])], params, HashSource(4),
+            set_count=inst.n)
+        np.testing.assert_array_equal(doubled.selected_elements,
+                                      plain.selected_elements)
+        for name in ("set_indptr", "set_elems", "elem_indptr",
+                     "elem_set_ids"):
+            np.testing.assert_array_equal(getattr(doubled.instance, name),
+                                          getattr(plain.instance, name))
+
     def test_unsorted_repeated_oracle_ids(self):
         # The oracle lists each element's sets in reverse with repeats; the
         # sketch keeps each retained id once, as from_edges would.

@@ -29,7 +29,7 @@ from coversketch.instance import FractionalInstance, WeightedInstance, \
     ProbabilisticInstance
 from coversketch.solvers import cover_threshold, guess_ladder
 
-from conftest import random_instance
+from conftest import decimals, random_instance
 
 # S0 = {a,b,c}, S1 = {c,d}, S2 = {d,e} with elements a..e as 0..4.
 THREE_SETS = "0 0\n0 1\n0 2\n1 2\n1 3\n2 3\n2 4\n"
@@ -214,6 +214,16 @@ class TestGuessLadder:
     def test_eps_outside_unit_interval_rejected(self, eps):
         with pytest.raises(ValueError, match="eps must lie in"):
             guess_ladder(10, eps)
+
+
+class TestCoverThreshold:
+    def test_exact_at_scale(self):
+        # In floats (1 - 0.7) * 56e6 is 16800000.000000004.
+        assert cover_threshold(56_000_000, 0.7) == 16_800_000
+
+    @given(decimals(0, 1), st.integers(1, 10**9))
+    def test_matches_fraction_reference(self, lam, m):
+        assert cover_threshold(m, float(lam)) == math.ceil((1 - lam) * m)
 
 
 class TestSetCoverOutliers:
