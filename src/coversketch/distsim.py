@@ -16,7 +16,10 @@ rounds, which every hash family (one per set-cover guess) shares:
    kept elements; the shuffle delivers the runs to the coordinator in
    selection order,
 4. coordinator reduce: assemble the sketch from the runs, exactly as
-   ``build_sketch`` does, and run the solver.
+   ``build_sketch`` does, and run the solver.  The set-cover ladder walk
+   assembles a guess's sketch only when it reaches that guess, so guesses
+   after the winner are never assembled; rounds 1-3 and all unit
+   accounting still cover every guess.
 
 Locality: a map reads only what its machine owns, the ids and degrees
 (round 1) and adjacency lists (round 3) of its elements plus the ids sent to
@@ -142,11 +145,12 @@ class _Recorder:
 
 
 def _run_sketch_rounds(instance, placement, rec, families):
-    """Rounds 1..3 plus round-4 assembly, for one or more hash families.
+    """Rounds 1..3, and the round-4 accounting, for one or more hash families.
 
     ``families`` maps a tag to (HashSource, SketchParams); all tags share the
     same four rounds, and ``rec`` sums their units per machine and round.
-    Returns ({tag: Sketch}, any_divergence).
+    Returns ({tag: (selected ids, capped counts)}, any_divergence): the runs
+    round 3 ships, which :func:`_round4_sketch` assembles.
     """
     m, mc = instance.m, placement.machine_count
     owner = placement.owner
@@ -157,7 +161,7 @@ def _run_sketch_rounds(instance, placement, rec, families):
 
     rec.storage_peak[:, 1:] = np.reshape(placement.storage_units, (mc, 1))
     ids = np.arange(m, dtype=np.int64)
-    sketches = {}
+    runs = {}
     divergence = False
     tuples_held = sel_units = sketch_units = 0
     for tag, (source, params) in families.items():
@@ -188,17 +192,22 @@ def _run_sketch_rounds(instance, placement, rec, families):
         rec.units_out[:, 3] += shipped
         rec.units_in[COORDINATOR, 4] += shipped.sum()
         rec.total_messages += len(sel)
-
-        # Round 4, coordinator reduce: the runs arrive in selection order.
-        set_ids = _gather_capped(instance.elem_indptr, instance.elem_set_ids,
-                                 sel, counts)
-        sketches[tag] = _assemble(instance.n, sel, counts, set_ids,
-                                  source.seed, params, m)
-        sketch_units += len(set_ids)
+        runs[tag] = sel, counts
+        sketch_units += shipped.sum()
     rec.storage_peak[COORDINATOR, 2] = tuples_held
     rec.storage_peak[COORDINATOR, 3] = sel_units
     rec.storage_peak[COORDINATOR, 4] = sel_units + sketch_units
-    return sketches, divergence
+    return runs, divergence
+
+
+def _round4_sketch(instance, runs, source, params):
+    """Round 4, coordinator reduce: the sketch of one tag's shipped runs,
+    which arrive in selection order."""
+    sel, counts = runs
+    set_ids = _gather_capped(instance.elem_indptr, instance.elem_set_ids,
+                             sel, counts)
+    return _assemble(instance.n, sel, counts, set_ids, source.seed, params,
+                     instance.m)
 
 
 def _finalize(rec, placement, divergence, n_tilde, sketch_edges, handoff,
@@ -239,9 +248,10 @@ def run_kcover_mapreduce(instance: CoverageInstance, k: int, eps: float,
     params = theory_params(instance.n, instance.m, instance.edge_count,
                            k=k, eps=eps, delta_dprime=delta_dprime)
     rec = _Recorder(machine_count, 4)
-    sketches, divergence = _run_sketch_rounds(
-        instance, placement, rec, {0: (HashSource(seed), params)})
-    sk = sketches[0]
+    source = HashSource(seed)
+    runs, divergence = _run_sketch_rounds(instance, placement, rec,
+                                          {0: (source, params)})
+    sk = _round4_sketch(instance, runs[0], source, params)
     if solver == "greedy":
         sol = solvers.greedy_kcover(sk, k)
     else:
@@ -258,20 +268,23 @@ def run_setcover_mapreduce(instance: CoverageInstance, lam: float, eps: float,
     """Four-round distributed set cover with outliers.
 
     All guesses of the geometric ladder share the same four rounds; their
-    records carry the guess index as a tag.  The coordinator runs the
-    budgeted-greedy selection over the assembled sketches in round 4.
+    records carry the guess index as a tag, and rounds 1-3 and all unit
+    accounting cover every guess.  In round 4 the coordinator walks the
+    ladder with the budgeted-greedy selection and assembles a guess's sketch
+    only when the walk reaches it.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1)")
     placement = partition_input(instance, machine_count)
     ladder = solvers.guess_families(instance, eps, delta_dprime, seed)
     rec = _Recorder(machine_count, 4)
-    sketches, divergence = _run_sketch_rounds(
+    runs, divergence = _run_sketch_rounds(
         instance, placement, rec,
         {i: (source, params) for i, (_, source, params) in enumerate(ladder)})
     sol = solvers.select_outlier_solution(
-        [(g, sketches[i]) for i, (g, _, _) in enumerate(ladder)], lam, eps)
-    per_guess = [sketches[i].instance.edge_count for i in range(len(ladder))]
+        ((g, _round4_sketch(instance, runs[i], source, params))
+         for i, (g, source, params) in enumerate(ladder)), lam, eps)
+    per_guess = [int(runs[i][1].sum()) for i in range(len(ladder))]
     budget = sum(params.n_tilde + params.degree_cap
                  for _, _, params in ladder)
     handoff = {"round": 4, "machine": COORDINATOR, "solver": "greedy",

@@ -731,10 +731,11 @@ def generate_adversarial(n: int, k: int, beta: float,
         raise ValueError("need 1 <= k <= n/2")
     if beta < 1:
         raise ValueError("beta must be >= 1")
-    group_f = beta * n / k
-    group = int(round(group_f))
-    if abs(group - group_f) > 1e-9 or group < 1:
+    # Exact for ``beta`` read as the decimal it prints as, like _decoy_size.
+    group = Fraction(repr(float(beta))) * n / k
+    if group.denominator != 1 or group < 1:
         raise ValueError("beta*n/k must be a positive integer")
+    group = int(group)
     total_bonus = group * k
     m = n + total_bonus
     normal_sets = np.repeat(np.arange(n, dtype=np.int64), n)

@@ -237,12 +237,25 @@ class Sketch:
                                    other.selected_elements))
 
 
+def _hash_order(hashes: np.ndarray) -> np.ndarray:
+    """Indices of ``hashes`` in ascending order, ties by smaller index.
+
+    Distinct hashes have one ascending order, which the default sort finds;
+    the stable sort runs only when two sorted hashes are equal.
+    """
+    order = np.argsort(hashes)
+    ranked = hashes[order]
+    if (ranked[1:] == ranked[:-1]).any():
+        return np.argsort(hashes, kind="stable")
+    return order
+
+
 def _select_elements(hashes: np.ndarray, capped: np.ndarray,
                      params: SketchParams) -> np.ndarray:
     """Indices kept by the sampling rule, in selection order."""
     if params.mode == "practical":
         return np.flatnonzero(hashes < params.rho)
-    order = np.argsort(hashes, kind="stable")  # by hash, ties by smaller id
+    order = _hash_order(hashes)  # by hash, ties by smaller id
     # Every element when their capped mass stays below n_tilde.
     cum = np.cumsum(capped[order])
     return order[:int(np.searchsorted(cum, params.n_tilde)) + 1]
@@ -443,7 +456,7 @@ def _sketch_copies(base: CoverageInstance, first: np.ndarray,
         hashes = np.empty(total, dtype=np.float64)
         for lo, h in blocks:
             hashes[lo:lo + len(h)] = h
-        walk = np.argsort(hashes, kind="stable")  # ties by smaller flat id
+        walk = _hash_order(hashes)  # ties by smaller flat id
         del hashes
         n_tilde = params.n_tilde
     selected, counts, pos = _expand_in_chunks(expand, walk, n_tilde)

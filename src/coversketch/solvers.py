@@ -322,10 +322,12 @@ def _guess_budget(guess: int, eps: float, lam: float) -> int:
 def select_outlier_solution(sketches, lam: float, eps: float) -> Solution:
     """Partial-cover selection over per-guess sketches.
 
-    ``sketches`` pairs each guess with its sketch, in ascending guess order.
-    Per guess, greedy runs until its budget of ``ceil(g (1+eps) ln(1/lam))``
-    picks or a (1 - lam) fraction of the sketch's elements is covered; the
-    first guess to reach the threshold wins.
+    ``sketches`` is any iterable of (guess, sketch) pairs in ascending guess
+    order.  Per guess, greedy runs until its budget of
+    ``ceil(g (1+eps) ln(1/lam))`` picks or a (1 - lam) fraction of the
+    sketch's elements is covered; the first guess to reach the threshold
+    wins, and no pair after it is consumed, so a generator can build each
+    sketch when the walk reaches it.
     """
     for guess, sk in sketches:
         thresh = cover_threshold(sk.instance.m, lam)
@@ -345,9 +347,10 @@ def set_cover_outliers(instance: CoverageInstance, lam: float, eps: float,
 
     Walks the geometric guess ladder over the optimum size; for each guess
     runs budgeted greedy either directly on the instance or on a per-guess
-    sketch (independent hash family per guess).  Returns the solution of the
-    smallest successful guess, which has size at most
-    ``(1+eps) ln(1/lam) OPT`` with the usual high-probability guarantee.
+    sketch (independent hash family per guess), built only for the guesses
+    the walk reaches.  Returns the solution of the smallest successful guess,
+    which has size at most ``(1+eps) ln(1/lam) OPT`` with the usual
+    high-probability guarantee.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1)")
@@ -357,9 +360,9 @@ def set_cover_outliers(instance: CoverageInstance, lam: float, eps: float,
         raise ValueError("engine must be 'direct' or 'sketch'")
     n, m = instance.n, instance.m
     if engine == "sketch":
-        pairs = [(g, build_sketch(instance, params, source))
+        pairs = ((g, build_sketch(instance, params, source))
                  for g, source, params in guess_families(instance, eps,
-                                                         delta_dprime, seed)]
+                                                         delta_dprime, seed))
         return select_outlier_solution(pairs, lam, eps)
 
     # Direct engine: the greedy pick sequence is deterministic, so every

@@ -16,7 +16,7 @@ from coversketch import CoverageInstance, FractionalInstance, \
     ProbabilisticInstance, feature_pairs_instance
 from coversketch.instance import _check_key_range
 from coversketch.sketch import HashSource, _assemble, _edge_coin_array, \
-    _select_elements, practical_params, probabilistic_copy_count, \
+    _hash_order, _select_elements, practical_params, probabilistic_copy_count, \
     sketch_fractional, sketch_probabilistic, SketchParams
 
 from expansion_reference import fractional_copy_graph, \
@@ -366,6 +366,27 @@ class TestSelectElements:
                 if hashes.size and cum[-1] >= n_tilde else hashes.size)
         np.testing.assert_array_equal(
             _select_elements(hashes, capped, params), order[:stop])
+
+    def test_theory_tied_hashes_take_smaller_id_first(self):
+        # Sixteen elements on two hash values: the smaller value's ids come
+        # first, and each value's ids ascend.
+        hashes = np.tile([0.5, 0.25], 8)
+        capped = np.ones(16, dtype=np.int64)
+        params = SketchParams(mode="theory", n_tilde=12, degree_cap=1)
+        assert _select_elements(hashes, capped, params).tolist() == \
+            [1, 3, 5, 7, 9, 11, 13, 15, 0, 2, 4, 6]
+
+
+class TestHashOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.lists(st.sampled_from([0.0, 0.125, 0.5, 0.875]), max_size=300),
+        st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=300,
+                 unique=True)))
+    def test_equals_stable_argsort(self, hashes):
+        hashes = np.array(hashes, dtype=np.float64)
+        np.testing.assert_array_equal(_hash_order(hashes),
+                                      np.argsort(hashes, kind="stable"))
 
 
 class TestFeaturePairs:

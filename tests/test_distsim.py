@@ -1,4 +1,5 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from coversketch import (
     run_setcover_mapreduce,
     theory_params,
 )
+from coversketch import solvers
 from coversketch.solvers import InfeasibleError, greedy_kcover, \
-    guess_ladder, set_cover_outliers, stochastic_greedy
+    guess_families, guess_ladder, select_outlier_solution, \
+    set_cover_outliers, stochastic_greedy
 from coversketch.sketch import derive_seed
 
 from conftest import random_instance
@@ -244,9 +247,11 @@ def sim_cases(draw, max_n=7, max_m=24):
 
 def simulated_sketches(inst, machines, families):
     """Round-4 sketches and the divergence flag of one simulated run."""
-    return distsim._run_sketch_rounds(
+    runs, divergence = distsim._run_sketch_rounds(
         inst, partition_input(inst, machines),
         distsim._Recorder(machines, 4), families)
+    return {tag: distsim._round4_sketch(inst, runs[tag], *families[tag])
+            for tag in runs}, divergence
 
 
 def outcome(sol):
@@ -322,3 +327,68 @@ class TestSimulateEqualsSingleProcess:
             except InfeasibleError:
                 want = None
             assert got == want
+
+
+class TestLazyRound4:
+    """Round 4 assembles a guess's sketch only when the ladder walk reaches
+    it; rounds 1-3 and the unit accounting still cover every guess."""
+
+    # Planted, not diverging; the theory sketches are partly clamped, and
+    # the second of eleven guesses wins.
+    LAM, EPS, DELTA_DPRIME, SEED, MACHINES = 0.05, 0.7, 0.5, 3, 4
+
+    @pytest.fixture
+    def inst(self):
+        return generate_planted(5, 2000, 10, 0.2, seed=3)[0]
+
+    def ladder(self, inst):
+        return guess_families(inst, self.EPS, self.DELTA_DPRIME, self.SEED)
+
+    def simulate(self, inst):
+        return run_setcover_mapreduce(inst, self.LAM, self.EPS,
+                                      self.DELTA_DPRIME, self.SEED,
+                                      self.MACHINES)
+
+    def reference(self, inst):
+        """Selection over the reference sketches, and how many pairs of
+        the ladder it consumed."""
+        consumed = 0
+
+        def pairs():
+            nonlocal consumed
+            for g, source, params in self.ladder(inst):
+                consumed += 1
+                yield g, build_sketch(inst, params, source)
+
+        return select_outlier_solution(pairs(), self.LAM, self.EPS), consumed
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name):
+        counted = mock.Mock(wraps=getattr(module, name))
+        monkeypatch.setattr(module, name, counted)
+        return counted
+
+    def test_accounting_covers_every_guess(self, inst):
+        _, report = self.simulate(inst)
+        ladder = self.ladder(inst)
+        assert not report.divergence_flag
+        assert report.guess_count == len(ladder)
+        assert report.sketch_edges_per_guess == [
+            build_sketch(inst, params, source).instance.edge_count
+            for _, source, params in ladder]
+        check_accounting(inst, report)
+
+    def test_simulation_assembles_up_to_the_winner(self, inst, monkeypatch):
+        ref, consumed = self.reference(inst)
+        calls = self.count_calls(monkeypatch, distsim, "_assemble")
+        sol, report = self.simulate(inst)
+        assert outcome(sol) == outcome(ref)
+        assert calls.call_count == consumed < report.guess_count
+
+    def test_sketch_engine_builds_up_to_the_winner(self, inst, monkeypatch):
+        ref, consumed = self.reference(inst)
+        calls = self.count_calls(monkeypatch, solvers, "build_sketch")
+        sol = set_cover_outliers(inst, self.LAM, self.EPS, self.DELTA_DPRIME,
+                                 self.SEED, engine="sketch")
+        assert outcome(sol) == outcome(ref)
+        assert calls.call_count == consumed < len(self.ladder(inst))

@@ -231,6 +231,23 @@ class TestGenerateAdversarial:
         with pytest.raises(ValueError):
             generate_adversarial(10, 2, 1.3)  # beta*n/k not integral
 
+    def test_near_integral_beta_rejected(self):
+        # 1.0000000001 * 4 / 2 lies within 1e-9 of 2 but is not an integer.
+        with pytest.raises(ValueError, match="positive integer"):
+            generate_adversarial(4, 2, 1.0000000001)
+
+    def test_fractional_beta_with_integral_group(self):
+        inst = generate_adversarial(4, 2, 1.5)
+        assert (inst.n, inst.m) == (4, 10)
+        assert inst.set_elements(2).tolist() == [0, 1, 2, 3, 4, 5, 6]
+        assert inst.set_elements(3).tolist() == [0, 1, 2, 3, 7, 8, 9]
+
+    def test_decimal_beta_is_exact(self):
+        # As floats, 1.1 * 10 is 11.000000000000002; as a decimal it is 11.
+        inst = generate_adversarial(10, 1, 1.1)
+        assert inst.m == 21
+        assert inst.set_elements(9).tolist() == list(range(21))
+
 
 class TestFeaturePairs:
     def test_complete_column(self):
