@@ -37,33 +37,13 @@ def _header(kind: str, fields: dict, timestamp: bool) -> list[str]:
     return parts
 
 
-def _load_graph_adjacency(path: str) -> list[list[int]]:
-    """Undirected graph from a `u v` edge list; vertex count is 1 + max id."""
+def _load_graph_edges(path):
+    """``(nv, u, v)`` of a `u v` edge-list graph with both directions of each
+    edge, where the vertex count ``nv`` is 1 + the largest id."""
     rows, _ = inst_mod._read_table(path, 2)
-    adjacency = [[] for _ in range(max(inst_mod._id_counts(rows)))]
-    for u, v in rows.tolist():
-        if u != v:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-    return adjacency
-
-
-def _load_matrix(path: str) -> np.ndarray:
-    rows = []
-    for lineno, raw in inst_mod._iter_lines(path):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            rows.append([int(t) for t in line.split()])
-        except ValueError:
-            raise inst_mod.ParseError(f"line {lineno}: non-integer token") from None
-    if not rows:
-        raise ValueError("empty instance")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise inst_mod.ParseError("ragged matrix rows")
-    return np.asarray(rows)
+    u, v = rows.T
+    return (max(inst_mod._id_counts(rows)), np.concatenate((u, v)),
+            np.concatenate((v, u)))
 
 
 def _write_solution(path: str | None, sol: solvers.Solution):
@@ -100,12 +80,12 @@ def _cmd_generate(args) -> int:
                                      "seed": args.seed}, ts)
         inst_mod.serialize_edge_list(inst, args.out, header_lines=head)
     elif args.kind == "khop":
-        adjacency = _load_graph_adjacency(args.graph)
-        inst = inst_mod.khop_dominating_instance(adjacency, args.hops)
+        inst = inst_mod._khop_from_edges(*_load_graph_edges(args.graph),
+                                         args.hops)
         head = _header("generated", {"kind": "khop", "hops": args.hops}, ts)
         inst_mod.serialize_edge_list(inst, args.out, header_lines=head)
     else:  # feature-pairs
-        matrix = _load_matrix(args.matrix)
+        matrix, _ = inst_mod._read_table(args.matrix, None)
         inst = inst_mod.feature_pairs_instance(matrix)
         head = _header("generated", {"kind": "feature-pairs",
                                      "rows": matrix.shape[0],
@@ -230,7 +210,8 @@ def parse_experiment_spec(path) -> ExperimentSpec:
     `seeds` list, optional `solver`, `baseline`, `solver_eps`, and `out`.
     """
     kv = {}
-    for lineno, raw in inst_mod._iter_lines(path):
+    text = inst_mod._read_bytes(path).decode("utf-8")
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -272,8 +253,8 @@ def _build_spec_instance(spec: ExperimentSpec):
         return inst_mod.generate_adversarial(
             int(a["n"]), int(a["k"]), float(a["beta"]), int(a.get("seed", 0)))
     if spec.instance_kind == "khop":
-        return inst_mod.khop_dominating_instance(
-            _load_graph_adjacency(a["graph"]), int(a.get("hops", 2)))
+        return inst_mod._khop_from_edges(*_load_graph_edges(a["graph"]),
+                                         int(a.get("hops", 2)))
     return inst_mod.load_edge_list(a["path"])
 
 

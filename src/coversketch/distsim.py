@@ -44,9 +44,8 @@ import numpy as np
 from .instance import CoverageInstance, _format_rows
 from .sketch import (
     HashSource,
-    _assemble,
-    _gather_capped,
     _select_elements,
+    _sketch_runs,
     element_hash_array,
     theory_params,
 )
@@ -150,7 +149,8 @@ def _run_sketch_rounds(instance, placement, rec, families):
     ``families`` maps a tag to (HashSource, SketchParams); all tags share the
     same four rounds, and ``rec`` sums their units per machine and round.
     Returns ({tag: (selected ids, capped counts)}, any_divergence): the runs
-    round 3 ships, which :func:`_round4_sketch` assembles.
+    round 3 ships in selection order, which round 4 assembles with
+    :func:`~coversketch.sketch._sketch_runs`.
     """
     m, mc = instance.m, placement.machine_count
     owner = placement.owner
@@ -200,16 +200,6 @@ def _run_sketch_rounds(instance, placement, rec, families):
     return runs, divergence
 
 
-def _round4_sketch(instance, runs, source, params):
-    """Round 4, coordinator reduce: the sketch of one tag's shipped runs,
-    which arrive in selection order."""
-    sel, counts = runs
-    set_ids = _gather_capped(instance.elem_indptr, instance.elem_set_ids,
-                             sel, counts)
-    return _assemble(instance.n, sel, counts, set_ids, source.seed, params,
-                     instance.m)
-
-
 def _finalize(rec, placement, divergence, n_tilde, sketch_edges, handoff,
               **extra) -> SimReport:
     loads = (np.asarray(placement.storage_units, dtype=np.int64)
@@ -251,7 +241,7 @@ def run_kcover_mapreduce(instance: CoverageInstance, k: int, eps: float,
     source = HashSource(seed)
     runs, divergence = _run_sketch_rounds(instance, placement, rec,
                                           {0: (source, params)})
-    sk = _round4_sketch(instance, runs[0], source, params)
+    sk = _sketch_runs(instance, *runs[0], source, params)
     if solver == "greedy":
         sol = solvers.greedy_kcover(sk, k)
     else:
@@ -282,7 +272,7 @@ def run_setcover_mapreduce(instance: CoverageInstance, lam: float, eps: float,
         instance, placement, rec,
         {i: (source, params) for i, (_, source, params) in enumerate(ladder)})
     sol = solvers.select_outlier_solution(
-        ((g, _round4_sketch(instance, runs[i], source, params))
+        ((g, _sketch_runs(instance, *runs[i], source, params))
          for i, (g, source, params) in enumerate(ladder)), lam, eps)
     per_guess = [int(runs[i][1].sum()) for i in range(len(ladder))]
     budget = sum(params.n_tilde + params.degree_cap

@@ -8,6 +8,7 @@ Instances are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -55,6 +56,20 @@ def _check_key_range(*factors: int) -> None:
         raise ValueError(f"sizes {factors} overflow a 64-bit sort key")
 
 
+# Entries an expansion may materialize: copies hashed by the weighted,
+# fractional and probabilistic sketches, edges gathered per k-hop step, row
+# pairs of a feature-pairs instance.
+_EXPANSION_BUDGET = 10_000_000
+
+
+def _check_budget(total: int, budget: int, unit: str, advice: str) -> None:
+    """Raise ValueError, naming both, when ``total`` exceeds ``budget``;
+    callers check before they allocate anything of that size."""
+    if total > budget:
+        raise ValueError(f"expansion needs {total} {unit}, over the budget "
+                         f"of {budget}; {advice}")
+
+
 def _edge_keys(n: int, m: int, set_ids, elem_ids) -> np.ndarray:
     """Checked edge ids packed as ``set * m + element``, in input order."""
     _check_key_range(n, m)
@@ -80,6 +95,14 @@ def _run_ids(indptr: np.ndarray) -> np.ndarray:
     """Index of the run that holds each entry of CSR runs ``indptr``."""
     return np.repeat(np.arange(len(indptr) - 1, dtype=np.int64),
                      np.diff(indptr))
+
+
+def _gather_positions(indptr: np.ndarray, picks: np.ndarray,
+                      counts: np.ndarray) -> np.ndarray:
+    """Positions of the first ``counts[i]`` entries of each picked list."""
+    shift = np.cumsum(counts) - counts - indptr[picks]
+    return np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(shift,
+                                                                   counts)
 
 
 def _transpose(indptr: np.ndarray, minor: np.ndarray, minor_count: int):
@@ -352,13 +375,6 @@ def _read_bytes(source) -> bytes:
     raise TypeError("source must be a path, bytes, or file object")
 
 
-def _iter_lines(source):
-    """Yield (lineno, text) from a path, byte/str content wrapper, or file."""
-    text = _read_bytes(source).decode("utf-8")
-    for i, line in enumerate(text.splitlines(), start=1):
-        yield i, line
-
-
 def _line_number(buf: np.ndarray, pos: int) -> int:
     """1-based line of byte ``pos``; LF, CR and CRLF each end one line."""
     lf, cr = buf[:pos] == ord("\n"), buf[:pos] == ord("\r")
@@ -431,13 +447,14 @@ def _line_error(buf: np.ndarray, bounds: np.ndarray, pos: int,
     return ParseError(f"{where}: integer out of range (max {_MAX_VALUE})")
 
 
-def _read_table(source, columns: int):
+def _read_table(source, columns: int | None):
     """Parse rows of ``columns`` integers; returns (rows, headers).
 
     ``rows`` is an ``(r, columns)`` int64 array in file order and
-    ``headers`` holds the value of a `#U <int>` comment, if any.  The whole
-    input is checked and converted with array operations; a ParseError names
-    the first malformed line, and an input without rows is an empty instance.
+    ``headers`` holds the value of a `#U <int>` comment, if any.  With
+    ``columns=None`` the first data line sets the width.  The whole input is
+    checked and converted with array operations; a ParseError names the
+    first malformed line, and an input without rows is an empty instance.
     """
     data = _read_bytes(source)
     buf = np.frombuffer(data, dtype=np.uint8)
@@ -450,6 +467,8 @@ def _read_table(source, columns: int):
     flips = np.flatnonzero(np.diff(sep, prepend=True, append=True))
     starts, ends = flips[0::2], flips[1::2]
     counts = np.diff(np.searchsorted(starts, bounds))
+    if columns is None:  # 0 without a data line: the input is empty
+        columns = int(counts[counts != 0][:1].sum())
     # Everything before the first bad line is well-formed and gets parsed,
     # so an out-of-range value on an earlier line is still reported first.
     bad = np.concatenate((
@@ -642,42 +661,53 @@ def serialize_fractional_edge_list(finst: FractionalInstance, sink=None,
 # ---------------------------------------------------------------------------
 
 
+def _khop_from_edges(nv: int, u: np.ndarray, v: np.ndarray,
+                     hops: int) -> CoverageInstance:
+    """k-hop closed neighbourhoods of the directed graph with edges
+    ``u[i] -> v[i]`` on vertices ``0..nv-1``.
+
+    The one-hop instance adds the diagonal to the edges; each further hop
+    joins the reach so far with it, by one gather and one CSR build.  The
+    gathered entries are checked against ``_EXPANSION_BUDGET`` first.
+    """
+    if hops not in (1, 2, 3):
+        raise ValueError("hops must be 1, 2, or 3")
+    if nv < 1:
+        raise ValueError("empty instance")
+    ids = np.arange(nv, dtype=np.int64)
+    closed = CoverageInstance.from_edges(nv, nv, np.concatenate((u, ids)),
+                                         np.concatenate((v, ids)))
+    reach = closed
+    for hop in range(2, hops + 1):
+        a, mid = reach.edges()
+        counts = closed.set_sizes[mid]
+        _check_budget(int(counts.sum()), _EXPANSION_BUDGET,
+                      f"edges for {hop} hops",
+                      "use fewer hops or a sparser graph")
+        w = closed.set_elems[_gather_positions(closed.set_indptr, mid, counts)]
+        reach = CoverageInstance.from_edges(nv, nv, np.repeat(a, counts), w)
+    return reach
+
+
 def khop_dominating_instance(adjacency, hops: int) -> CoverageInstance:
     """Reduce multi-hop dominating set to coverage.
 
     Vertices double as both sets and elements: set ``a`` contains element
     ``b`` iff ``b == a`` or ``b`` is reachable from ``a`` within ``hops``
     edges.  Any k-cover / partial-cover solution on the result is a dominating
-    solution of the same value.  Source graphs are assumed simple and
-    undirected; self-loops are ignored (every vertex dominates itself anyway).
+    solution of the same value.  ``adjacency[a]`` lists the out-neighbours of
+    ``a``, and edges are followed only in the direction listed: pass both
+    directions of an undirected edge (the ``generate khop`` command does so
+    for the edges of its graph file).  Self-loops and repeats change nothing.
     """
-    if hops not in (1, 2, 3):
-        raise ValueError("hops must be 1, 2, or 3")
-    nv = len(adjacency)
-    if nv == 0:
-        raise ValueError("empty instance")
-    set_ids = []
-    elem_ids = []
-    for a in range(nv):
-        seen = {a}
-        frontier = [a]
-        for _ in range(hops):
-            nxt = []
-            for u in frontier:
-                for w in adjacency[u]:
-                    w = int(w)
-                    if w < 0 or w >= nv:
-                        raise ValueError(f"neighbor id {w} out of range")
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            if not nxt:
-                break
-            frontier = nxt
-        covered = sorted(seen)
-        set_ids.extend([a] * len(covered))
-        elem_ids.extend(covered)
-    return CoverageInstance.from_edges(nv, nv, set_ids, elem_ids)
+    sizes = [len(nbrs) for nbrs in adjacency]
+    v = np.fromiter(itertools.chain.from_iterable(adjacency), dtype=np.int64,
+                    count=sum(sizes))
+    bad = np.flatnonzero((v < 0) | (v >= len(adjacency)))
+    if bad.size:
+        raise ValueError(f"neighbor id {v[bad[0]]} out of range")
+    u = np.repeat(np.arange(len(adjacency), dtype=np.int64), sizes)
+    return _khop_from_edges(len(adjacency), u, v, hops)
 
 
 def generate_planted(k: int, m: int, k_prime: int, eps: float,
@@ -756,7 +786,8 @@ def feature_pairs_instance(matrix) -> CoverageInstance:
     ``r1 * R + r2``.  Column ``c`` covers a pair iff it is active on both
     rows.  Only covered pairs are materialized; their dense element ids are
     assigned in increasing code order, with codes kept in
-    ``element_labels``.
+    ``element_labels``.  The ``sum(C(ones_c, 2))`` pairs are checked
+    against ``_EXPANSION_BUDGET`` before any is listed.
     """
     mat = np.asarray(matrix)
     if mat.ndim != 2:
@@ -764,23 +795,21 @@ def feature_pairs_instance(matrix) -> CoverageInstance:
     if not np.isin(mat, (0, 1)).all():
         raise ValueError("matrix entries must be 0 or 1")
     nrows, ncols = mat.shape
-    col_codes = []
-    for c in range(ncols):
-        active = np.flatnonzero(mat[:, c])
-        if len(active) < 2:
-            col_codes.append(np.empty(0, dtype=np.int64))
-            continue
-        a, b = np.triu_indices(len(active), k=1)
-        col_codes.append(active[a].astype(np.int64) * nrows + active[b])
-    codes = np.concatenate(col_codes) if col_codes else np.empty(0, np.int64)
+    ones = mat.sum(axis=0, dtype=np.int64)
+    _check_budget(int((ones * (ones - 1) // 2).sum()), _EXPANSION_BUDGET,
+                  "row pairs", "use fewer rows or sparser columns")
+    # The 1-entries in column-major order; entry i pairs with the ``later[i]``
+    # entries after it in its column.
+    col, row = np.nonzero(mat.T)
+    ids = np.arange(row.size, dtype=np.int64)
+    later = np.cumsum(ones)[col] - 1 - ids
+    first = np.repeat(ids, later)
+    codes = row[first] * nrows + row[_gather_positions(ids + 1, ids, later)]
     # Sort and drop equal neighbours: np.unique's hash path is far slower.
     all_codes = np.sort(codes)
     all_codes = all_codes[np.diff(all_codes, prepend=-1) != 0]
     if all_codes.size == 0:
         raise ValueError("empty instance")
-    set_ids = np.repeat(np.arange(ncols, dtype=np.int64),
-                        [len(c) for c in col_codes])
-    elem_ids = np.searchsorted(all_codes, codes)
     return CoverageInstance.from_edges(
-        ncols, len(all_codes), set_ids, elem_ids,
+        ncols, len(all_codes), col[first], np.searchsorted(all_codes, codes),
         element_labels=all_codes.tolist())

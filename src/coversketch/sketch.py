@@ -21,8 +21,11 @@ from .instance import (
     FractionalInstance,
     ProbabilisticInstance,
     WeightedInstance,
+    _EXPANSION_BUDGET,
+    _check_budget,
     _check_key_range,
     _format_rows,
+    _gather_positions,
     _transpose,
     _write_rows,
 )
@@ -261,20 +264,6 @@ def _select_elements(hashes: np.ndarray, capped: np.ndarray,
     return order[:int(np.searchsorted(cum, params.n_tilde)) + 1]
 
 
-def _gather_positions(indptr: np.ndarray, picks: np.ndarray,
-                      counts: np.ndarray) -> np.ndarray:
-    """Positions of the first ``counts[i]`` entries of each picked list."""
-    shift = np.cumsum(counts) - counts - indptr[picks]
-    return np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(shift,
-                                                                   counts)
-
-
-def _gather_capped(indptr: np.ndarray, flat_sets: np.ndarray,
-                   picks: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """First ``counts[i]`` entries of each picked adjacency list, concatenated."""
-    return flat_sets[_gather_positions(indptr, picks, counts)]
-
-
 def _assemble(n: int, selected: np.ndarray, counts: np.ndarray,
               set_ids: np.ndarray, seed: int, params: SketchParams,
               original_m: int, lookups: int | None = None) -> Sketch:
@@ -291,6 +280,17 @@ def _assemble(n: int, selected: np.ndarray, counts: np.ndarray,
                   original_m=int(original_m), oracle_lookups=lookups)
 
 
+def _sketch_runs(instance: CoverageInstance, selected: np.ndarray,
+                 counts: np.ndarray, source: HashSource,
+                 params: SketchParams) -> Sketch:
+    """Sketch whose element ``i`` is element ``selected[i]`` of ``instance``
+    with its first ``counts[i]`` sets."""
+    set_ids = instance.elem_set_ids[_gather_positions(instance.elem_indptr,
+                                                      selected, counts)]
+    return _assemble(instance.n, selected, counts, set_ids, source.seed,
+                     params, instance.m)
+
+
 def build_sketch(instance: CoverageInstance, params: SketchParams,
                  source: HashSource) -> Sketch:
     """Construct the sketch of a materialized instance.
@@ -304,11 +304,7 @@ def build_sketch(instance: CoverageInstance, params: SketchParams,
     hashes = element_hash_array(source, np.arange(instance.m, dtype=np.int64))
     capped = np.minimum(instance.elem_degrees, params.cap)
     selected = _select_elements(hashes, capped, params)
-    counts = capped[selected]
-    set_ids = _gather_capped(instance.elem_indptr, instance.elem_set_ids,
-                             selected, counts)
-    return _assemble(instance.n, selected, counts, set_ids, source.seed,
-                     params, instance.m)
+    return _sketch_runs(instance, selected, capped[selected], source, params)
 
 
 def build_sketch_lazy(element_count: int, degree_oracle, edge_oracle,
@@ -381,12 +377,6 @@ def _copy_count(copies: np.ndarray) -> int:
     """Sum of per-element copy counts; unlike an int64 sum it never wraps."""
     approx = float(copies.sum(dtype=np.float64))
     return int(copies.sum()) if approx < 2**62 else int(approx)
-
-
-def _check_budget(total: int, budget: int, advice: str) -> None:
-    if total > budget:
-        raise ValueError(f"expansion needs {total} copies, over the budget of "
-                         f"{budget}; {advice}")
 
 
 def _copy_hashes(source: HashSource, shift: np.ndarray, starts: np.ndarray,
@@ -494,7 +484,7 @@ def _expand_in_chunks(expand, walk: np.ndarray, n_tilde: int | None):
 
 def sketch_weighted(winst: WeightedInstance, params: SketchParams,
                     source: HashSource,
-                    expansion_budget: int = 10_000_000) -> Sketch:
+                    expansion_budget: int = _EXPANSION_BUDGET) -> Sketch:
     """Sketch of the implicit expansion with ``w_v`` unit copies per element.
 
     Copy (v, j) keeps v's edge list; its flat id is ``sum(w_u, u < v) + j``.
@@ -503,7 +493,7 @@ def sketch_weighted(winst: WeightedInstance, params: SketchParams,
     """
     w = winst.element_weight
     total = _copy_count(w)
-    _check_budget(total, expansion_budget,
+    _check_budget(total, expansion_budget, "copies",
                   "lower the weights or increase the budget")
     return _sketch_copies(winst.base, np.cumsum(w) - w, w, total, None,
                           params, source, total)
@@ -511,7 +501,7 @@ def sketch_weighted(winst: WeightedInstance, params: SketchParams,
 
 def sketch_fractional(finst: FractionalInstance, params: SketchParams,
                       source: HashSource,
-                      expansion_budget: int = 10_000_000) -> Sketch:
+                      expansion_budget: int = _EXPANSION_BUDGET) -> Sketch:
     """Sketch of the implicit expansion with ``U`` copies per element.
 
     Copy (v, j) is connected to set S iff ``j < alpha_{S,v} * U``; expansion
@@ -526,7 +516,7 @@ def sketch_fractional(finst: FractionalInstance, params: SketchParams,
         copies[has_edge] = np.maximum.reduceat(finst.numer_elem_order,
                                                base.elem_indptr[:-1][has_edge])
     total = _copy_count(copies)
-    _check_budget(total, expansion_budget,
+    _check_budget(total, expansion_budget, "copies",
                   "lower U or increase the budget")
     _check_key_range(base.m, U)
 
@@ -547,7 +537,7 @@ def probabilistic_copy_count(n: int, U: int, eps: float) -> int:
 
 def sketch_probabilistic(pinst: ProbabilisticInstance, eps: float,
                          params: SketchParams, source: HashSource,
-                         expansion_budget: int = 10_000_000) -> Sketch:
+                         expansion_budget: int = _EXPANSION_BUDGET) -> Sketch:
     """Sketch of the seeded Bernoulli expansion of a probabilistic instance.
 
     Each element becomes ``zeta = ceil(12 (n + 1 + ln n) U / eps^2)`` copies;
@@ -560,7 +550,7 @@ def sketch_probabilistic(pinst: ProbabilisticInstance, eps: float,
     """
     base = pinst.base
     zeta = probabilistic_copy_count(base.n, pinst.U, eps)
-    _check_budget(zeta * base.m, expansion_budget,
+    _check_budget(zeta * base.m, expansion_budget, "copies",
                   "increase eps or the budget")
     coin_base = source._base(_TAG_EDGE_COIN)
     # Copy half of each coin key once per copy, set half once per set.

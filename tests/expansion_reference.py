@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from coversketch import CoverageInstance, sketch
-from coversketch.instance import _check_key_range
+from coversketch.instance import _check_key_range, _gather_positions
 from coversketch.sketch import (
     Sketch,
     SketchParams,
@@ -25,7 +25,6 @@ from coversketch.sketch import (
     _U,
     _combine_array,
     _combine_scalar,
-    _gather_capped,
     _mix_inplace,
     _select_elements,
     _unit_array,
@@ -79,8 +78,8 @@ def weighted_copy_graph(winst):
     base, w = winst.base, winst.element_weight
     v_of_copy = np.repeat(np.arange(base.m, dtype=np.int64), w)
     deg = base.elem_degrees[v_of_copy]
-    copy_sets = _gather_capped(base.elem_indptr, base.elem_set_ids,
-                               v_of_copy, deg)
+    copy_sets = base.elem_set_ids[_gather_positions(base.elem_indptr,
+                                                    v_of_copy, deg)]
     return (np.arange(int(w.sum()), dtype=np.int64),
             np.concatenate(([0], np.cumsum(deg))), copy_sets)
 
@@ -125,7 +124,7 @@ def sketch_over_copies(n, flat_ids, copy_indptr, copy_sets, params, source,
     hashes = sketch.element_hash_array(source, flat_ids)
     capped = np.minimum(degrees, params.cap)
     picks = _select_elements(hashes, capped, params)
-    set_ids = _gather_capped(copy_indptr, copy_sets, picks, capped[picks])
+    set_ids = copy_sets[_gather_positions(copy_indptr, picks, capped[picks])]
     new_elems = np.repeat(np.arange(len(picks), dtype=np.int64),
                           capped[picks])
     inst = CoverageInstance.from_edges(n, len(picks), set_ids, new_elems)

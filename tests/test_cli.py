@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,47 @@ class TestGenerate:
         assert code == 0
         labels = (tmp_path / "fp.txt.labels").read_text().splitlines()
         assert len(labels) == load_edge_list(out).m
+
+    @pytest.mark.parametrize("leaves,count", [(3200, 10259201),
+                                              (100_000, 10000600001)])
+    def test_khop_star_over_budget_exits_one(self, tmp_path, capsys, leaves,
+                                             count):
+        graph = tmp_path / "star.txt"
+        graph.write_text("".join(f"0 {i}\n" for i in range(1, leaves + 1)))
+        tracemalloc.start()
+        try:
+            code, _, err = run(["generate", "khop", "--graph", str(graph),
+                                "--hops", "2", "--out",
+                                str(tmp_path / "dom.txt")], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and "Traceback" not in err
+        assert err.startswith(f"error: expansion needs {count} edges for 2 "
+                              "hops, over the budget of 10000000")
+        assert peak < 2**26  # the expansion itself is count * 8 bytes
+
+    def test_feature_pairs_over_budget_exits_one(self, tmp_path, capsys):
+        matrix = tmp_path / "ones.txt"
+        matrix.write_text("1\n" * 5000)
+        code, _, err = run(["generate", "feature-pairs", "--matrix",
+                            str(matrix), "--out", str(tmp_path / "fp.txt")],
+                           capsys)
+        assert code == 1 and "Traceback" not in err
+        assert err.startswith("error: expansion needs 12497500 row pairs, "
+                              "over the budget of 10000000")
+
+    @pytest.mark.parametrize("text,message", [
+        ("1 0\n# note\n1\n", "line 3: expected 2 fields, got 1"),
+        ("1 x\n", "line 1: non-integer token"),
+        ("# only\n", "empty instance")])
+    def test_bad_matrix_exits_one(self, tmp_path, capsys, text, message):
+        matrix = tmp_path / "matrix.txt"
+        matrix.write_text(text)
+        code, _, err = run(["generate", "feature-pairs", "--matrix",
+                            str(matrix), "--out", str(tmp_path / "fp.txt")],
+                           capsys)
+        assert code == 1 and message in err and "Traceback" not in err
 
     def test_missing_flag_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -250,7 +250,7 @@ def simulated_sketches(inst, machines, families):
     runs, divergence = distsim._run_sketch_rounds(
         inst, partition_input(inst, machines),
         distsim._Recorder(machines, 4), families)
-    return {tag: distsim._round4_sketch(inst, runs[tag], *families[tag])
+    return {tag: distsim._sketch_runs(inst, *runs[tag], *families[tag])
             for tag in runs}, divergence
 
 
@@ -380,7 +380,7 @@ class TestLazyRound4:
 
     def test_simulation_assembles_up_to_the_winner(self, inst, monkeypatch):
         ref, consumed = self.reference(inst)
-        calls = self.count_calls(monkeypatch, distsim, "_assemble")
+        calls = self.count_calls(monkeypatch, distsim, "_sketch_runs")
         sol, report = self.simulate(inst)
         assert outcome(sol) == outcome(ref)
         assert calls.call_count == consumed < report.guess_count

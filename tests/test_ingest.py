@@ -22,11 +22,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from coversketch import CoverageInstance, ParseError, generate_planted, \
     load_edge_list, loads_edge_list
 from coversketch import instance as instance_mod
-from coversketch.cli import _load_graph_adjacency, main
+from coversketch.cli import _load_graph_edges, main
 from coversketch.instance import FractionalInstance, WeightedInstance, \
-    _read_table, load_fractional_edge_list, load_probabilistic_edge_list, \
-    load_weighted_edge_list, serialize_edge_list, \
-    serialize_fractional_edge_list, serialize_weighted_edge_list
+    _khop_from_edges, _read_table, load_fractional_edge_list, \
+    load_probabilistic_edge_list, load_weighted_edge_list, \
+    serialize_edge_list, serialize_fractional_edge_list, \
+    serialize_weighted_edge_list
 from coversketch.sketch import HashSource, build_sketch, practical_params, \
     serialize_sketch, theory_params
 
@@ -245,7 +246,7 @@ class TestIdBound:
         (load_weighted_edge_list, b"0 2147483646 1\n"),
         (load_fractional_edge_list, b"#U 2\n0 2147483646 1\n"),
         (load_probabilistic_edge_list, b"#U 2\n2147483646 0 1\n"),
-        (_load_graph_adjacency, b"0 2147483646\n")])
+        (_load_graph_edges, b"0 2147483646\n")])
     def test_rejected_before_allocation(self, load, raw):
         tracemalloc.start()
         try:
@@ -322,8 +323,9 @@ class TestGraphLoader:
     def test_neighbor_sets(self, tmp_path_factory, rows):
         path = tmp_path_factory.mktemp("g") / "graph.txt"
         path.write_text("".join(f"{u} {v}\n" for u, v in rows))
-        got = _load_graph_adjacency(str(path))
-        assert [set(a) for a in got] == reference_adjacency(rows)
+        inst = _khop_from_edges(*_load_graph_edges(str(path)), 1)
+        assert [set(inst.set_elements(a).tolist()) for a in range(inst.n)] \
+            == [nbrs | {a} for a, nbrs in enumerate(reference_adjacency(rows))]
 
     @pytest.mark.parametrize("text,message", [
         ("0 1\n1 x\n", "line 2: non-integer token"),

@@ -113,7 +113,54 @@ class TestCoverageInstance:
         assert broken != a
 
 
+def reference_khop(adjacency, hops):
+    """Per-vertex BFS over the lists as given: the specification of
+    ``khop_dominating_instance``.  The first id out of range in list order
+    is reported."""
+    if hops not in (1, 2, 3):
+        raise ValueError("hops must be 1, 2, or 3")
+    nv = len(adjacency)
+    for w in (w for nbrs in adjacency for w in nbrs):
+        if not 0 <= w < nv:
+            raise ValueError(f"neighbor id {w} out of range")
+    set_ids, elem_ids = [], []
+    for a in range(nv):
+        seen, frontier = {a}, [a]
+        for _ in range(hops):
+            nxt = []
+            for u in frontier:
+                for w in adjacency[u]:
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+            frontier = nxt
+        set_ids.extend([a] * len(seen))
+        elem_ids.extend(sorted(seen))
+    return CoverageInstance.from_edges(nv, nv, set_ids, elem_ids)
+
+
+@st.composite
+def directed_lists(draw):
+    """Out-neighbour lists with repeats, self-loops and isolated vertices;
+    in half the draws, ids may run one past the last vertex."""
+    nv = draw(st.integers(1, 12))
+    top = nv if draw(st.booleans()) else nv - 1
+    return draw(st.lists(st.lists(st.integers(0, top), max_size=5),
+                         min_size=nv, max_size=nv))
+
+
 class TestKhopDominating:
+    @settings(max_examples=300, deadline=None)
+    @given(directed_lists(), st.integers(1, 3))
+    def test_matches_bfs_reference(self, adjacency, hops):
+        try:
+            want = reference_khop(adjacency, hops)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                khop_dominating_instance(adjacency, hops)
+            return
+        assert khop_dominating_instance(adjacency, hops) == want
+
     def test_path_one_hop(self):
         adj = [[1], [0, 2], [1]]
         inst = khop_dominating_instance(adj, 1)
