@@ -85,7 +85,7 @@ def _cmd_generate(args) -> int:
         head = _header("generated", {"kind": "khop", "hops": args.hops}, ts)
         inst_mod.serialize_edge_list(inst, args.out, header_lines=head)
     else:  # feature-pairs
-        matrix, _ = inst_mod._read_table(args.matrix, None)
+        matrix, _ = inst_mod._read_table(args.matrix, None, "matrix entry")
         inst = inst_mod.feature_pairs_instance(matrix)
         head = _header("generated", {"kind": "feature-pairs",
                                      "rows": matrix.shape[0],
@@ -112,6 +112,20 @@ def _sketch_params_from_args(args, inst) -> sketch_mod.SketchParams:
     return sketch_mod.practical_params(args.rho, args.sigma)
 
 
+def _warn_if_clamped(inst, args):
+    """Print one stderr line when theory mode clamps ``n_tilde`` to the edge
+    count, which makes every theory sketch the whole input.  ``n_tilde``
+    does not depend on ``k``, so guess 1, which starts every set-cover
+    ladder, stands for every ``k``."""
+    params = sketch_mod.theory_params(inst.n, inst.m, inst.edge_count, k=1,
+                                      eps=args.eps,
+                                      delta_dprime=args.delta_dprime)
+    if params.clamped:
+        print(f"warning: theory-mode n_tilde {params.raw_n_tilde} is clamped "
+              f"to the input's {inst.edge_count} edges, so the sketch is the "
+              "whole input", file=sys.stderr)
+
+
 def _cmd_sketch(args) -> int:
     inst = inst_mod.load_edge_list(args.input)
     params = _sketch_params_from_args(args, inst)
@@ -119,6 +133,8 @@ def _cmd_sketch(args) -> int:
     sketch_mod.serialize_sketch(sk, args.out)
     ratio = sk.instance.edge_count / inst.edge_count if inst.edge_count else 0.0
     print(f"ratio={ratio:.4f}")
+    if args.theory:
+        _warn_if_clamped(inst, args)
     return 0
 
 
@@ -135,6 +151,8 @@ def _cmd_solve(args) -> int:
         sol = solvers.set_cover_outliers(inst, args.lam, args.eps,
                                          args.delta_dprime, args.seed,
                                          engine=args.engine)
+        if args.engine == "sketch":
+            _warn_if_clamped(inst, args)
     _write_solution(args.out, sol)
     print(f"value={sol.coverage_value}")
     return 0
@@ -158,6 +176,7 @@ def _cmd_simulate(args) -> int:
         _write_text(args.out_report, report.to_text())
     print(f"value={sol.coverage_value} rounds={report.rounds_executed} "
           f"divergence={int(report.divergence_flag)}")
+    _warn_if_clamped(inst, args)
     return 0
 
 

@@ -18,8 +18,12 @@ rounds, which every hash family (one per set-cover guess) shares:
 4. coordinator reduce: assemble the sketch from the runs, exactly as
    ``build_sketch`` does, and run the solver.  The set-cover ladder walk
    assembles a guess's sketch only when it reaches that guess, so guesses
-   after the winner are never assembled; rounds 1-3 and all unit
-   accounting still cover every guess.
+   after the winner are never assembled.  A reached guess whose runs carry
+   the whole capped degree mass (as when ``n_tilde`` is clamped to the edge
+   count) is not assembled either: its sketch is the degree-capped instance
+   up to element order, and such guesses share one greedy run per
+   effective cap and threshold.  Rounds 1-3 and all unit accounting still
+   cover every guess.
 
 Locality: a map reads only what its machine owns, the ids and degrees
 (round 1) and adjacency lists (round 3) of its elements plus the ids sent to
@@ -150,7 +154,7 @@ def _run_sketch_rounds(instance, placement, rec, families):
     same four rounds, and ``rec`` sums their units per machine and round.
     Returns ({tag: (selected ids, capped counts)}, any_divergence): the runs
     round 3 ships in selection order, which round 4 assembles with
-    :func:`~coversketch.sketch._sketch_runs`.
+    :func:`~coversketch.sketch._sketch_runs` when it needs the sketch.
     """
     m, mc = instance.m, placement.machine_count
     owner = placement.owner
@@ -261,7 +265,7 @@ def run_setcover_mapreduce(instance: CoverageInstance, lam: float, eps: float,
     records carry the guess index as a tag, and rounds 1-3 and all unit
     accounting cover every guess.  In round 4 the coordinator walks the
     ladder with the budgeted-greedy selection and assembles a guess's sketch
-    only when the walk reaches it.
+    only when the walk reaches it and the sketch leaves capped mass out.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1)")
@@ -271,9 +275,9 @@ def run_setcover_mapreduce(instance: CoverageInstance, lam: float, eps: float,
     runs, divergence = _run_sketch_rounds(
         instance, placement, rec,
         {i: (source, params) for i, (_, source, params) in enumerate(ladder)})
-    sol = solvers.select_outlier_solution(
-        ((g, _sketch_runs(instance, *runs[i], source, params))
-         for i, (g, source, params) in enumerate(ladder)), lam, eps)
+    sol = solvers._walk_ladder(
+        instance, ((g, *runs[i], source, params)
+                   for i, (g, source, params) in enumerate(ladder)), lam, eps)
     per_guess = [int(runs[i][1].sum()) for i in range(len(ladder))]
     budget = sum(params.n_tilde + params.degree_cap
                  for _, _, params in ladder)

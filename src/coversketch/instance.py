@@ -429,8 +429,12 @@ def _strip_comments(data: bytes, buf: np.ndarray, bounds: np.ndarray):
 
 
 def _line_error(buf: np.ndarray, bounds: np.ndarray, pos: int,
-                columns: int) -> ParseError:
-    """Describe what is wrong with the line holding byte ``pos``."""
+                columns: int, field: str | None) -> ParseError:
+    """Describe what is wrong with the line holding byte ``pos``.
+
+    ``field`` names every column, or is None for edge-list columns: two ids,
+    then values.
+    """
     i = int(np.searchsorted(bounds, pos)) - 1
     text = buf[bounds[i] + 1:bounds[i + 1]].tobytes()
     tokens = [t for t in text.replace(b"\t", b" ").split(b" ") if t]
@@ -441,18 +445,20 @@ def _line_error(buf: np.ndarray, bounds: np.ndarray, pos: int,
     for col, tok in enumerate(tokens):
         if not tok.isdigit():
             if tok[:1] == b"-" and tok[1:].isdigit():
-                return ParseError(f"{where}: negative "
-                                  f"{'id' if col < 2 else 'value'}")
+                name = field or ("id" if col < 2 else "value")
+                return ParseError(f"{where}: negative {name}")
             return ParseError(f"{where}: non-integer token")
     return ParseError(f"{where}: integer out of range (max {_MAX_VALUE})")
 
 
-def _read_table(source, columns: int | None):
+def _read_table(source, columns: int | None, field: str | None = None):
     """Parse rows of ``columns`` integers; returns (rows, headers).
 
     ``rows`` is an ``(r, columns)`` int64 array in file order and
     ``headers`` holds the value of a `#U <int>` comment, if any.  With
-    ``columns=None`` the first data line sets the width.  The whole input is
+    ``columns=None`` the first data line sets the width.  ``field`` names
+    every column in error messages; by default the columns are an edge
+    list's two ids and its values.  The whole input is
     checked and converted with array operations; a ParseError names the
     first malformed line, and an input without rows is an empty instance.
     """
@@ -490,7 +496,7 @@ def _read_table(source, columns: int | None):
         raise ParseError(f"line {_line_number(buf, bad_header)}: "
                          "bad #U header")
     if first is not None:
-        raise _line_error(buf, bounds, first, columns)
+        raise _line_error(buf, bounds, first, columns, field)
     if not values.size:
         raise ValueError("empty instance")
     return values.reshape(-1, columns), headers

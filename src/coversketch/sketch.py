@@ -12,7 +12,7 @@ of sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -154,6 +154,11 @@ class SketchParams:
     mass ``n_tilde``, per-element ``degree_cap``, and ``delta``.  Practical
     mode carries the element sampling probability ``rho`` and degree cap
     ``sigma``.  All logarithms in the derivations are natural.
+
+    Theory mode also records ``raw_n_tilde``, the target edge mass before the
+    clamp to the edge count, and ``clamped``, set when that target reaches
+    the edge count, so that the sketch keeps every element with an edge.
+    Neither field takes part in equality.
     """
 
     mode: str
@@ -165,6 +170,8 @@ class SketchParams:
     delta: float | None = None
     rho: float | None = None
     sigma: int | None = None
+    raw_n_tilde: int | None = field(default=None, compare=False)
+    clamped: bool = field(default=False, compare=False)
 
     @property
     def cap(self) -> int:
@@ -179,7 +186,7 @@ def theory_params(n: int, m: int, edge_count: int, k: int, eps: float,
     ``L = max(2, ceil(ln m / ln(1/(1-eps))))`` gives
     ``delta = delta_dprime * ln L``, and the target edge mass is
     ``n_tilde = ceil(24 n delta ln(1/eps) ln n / ((1-eps) eps^3))`` clamped to
-    ``[1, edge_count]``.
+    ``[1, edge_count]``; ``clamped`` records that the upper end applied.
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
@@ -194,9 +201,12 @@ def theory_params(n: int, m: int, edge_count: int, k: int, eps: float,
     guesses = max(2, math.ceil(math.log(m) / math.log(1.0 / (1.0 - eps))))
     delta = delta_dprime * math.log(guesses)
     raw = 24.0 * n * delta * log_inv_eps * math.log(n) / ((1.0 - eps) * eps ** 3)
-    n_tilde = min(max(1, math.ceil(raw)), int(edge_count))
+    raw_n_tilde = max(1, math.ceil(raw))
+    n_tilde = min(raw_n_tilde, int(edge_count))
     return SketchParams(mode="theory", k=k, eps=eps, delta_dprime=delta_dprime,
-                        n_tilde=n_tilde, degree_cap=cap, delta=delta)
+                        n_tilde=n_tilde, degree_cap=cap, delta=delta,
+                        raw_n_tilde=raw_n_tilde,
+                        clamped=raw_n_tilde >= edge_count)
 
 
 def practical_params(rho: float, sigma: int) -> SketchParams:
@@ -291,6 +301,16 @@ def _sketch_runs(instance: CoverageInstance, selected: np.ndarray,
                      params, instance.m)
 
 
+def _selection(instance: CoverageInstance, params: SketchParams,
+               source: HashSource) -> tuple[np.ndarray, np.ndarray]:
+    """The kept elements of :func:`build_sketch`, in selection order, and
+    their capped degrees: the runs :func:`_sketch_runs` assembles."""
+    hashes = element_hash_array(source, np.arange(instance.m, dtype=np.int64))
+    capped = np.minimum(instance.elem_degrees, params.cap)
+    selected = _select_elements(hashes, capped, params)
+    return selected, capped[selected]
+
+
 def build_sketch(instance: CoverageInstance, params: SketchParams,
                  source: HashSource) -> Sketch:
     """Construct the sketch of a materialized instance.
@@ -301,10 +321,8 @@ def build_sketch(instance: CoverageInstance, params: SketchParams,
     hash falls below ``rho``.  A kept element retains its first
     ``min(cap, degree)`` edges, i.e. the smallest set ids.
     """
-    hashes = element_hash_array(source, np.arange(instance.m, dtype=np.int64))
-    capped = np.minimum(instance.elem_degrees, params.cap)
-    selected = _select_elements(hashes, capped, params)
-    return _sketch_runs(instance, selected, capped[selected], source, params)
+    return _sketch_runs(instance, *_selection(instance, params, source),
+                        source, params)
 
 
 def build_sketch_lazy(element_count: int, degree_oracle, edge_oracle,

@@ -22,7 +22,14 @@ from .instance import (
     ProbabilisticInstance,
     WeightedInstance,
 )
-from .sketch import HashSource, Sketch, build_sketch, derive_seed, theory_params
+from .sketch import (
+    HashSource,
+    Sketch,
+    _selection,
+    _sketch_runs,
+    derive_seed,
+    theory_params,
+)
 
 __all__ = [
     "InfeasibleError",
@@ -340,6 +347,54 @@ def select_outlier_solution(sketches, lam: float, eps: float) -> Solution:
     raise InfeasibleError("infeasible outlier fraction")
 
 
+def _walk_ladder(instance: CoverageInstance, guesses, lam: float,
+                 eps: float) -> Solution:
+    """:func:`select_outlier_solution` over per-guess sketches of
+    ``instance`` given as runs, assembling only the sketches it must.
+
+    ``guesses`` yields (guess, selected, counts, source, params) in ascending
+    guess order: the elements the guess's sketch keeps, in selection order,
+    with their capped degrees.  A guess is clamped when ``counts`` carries
+    the instance's whole capped mass.  Its sketch then keeps every element
+    with an edge, so it is the degree-capped instance up to element order,
+    which greedy picks, gains and coverage do not depend on.  Clamped
+    guesses with the same effective cap ``min(cap, max degree)`` and the
+    same threshold share one threshold-stopped run, and each guess's
+    budgeted run is its first ``budget`` picks.  The threshold comes from
+    ``len(selected)``: when the capped mass meets ``n_tilde`` exactly, the
+    zero-degree elements hashing after the cut are not in the sketch.
+    Other guesses are assembled when the walk reaches them.
+    """
+    degrees = instance.elem_degrees
+    top = int(degrees.max(initial=0))
+    capped: dict[int, CoverageInstance] = {}    # by effective cap
+    runs: dict[tuple[int, int], tuple] = {}     # by (cap, threshold)
+    for guess, selected, counts, source, params in guesses:
+        thresh = cover_threshold(len(selected), lam)
+        budget = _guess_budget(guess, eps, lam)
+        cap = min(params.cap, top)
+        if counts.sum() == np.minimum(degrees, cap).sum():
+            if cap not in capped:
+                pos = np.flatnonzero(degrees)
+                capped[cap] = instance if cap == top else _sketch_runs(
+                    instance, pos, np.minimum(degrees[pos], cap), source,
+                    params).instance
+            if (cap, thresh) not in runs:
+                runs[cap, thresh] = _greedy_run(capped[cap], instance.n,
+                                                stop_threshold=thresh)
+            chosen, trace, _ = runs[cap, thresh]
+            chosen, trace = chosen[:budget], trace[:budget]
+            cov = sum(trace)
+        else:
+            sk = _sketch_runs(instance, selected, counts, source, params)
+            chosen, trace, cov = _greedy_run(sk.instance, budget,
+                                             stop_threshold=thresh)
+        if cov >= thresh:
+            return Solution(chosen=chosen, coverage_value=cov,
+                            evaluated_on="sketch", gains=trace)
+    raise InfeasibleError("infeasible outlier fraction")
+
+
 def set_cover_outliers(instance: CoverageInstance, lam: float, eps: float,
                        delta_dprime: float = 0.5, seed: int = 0,
                        engine: str = "direct") -> Solution:
@@ -347,10 +402,16 @@ def set_cover_outliers(instance: CoverageInstance, lam: float, eps: float,
 
     Walks the geometric guess ladder over the optimum size; for each guess
     runs budgeted greedy either directly on the instance or on a per-guess
-    sketch (independent hash family per guess), built only for the guesses
+    sketch (independent hash family per guess), hashed only for the guesses
     the walk reaches.  Returns the solution of the smallest successful guess,
     which has size at most ``(1+eps) ln(1/lam) OPT`` with the usual
     high-probability guarantee.
+
+    The sketch engine assembles a reached guess's sketch only when its
+    ``n_tilde`` leaves some capped mass out.  When it does not, as when
+    theory mode clamps ``n_tilde`` to the edge count, the sketch is the
+    degree-capped instance up to element order, and such guesses share one
+    greedy run per effective cap and threshold, as the direct engine does.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1)")
@@ -360,10 +421,10 @@ def set_cover_outliers(instance: CoverageInstance, lam: float, eps: float,
         raise ValueError("engine must be 'direct' or 'sketch'")
     n, m = instance.n, instance.m
     if engine == "sketch":
-        pairs = ((g, build_sketch(instance, params, source))
-                 for g, source, params in guess_families(instance, eps,
-                                                         delta_dprime, seed))
-        return select_outlier_solution(pairs, lam, eps)
+        guesses = ((g, *_selection(instance, params, source), source, params)
+                   for g, source, params in guess_families(instance, eps,
+                                                           delta_dprime, seed))
+        return _walk_ladder(instance, guesses, lam, eps)
 
     # Direct engine: the greedy pick sequence is deterministic, so every
     # guess's budgeted run is a prefix of one run stopped at the threshold.

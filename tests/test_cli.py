@@ -92,6 +92,7 @@ class TestGenerate:
     @pytest.mark.parametrize("text,message", [
         ("1 0\n# note\n1\n", "line 3: expected 2 fields, got 1"),
         ("1 x\n", "line 1: non-integer token"),
+        ("1 -1\n", "line 1: negative matrix entry"),
         ("# only\n", "empty instance")])
     def test_bad_matrix_exits_one(self, tmp_path, capsys, text, message):
         matrix = tmp_path / "matrix.txt"
@@ -258,6 +259,41 @@ class TestSimulateCommand:
         assert code == 1
         assert "guess ladder for n=3, eps=1e-06 needs" in err
         assert "Traceback" not in err
+
+
+class TestClampWarning:
+    """One stderr line when theory mode clamps n_tilde to the edge count;
+    stdout and the files written are what they are without it."""
+
+    COMMANDS = {
+        "sketch": ["sketch", "--theory", "--k", "2"],
+        "solve": ["solve", "--problem", "setcover-outliers", "--engine",
+                  "sketch", "--lambda", "0.3"],
+        "simulate": ["simulate", "--problem", "setcover-outliers",
+                     "--machines", "3", "--lambda", "0.3"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("knobs,warnings", [
+        ([], 1),                                          # n_tilde 6734
+        (["--eps", "0.9", "--delta-dprime", "0.01"], 0),  # n_tilde 9
+    ])
+    def test_warning(self, tmp_path, capsys, command, knobs, warnings):
+        inst = str(tmp_path / "inst.txt")
+        run(["generate", "planted", "--k", "4", "--m", "400", "--kprime",
+             "6", "--eps", "0.2", "--seed", "1", "--out", inst,
+             "--no-timestamp"], capsys)
+        argv = self.COMMANDS[command] + knobs + [
+            "--in", inst, "--seed", "3",
+            "--out-solution" if command == "simulate" else "--out",
+            str(tmp_path / "out.txt")]
+        code, out, err = run(argv, capsys)
+        assert code == 0 and "warning" not in out
+        assert err.count("warning:") == warnings
+        if warnings:
+            assert err == ("warning: theory-mode n_tilde 6734 is clamped to "
+                           "the input's 1120 edges, so the sketch is the "
+                           "whole input\n")
 
 
 class TestExperimentCommand:

@@ -21,7 +21,7 @@ from coversketch import solvers
 from coversketch.solvers import InfeasibleError, greedy_kcover, \
     guess_families, guess_ladder, select_outlier_solution, \
     set_cover_outliers, stochastic_greedy
-from coversketch.sketch import derive_seed
+from coversketch.sketch import SketchParams, _selection, derive_seed
 
 from conftest import random_instance
 
@@ -329,38 +329,68 @@ class TestSimulateEqualsSingleProcess:
             assert got == want
 
 
+def mixed_instance():
+    """Random, every element covered; under the ``mixed`` case of
+    :class:`TestLazyRound4` its walk crosses from unclamped to clamped."""
+    rng = np.random.default_rng(5)
+    mask = rng.random((1000, 40)) < 0.03
+    mask[np.arange(1000), rng.integers(0, 40, 1000)] = True
+    elem_ids, set_ids = np.nonzero(mask)
+    return CoverageInstance.from_edges(40, 1000, set_ids, elem_ids)
+
+
 class TestLazyRound4:
     """Round 4 assembles a guess's sketch only when the ladder walk reaches
-    it; rounds 1-3 and the unit accounting still cover every guess."""
+    it and the sketch leaves capped mass out; clamped guesses share one
+    greedy run.  Rounds 1-3 and the unit accounting still cover every
+    guess."""
 
-    # Planted, not diverging; the theory sketches are partly clamped, and
-    # the second of eleven guesses wins.
-    LAM, EPS, DELTA_DPRIME, SEED, MACHINES = 0.05, 0.7, 0.5, 3, 4
+    SEED, MACHINES = 3, 4
+    # (instance, lam, eps, delta_dprime, walk); none diverges.  ``walk``
+    # marks each guess the walk reaches up to the winner as clamped (C),
+    # that is its sketch keeps the whole capped mass, or unclamped (U).
+    # The clamped case has n_tilde at the edge count and caps at or above
+    # the largest degree; the mixed case clamps under caps 4 and 3, below
+    # the largest degree 9.
+    CASES = (
+        (lambda: generate_planted(5, 2000, 10, 0.2, seed=3)[0],
+         0.05, 0.7, 0.5, "UU"),
+        (lambda: generate_planted(10, 2000, 50, 0.2, seed=1)[0],
+         0.05, 0.5, 0.5, "CCCCC"),
+        (mixed_instance, 0.05, 0.7, 0.1, "UUUUUCC"),
+    )
 
-    @pytest.fixture
-    def inst(self):
-        return generate_planted(5, 2000, 10, 0.2, seed=3)[0]
+    def cases(self):
+        """(instance, lam, eps, delta_dprime) per case, after checking that
+        its reference walk clamps as ``walk`` says."""
+        for make, *knobs, walk in self.CASES:
+            case = make(), *knobs
+            _, reached = self.reference(case)
+            assert "".join("UC"[flag] for flag in
+                           self.clamped(case[0], reached)) == walk
+            yield case
 
-    def ladder(self, inst):
-        return guess_families(inst, self.EPS, self.DELTA_DPRIME, self.SEED)
+    def ladder(self, case):
+        inst, _, eps, delta_dprime = case
+        return guess_families(inst, eps, delta_dprime, self.SEED)
 
-    def simulate(self, inst):
-        return run_setcover_mapreduce(inst, self.LAM, self.EPS,
-                                      self.DELTA_DPRIME, self.SEED,
-                                      self.MACHINES)
+    def simulate(self, case):
+        inst, lam, eps, delta_dprime = case
+        return run_setcover_mapreduce(inst, lam, eps, delta_dprime,
+                                      self.SEED, self.MACHINES)
 
-    def reference(self, inst):
-        """Selection over the reference sketches, and how many pairs of
-        the ladder it consumed."""
-        consumed = 0
+    def reference(self, case):
+        """Selection over the reference sketches, and the sketches of the
+        ladder it consumed."""
+        inst, lam, eps, _ = case
+        reached = []
 
         def pairs():
-            nonlocal consumed
-            for g, source, params in self.ladder(inst):
-                consumed += 1
-                yield g, build_sketch(inst, params, source)
+            for g, source, params in self.ladder(case):
+                reached.append(build_sketch(inst, params, source))
+                yield g, reached[-1]
 
-        return select_outlier_solution(pairs(), self.LAM, self.EPS), consumed
+        return select_outlier_solution(pairs(), lam, eps), reached
 
     @staticmethod
     def count_calls(monkeypatch, module, name):
@@ -368,27 +398,180 @@ class TestLazyRound4:
         monkeypatch.setattr(module, name, counted)
         return counted
 
-    def test_accounting_covers_every_guess(self, inst):
-        _, report = self.simulate(inst)
-        ladder = self.ladder(inst)
-        assert not report.divergence_flag
-        assert report.guess_count == len(ladder)
-        assert report.sketch_edges_per_guess == [
-            build_sketch(inst, params, source).instance.edge_count
-            for _, source, params in ladder]
-        check_accounting(inst, report)
+    @staticmethod
+    def clamped(inst, reached):
+        """Per reached sketch: does it keep the whole capped mass?"""
+        return [bool(sk.instance.edge_count
+                     == np.minimum(inst.elem_degrees, sk.params.cap).sum())
+                for sk in reached]
 
-    def test_simulation_assembles_up_to_the_winner(self, inst, monkeypatch):
-        ref, consumed = self.reference(inst)
-        calls = self.count_calls(monkeypatch, distsim, "_sketch_runs")
-        sol, report = self.simulate(inst)
-        assert outcome(sol) == outcome(ref)
-        assert calls.call_count == consumed < report.guess_count
+    def check_assembled(self, inst, calls, reached):
+        """Each unclamped reached guess is assembled once, in walk order;
+        clamped ones assemble nothing, and only share one capped instance
+        per cap below the largest degree, assembled over the ids of
+        positive degree."""
+        degrees = inst.elem_degrees
+        positive = np.flatnonzero(degrees)
+        selections = [c.args[1] for c in calls.call_args_list]
+        shared = [s for s in selections if np.array_equal(s, positive)]
+        assembled = [s for s in selections if not np.array_equal(s, positive)]
+        clamped = self.clamped(inst, reached)
+        want = [sk.selected_elements
+                for sk, flag in zip(reached, clamped) if not flag]
+        assert len(assembled) == len(want)
+        assert all(map(np.array_equal, assembled, want))
+        assert len(shared) == len({
+            sk.params.cap for sk, flag in zip(reached, clamped)
+            if flag and sk.params.cap < degrees.max()})
 
-    def test_sketch_engine_builds_up_to_the_winner(self, inst, monkeypatch):
-        ref, consumed = self.reference(inst)
-        calls = self.count_calls(monkeypatch, solvers, "build_sketch")
-        sol = set_cover_outliers(inst, self.LAM, self.EPS, self.DELTA_DPRIME,
-                                 self.SEED, engine="sketch")
-        assert outcome(sol) == outcome(ref)
-        assert calls.call_count == consumed < len(self.ladder(inst))
+    def test_accounting_covers_every_guess(self):
+        for case in self.cases():
+            inst = case[0]
+            _, report = self.simulate(case)
+            ladder = self.ladder(case)
+            assert not report.divergence_flag
+            assert report.guess_count == len(ladder)
+            assert report.sketch_edges_per_guess == [
+                build_sketch(inst, params, source).instance.edge_count
+                for _, source, params in ladder]
+            check_accounting(inst, report)
+
+    def test_simulation_assembles_up_to_the_winner(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, solvers, "_sketch_runs")
+        for case in self.cases():
+            ref, reached = self.reference(case)
+            calls.reset_mock()
+            sol, report = self.simulate(case)
+            assert outcome(sol) == outcome(ref)
+            assert len(reached) < report.guess_count
+            self.check_assembled(case[0], calls, reached)
+
+    def test_sketch_engine_builds_up_to_the_winner(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, solvers, "_sketch_runs")
+        for case in self.cases():
+            inst, lam, eps, delta_dprime = case
+            ref, reached = self.reference(case)
+            calls.reset_mock()
+            sol = set_cover_outliers(inst, lam, eps, delta_dprime, self.SEED,
+                                     engine="sketch")
+            assert outcome(sol) == outcome(ref)
+            assert len(reached) < len(self.ladder(case))
+            self.check_assembled(inst, calls, reached)
+
+
+# ---------------------------------------------------------------------------
+# The shared run for clamped guesses == the walk that assembles every guess
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def drawn_ladders(draw, inst, seed):
+    """Ascending (guess, HashSource, SketchParams) rungs over ``inst``, as
+    :func:`guess_families` returns them: caps below and above its largest
+    degree, and ``n_tilde`` at its capped mass exactly (the tie that drops
+    zero-degree elements hashing after the cut), above it (clamped), or
+    below it (unclamped)."""
+    degrees = inst.elem_degrees
+    guesses = sorted(draw(st.sets(st.integers(1, inst.n), min_size=1,
+                                  max_size=5)))
+    # Two caps at most, so that rungs share one and their ties differ only
+    # in the zero-degree elements each hash cut drops.
+    caps = st.integers(1, int(degrees.max(initial=0)) + 1)
+    caps = st.sampled_from([draw(caps), draw(caps)])
+    ladder = []
+    for i, g in enumerate(guesses):
+        cap = draw(caps)
+        mass = int(np.minimum(degrees, cap).sum())
+        n_tilde = max(1, mass + draw(st.sampled_from([0, 0, 1, -1, -3])))
+        ladder.append((g, HashSource(derive_seed(seed, i)),
+                       SketchParams(mode="theory", n_tilde=n_tilde,
+                                    degree_cap=cap)))
+    return ladder
+
+
+def simulated_guesses(inst, machines, ladder):
+    """(guess, selected, counts, source, params) per rung, from the runs
+    rounds 1-3 ship."""
+    runs, _ = distsim._run_sketch_rounds(
+        inst, partition_input(inst, machines), distsim._Recorder(machines, 4),
+        {i: (source, params) for i, (_, source, params) in enumerate(ladder)})
+    return [(g, *runs[i], source, params)
+            for i, (g, source, params) in enumerate(ladder)]
+
+
+def engine_guesses(inst, ladder):
+    """(guess, selected, counts, source, params) per rung, as the sketch
+    engine hashes and selects."""
+    return [(g, *_selection(inst, params, source), source, params)
+            for g, source, params in ladder]
+
+
+def walk_outcomes(inst, guesses, lam, eps):
+    """(shortened walk, unshortened walk): ``solvers._walk_ladder`` on the
+    per-guess runs, and select_outlier_solution after assembling every
+    reached guess; each an outcome, or None when infeasible."""
+    pairs = ((g, distsim._sketch_runs(inst, sel, counts, source, params))
+             for g, sel, counts, source, params in guesses)
+    return (outcome_or_none(solvers._walk_ladder, inst, guesses, lam, eps),
+            outcome_or_none(select_outlier_solution, pairs, lam, eps))
+
+
+def outcome_or_none(solve, *args, **kwargs):
+    try:
+        return outcome(solve(*args, **kwargs))
+    except InfeasibleError:
+        return None
+
+
+class TestSharedLadderRun:
+    """Clamped guesses answered from one shared greedy run give the outcome
+    of assembling every reached guess, on theory ladders and on drawn
+    ones, diverging simulations included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sim_cases(), st.sampled_from([0.05, 0.2, 0.5]), st.data())
+    def test_simulator(self, case, lam, data):
+        inst, machines, eps, delta_dprime, seed = case
+        ladder = guess_families(inst, eps, delta_dprime, seed)
+        shortened, unshortened = walk_outcomes(
+            inst, simulated_guesses(inst, machines, ladder), lam, eps)
+        assert shortened == unshortened
+        assert outcome_or_none(
+            lambda: run_setcover_mapreduce(inst, lam, eps, delta_dprime,
+                                           seed, machines)[0]) == unshortened
+        ladder = data.draw(drawn_ladders(inst, seed))
+        shortened, unshortened = walk_outcomes(
+            inst, simulated_guesses(inst, machines, ladder), lam, eps)
+        assert shortened == unshortened
+
+    def test_ties_with_one_cap_do_not_share_a_threshold(self):
+        # Sets {0, 1, 2}, {3, 4}, {5}; elements 6-10 have no set.  Both
+        # guesses keep the whole capped mass (n_tilde 6 is met exactly), but
+        # guess 1's cut also keeps the five empty elements: its threshold
+        # is 6 of 11, guess 2's is 3 of 6.  Guess 1's two picks cover 5;
+        # guess 2 stops after one pick.
+        inst = CoverageInstance.from_edges(3, 11, [0, 0, 0, 1, 1, 2],
+                                           range(6))
+        params = SketchParams(mode="theory", n_tilde=6, degree_cap=1)
+        guesses = [(1, np.r_[6:11, 0:6], np.r_[[0] * 5, [1] * 6]),
+                   (2, np.arange(6), np.ones(6, dtype=np.int64))]
+        shortened, unshortened = walk_outcomes(
+            inst, [(g, sel, counts, HashSource(i), params)
+                   for i, (g, sel, counts) in enumerate(guesses)], 0.5, 0.9)
+        assert shortened == unshortened == ([0], 3, [3], "sketch")
+
+    @settings(max_examples=150, deadline=None)
+    @given(sim_cases(), st.sampled_from([0.05, 0.2, 0.5]), st.data())
+    def test_sketch_engine(self, case, lam, data):
+        inst, _, eps, delta_dprime, seed = case
+        ladder = guess_families(inst, eps, delta_dprime, seed)
+        pairs = ((g, build_sketch(inst, params, source))
+                 for g, source, params in ladder)
+        assert outcome_or_none(
+            set_cover_outliers, inst, lam, eps, delta_dprime, seed,
+            engine="sketch") == outcome_or_none(select_outlier_solution,
+                                                pairs, lam, eps)
+        ladder = data.draw(drawn_ladders(inst, seed))
+        shortened, unshortened = walk_outcomes(
+            inst, engine_guesses(inst, ladder), lam, eps)
+        assert shortened == unshortened

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import tracemalloc
 from unittest import mock
@@ -108,6 +109,17 @@ class TestTheoryParams:
         assert sk.instance.m == inst.m
         assert sk.instance.edge_count == int(
             np.minimum(inst.elem_degrees, p.degree_cap).sum())
+
+    @pytest.mark.parametrize("edge_count,n_tilde,clamped", [
+        (10_000, 10_000, True), (1_788_902, 1_788_902, True),
+        (10**9, 1_788_902, False)])
+    def test_records_raw_n_tilde(self, edge_count, n_tilde, clamped):
+        p = theory_params(n=1000, m=100, edge_count=edge_count, k=100,
+                          eps=0.5)
+        assert (p.raw_n_tilde, p.n_tilde, p.clamped) == \
+            (1_788_902, n_tilde, clamped)
+        # Neither field takes part in equality.
+        assert dataclasses.replace(p, raw_n_tilde=None, clamped=False) == p
 
     def test_k_bounds(self):
         with pytest.raises(ValueError):
