@@ -114,16 +114,17 @@ def _sketch_params_from_args(args, inst) -> sketch_mod.SketchParams:
 
 def _warn_if_clamped(inst, args):
     """Print one stderr line when theory mode clamps ``n_tilde`` to the edge
-    count, which makes every theory sketch the whole input.  ``n_tilde``
+    count, which makes every theory sketch keep every element, with its
+    edges up to the degree cap.  ``n_tilde``
     does not depend on ``k``, so guess 1, which starts every set-cover
     ladder, stands for every ``k``."""
     params = sketch_mod.theory_params(inst.n, inst.m, inst.edge_count, k=1,
                                       eps=args.eps,
                                       delta_dprime=args.delta_dprime)
-    if params.clamped:
+    if params.n_tilde == inst.edge_count:
         print(f"warning: theory-mode n_tilde {params.raw_n_tilde} is clamped "
-              f"to the input's {inst.edge_count} edges, so the sketch is the "
-              "whole input", file=sys.stderr)
+              f"to the input's {inst.edge_count} edges, so the sketch keeps "
+              "every element, degree-capped", file=sys.stderr)
 
 
 def _cmd_sketch(args) -> int:

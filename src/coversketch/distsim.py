@@ -19,10 +19,10 @@ rounds, which every hash family (one per set-cover guess) shares:
    ``build_sketch`` does, and run the solver.  The set-cover ladder walk
    assembles a guess's sketch only when it reaches that guess, so guesses
    after the winner are never assembled.  A reached guess whose runs carry
-   the whole capped degree mass (as when ``n_tilde`` is clamped to the edge
-   count) is not assembled either: its sketch is the degree-capped instance
-   up to element order, and such guesses share one greedy run per
-   effective cap and threshold.  Rounds 1-3 and all unit accounting still
+   every edge of the input (``n_tilde`` clamped to the edge count and a
+   degree cap at least the largest degree) is not assembled either: its
+   sketch is the input up to element order, and such guesses share one
+   greedy run per threshold.  Rounds 1-3 and all unit accounting still
    cover every guess.
 
 Locality: a map reads only what its machine owns, the ids and degrees
@@ -265,7 +265,7 @@ def run_setcover_mapreduce(instance: CoverageInstance, lam: float, eps: float,
     records carry the guess index as a tag, and rounds 1-3 and all unit
     accounting cover every guess.  In round 4 the coordinator walks the
     ladder with the budgeted-greedy selection and assembles a guess's sketch
-    only when the walk reaches it and the sketch leaves capped mass out.
+    only when the walk reaches it and the sketch leaves some edge out.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1)")

@@ -156,9 +156,7 @@ class SketchParams:
     ``sigma``.  All logarithms in the derivations are natural.
 
     Theory mode also records ``raw_n_tilde``, the target edge mass before the
-    clamp to the edge count, and ``clamped``, set when that target reaches
-    the edge count, so that the sketch keeps every element with an edge.
-    Neither field takes part in equality.
+    clamp to the edge count; it takes no part in equality.
     """
 
     mode: str
@@ -171,7 +169,6 @@ class SketchParams:
     rho: float | None = None
     sigma: int | None = None
     raw_n_tilde: int | None = field(default=None, compare=False)
-    clamped: bool = field(default=False, compare=False)
 
     @property
     def cap(self) -> int:
@@ -186,7 +183,7 @@ def theory_params(n: int, m: int, edge_count: int, k: int, eps: float,
     ``L = max(2, ceil(ln m / ln(1/(1-eps))))`` gives
     ``delta = delta_dprime * ln L``, and the target edge mass is
     ``n_tilde = ceil(24 n delta ln(1/eps) ln n / ((1-eps) eps^3))`` clamped to
-    ``[1, edge_count]``; ``clamped`` records that the upper end applied.
+    ``[1, edge_count]``.
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
@@ -205,8 +202,7 @@ def theory_params(n: int, m: int, edge_count: int, k: int, eps: float,
     n_tilde = min(raw_n_tilde, int(edge_count))
     return SketchParams(mode="theory", k=k, eps=eps, delta_dprime=delta_dprime,
                         n_tilde=n_tilde, degree_cap=cap, delta=delta,
-                        raw_n_tilde=raw_n_tilde,
-                        clamped=raw_n_tilde >= edge_count)
+                        raw_n_tilde=raw_n_tilde)
 
 
 def practical_params(rho: float, sigma: int) -> SketchParams:

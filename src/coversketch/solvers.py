@@ -355,34 +355,25 @@ def _walk_ladder(instance: CoverageInstance, guesses, lam: float,
     ``guesses`` yields (guess, selected, counts, source, params) in ascending
     guess order: the elements the guess's sketch keeps, in selection order,
     with their capped degrees.  A guess is clamped when ``counts`` carries
-    the instance's whole capped mass.  Its sketch then keeps every element
-    with an edge, so it is the degree-capped instance up to element order,
-    which greedy picks, gains and coverage do not depend on.  Clamped
-    guesses with the same effective cap ``min(cap, max degree)`` and the
-    same threshold share one threshold-stopped run, and each guess's
-    budgeted run is its first ``budget`` picks.  The threshold comes from
-    ``len(selected)``: when the capped mass meets ``n_tilde`` exactly, the
-    zero-degree elements hashing after the cut are not in the sketch.
-    Other guesses are assembled when the walk reaches them.
+    every edge of the instance, which needs a cap at least the largest
+    degree.  Its sketch is then ``instance`` up to element order and empty
+    elements, which greedy picks, gains and coverage do not depend on.
+    Clamped guesses with the same threshold share one threshold-stopped run
+    on ``instance``, and each guess's budgeted run is its first ``budget``
+    picks.  The threshold comes from ``len(selected)``: when the edge count
+    meets ``n_tilde`` exactly, the zero-degree elements hashing after the
+    cut are not in the sketch.  Other guesses are assembled when the walk
+    reaches them.
     """
-    degrees = instance.elem_degrees
-    top = int(degrees.max(initial=0))
-    capped: dict[int, CoverageInstance] = {}    # by effective cap
-    runs: dict[tuple[int, int], tuple] = {}     # by (cap, threshold)
+    runs: dict[int, tuple] = {}     # by threshold
     for guess, selected, counts, source, params in guesses:
         thresh = cover_threshold(len(selected), lam)
         budget = _guess_budget(guess, eps, lam)
-        cap = min(params.cap, top)
-        if counts.sum() == np.minimum(degrees, cap).sum():
-            if cap not in capped:
-                pos = np.flatnonzero(degrees)
-                capped[cap] = instance if cap == top else _sketch_runs(
-                    instance, pos, np.minimum(degrees[pos], cap), source,
-                    params).instance
-            if (cap, thresh) not in runs:
-                runs[cap, thresh] = _greedy_run(capped[cap], instance.n,
-                                                stop_threshold=thresh)
-            chosen, trace, _ = runs[cap, thresh]
+        if counts.sum() == instance.edge_count:
+            if thresh not in runs:
+                runs[thresh] = _greedy_run(instance, instance.n,
+                                           stop_threshold=thresh)
+            chosen, trace, _ = runs[thresh]
             chosen, trace = chosen[:budget], trace[:budget]
             cov = sum(trace)
         else:
@@ -407,11 +398,11 @@ def set_cover_outliers(instance: CoverageInstance, lam: float, eps: float,
     which has size at most ``(1+eps) ln(1/lam) OPT`` with the usual
     high-probability guarantee.
 
-    The sketch engine assembles a reached guess's sketch only when its
-    ``n_tilde`` leaves some capped mass out.  When it does not, as when
-    theory mode clamps ``n_tilde`` to the edge count, the sketch is the
-    degree-capped instance up to element order, and such guesses share one
-    greedy run per effective cap and threshold, as the direct engine does.
+    The sketch engine assembles a reached guess's sketch unless it keeps
+    every edge: when theory mode clamps ``n_tilde`` to the edge count and
+    the guess's degree cap is at least the largest degree, the sketch is
+    the instance up to element order, and such guesses share one greedy
+    run per threshold, as the direct engine does.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1)")

@@ -292,8 +292,8 @@ class TestClampWarning:
         assert err.count("warning:") == warnings
         if warnings:
             assert err == ("warning: theory-mode n_tilde 6734 is clamped to "
-                           "the input's 1120 edges, so the sketch is the "
-                           "whole input\n")
+                           "the input's 1120 edges, so the sketch keeps "
+                           "every element, degree-capped\n")
 
 
 class TestExperimentCommand:

@@ -331,7 +331,7 @@ class TestSimulateEqualsSingleProcess:
 
 def mixed_instance():
     """Random, every element covered; under the ``mixed`` case of
-    :class:`TestLazyRound4` its walk crosses from unclamped to clamped."""
+    :class:`TestLazyRound4` its walk crosses from clamped to unclamped."""
     rng = np.random.default_rng(5)
     mask = rng.random((1000, 40)) < 0.03
     mask[np.arange(1000), rng.integers(0, 40, 1000)] = True
@@ -341,23 +341,24 @@ def mixed_instance():
 
 class TestLazyRound4:
     """Round 4 assembles a guess's sketch only when the ladder walk reaches
-    it and the sketch leaves capped mass out; clamped guesses share one
+    it and the sketch leaves some edge out; clamped guesses share one
     greedy run.  Rounds 1-3 and the unit accounting still cover every
     guess."""
 
     SEED, MACHINES = 3, 4
     # (instance, lam, eps, delta_dprime, walk); none diverges.  ``walk``
     # marks each guess the walk reaches up to the winner as clamped (C),
-    # that is its sketch keeps the whole capped mass, or unclamped (U).
+    # that is its sketch keeps every edge of the instance, or unclamped (U).
     # The clamped case has n_tilde at the edge count and caps at or above
-    # the largest degree; the mixed case clamps under caps 4 and 3, below
-    # the largest degree 9.
+    # the largest degree.  The mixed case's caps 21 and 11 lie above the
+    # largest degree 9 and its later caps below it; the last three of
+    # those keep the whole capped mass and are still assembled.
     CASES = (
         (lambda: generate_planted(5, 2000, 10, 0.2, seed=3)[0],
          0.05, 0.7, 0.5, "UU"),
         (lambda: generate_planted(10, 2000, 50, 0.2, seed=1)[0],
          0.05, 0.5, 0.5, "CCCCC"),
-        (mixed_instance, 0.05, 0.7, 0.1, "UUUUUCC"),
+        (mixed_instance, 0.05, 0.7, 0.5, "CCUUUUU"),
     )
 
     def cases(self):
@@ -400,29 +401,18 @@ class TestLazyRound4:
 
     @staticmethod
     def clamped(inst, reached):
-        """Per reached sketch: does it keep the whole capped mass?"""
-        return [bool(sk.instance.edge_count
-                     == np.minimum(inst.elem_degrees, sk.params.cap).sum())
-                for sk in reached]
+        """Per reached sketch: does it keep every edge of ``inst``?"""
+        return [sk.instance.edge_count == inst.edge_count for sk in reached]
 
     def check_assembled(self, inst, calls, reached):
         """Each unclamped reached guess is assembled once, in walk order;
-        clamped ones assemble nothing, and only share one capped instance
-        per cap below the largest degree, assembled over the ids of
-        positive degree."""
-        degrees = inst.elem_degrees
-        positive = np.flatnonzero(degrees)
-        selections = [c.args[1] for c in calls.call_args_list]
-        shared = [s for s in selections if np.array_equal(s, positive)]
-        assembled = [s for s in selections if not np.array_equal(s, positive)]
-        clamped = self.clamped(inst, reached)
+        clamped ones assemble nothing."""
+        assembled = [c.args[1] for c in calls.call_args_list]
         want = [sk.selected_elements
-                for sk, flag in zip(reached, clamped) if not flag]
+                for sk, flag in zip(reached, self.clamped(inst, reached))
+                if not flag]
         assert len(assembled) == len(want)
         assert all(map(np.array_equal, assembled, want))
-        assert len(shared) == len({
-            sk.params.cap for sk, flag in zip(reached, clamped)
-            if flag and sk.params.cap < degrees.max()})
 
     def test_accounting_covers_every_guess(self):
         for case in self.cases():
@@ -448,15 +438,21 @@ class TestLazyRound4:
 
     def test_sketch_engine_builds_up_to_the_winner(self, monkeypatch):
         calls = self.count_calls(monkeypatch, solvers, "_sketch_runs")
+        hashed = self.count_calls(monkeypatch, solvers, "_selection")
         for case in self.cases():
             inst, lam, eps, delta_dprime = case
             ref, reached = self.reference(case)
             calls.reset_mock()
+            hashed.reset_mock()
             sol = set_cover_outliers(inst, lam, eps, delta_dprime, self.SEED,
                                      engine="sketch")
             assert outcome(sol) == outcome(ref)
             assert len(reached) < len(self.ladder(case))
             self.check_assembled(inst, calls, reached)
+            # Only the guesses the walk reaches are hashed, in walk order.
+            assert [(c.args[1], c.args[2].seed)
+                    for c in hashed.call_args_list] == [
+                (sk.params, sk.hash_seed) for sk in reached]
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +465,8 @@ def drawn_ladders(draw, inst, seed):
     """Ascending (guess, HashSource, SketchParams) rungs over ``inst``, as
     :func:`guess_families` returns them: caps below and above its largest
     degree, and ``n_tilde`` at its capped mass exactly (the tie that drops
-    zero-degree elements hashing after the cut), above it (clamped), or
-    below it (unclamped)."""
+    zero-degree elements hashing after the cut), above it (every element
+    kept), or below it."""
     degrees = inst.elem_degrees
     guesses = sorted(draw(st.sets(st.integers(1, inst.n), min_size=1,
                                   max_size=5)))

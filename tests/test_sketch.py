@@ -110,16 +110,14 @@ class TestTheoryParams:
         assert sk.instance.edge_count == int(
             np.minimum(inst.elem_degrees, p.degree_cap).sum())
 
-    @pytest.mark.parametrize("edge_count,n_tilde,clamped", [
-        (10_000, 10_000, True), (1_788_902, 1_788_902, True),
-        (10**9, 1_788_902, False)])
-    def test_records_raw_n_tilde(self, edge_count, n_tilde, clamped):
+    @pytest.mark.parametrize("edge_count,n_tilde", [
+        (10_000, 10_000), (1_788_902, 1_788_902), (10**9, 1_788_902)])
+    def test_records_raw_n_tilde(self, edge_count, n_tilde):
         p = theory_params(n=1000, m=100, edge_count=edge_count, k=100,
                           eps=0.5)
-        assert (p.raw_n_tilde, p.n_tilde, p.clamped) == \
-            (1_788_902, n_tilde, clamped)
-        # Neither field takes part in equality.
-        assert dataclasses.replace(p, raw_n_tilde=None, clamped=False) == p
+        assert (p.raw_n_tilde, p.n_tilde) == (1_788_902, n_tilde)
+        # raw_n_tilde takes no part in equality.
+        assert dataclasses.replace(p, raw_n_tilde=None) == p
 
     def test_k_bounds(self):
         with pytest.raises(ValueError):
