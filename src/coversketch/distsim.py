@@ -7,15 +7,19 @@ rounds, which every hash family (one per set-cover guess) shares:
 
 1. map: each owner hashes its elements and emits an (id, hash, degree)
    record for every element whose hash is at most ``2 n_tilde / m``; the
-   records shuffle to the coordinator,
+   records shuffle to the coordinator.  Hashes lie below 1, so from
+   ``2 n_tilde / m >= 1`` on every element reports and the simulation
+   computes a hash only when a later step needs it,
 2. coordinator reduce: over the reported records only, keep the
    smallest-hash prefix whose capped degree mass reaches ``n_tilde`` (the
    cut :func:`~coversketch.sketch.build_sketch` makes) and send each kept id
-   to its owner,
+   to its owner.  When the reports' capped mass stays below ``n_tilde``, or
+   meets it with no zero-degree report, the cut keeps every report and
+   nothing is sorted: the kept ids stay in id order,
 3. map: each owner emits the capped run of ascending set ids of each of its
-   kept elements; the shuffle delivers the runs to the coordinator in
-   selection order,
-4. coordinator reduce: assemble the sketch from the runs, exactly as
+   kept elements; the shuffle delivers the runs to the coordinator,
+4. coordinator reduce: put runs left in id order into selection order (by
+   hash, then smaller id), assemble the sketch from the runs, exactly as
    ``build_sketch`` does, and run the solver.  The set-cover ladder walk
    assembles a guess's sketch only when it reaches that guess, so guesses
    after the winner are never assembled.  A reached guess whose runs carry
@@ -23,7 +27,8 @@ rounds, which every hash family (one per set-cover guess) shares:
    degree cap at least the largest degree) is not assembled either: its
    sketch is the input up to element order, and such guesses share one
    greedy run per threshold.  Rounds 1-3 and all unit accounting still
-   cover every guess.
+   cover every guess; the accounting sums per-element counters over all
+   guesses and charges them to machines once.
 
 Locality: a map reads only what its machine owns, the ids and degrees
 (round 1) and adjacency lists (round 3) of its elements plus the ids sent to
@@ -48,6 +53,7 @@ import numpy as np
 from .instance import CoverageInstance, _format_rows
 from .sketch import (
     HashSource,
+    _keeps_every_element,
     _select_elements,
     _sketch_runs,
     element_hash_array,
@@ -64,6 +70,8 @@ __all__ = [
 ]
 
 COORDINATOR = 0
+# Most machines a simulation takes; its records and placement grow with it.
+_MAX_MACHINES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -113,10 +121,14 @@ def partition_input(instance: CoverageInstance, machine_count: int) -> Placement
     """Assign element v to worker ``1 + (v mod (machine_count - 1))``.
 
     Machine 0 is the coordinator and stores nothing initially.  Machines
-    beyond the element count simply idle with zero load.
+    beyond the element count simply idle with zero load.  At most
+    ``2**16`` machines are simulated.
     """
     if machine_count < 2:
         raise ValueError("need a coordinator plus at least one worker")
+    if machine_count > _MAX_MACHINES:
+        raise ValueError(f"machine count {machine_count} is over the limit "
+                         f"of {_MAX_MACHINES}")
     workers = machine_count - 1
     owner = 1 + np.arange(instance.m, dtype=np.int64) % workers
     elements = [np.empty(0, dtype=np.int64)]
@@ -153,54 +165,72 @@ def _run_sketch_rounds(instance, placement, rec, families):
     ``families`` maps a tag to (HashSource, SketchParams); all tags share the
     same four rounds, and ``rec`` sums their units per machine and round.
     Returns ({tag: (selected ids, capped counts)}, any_divergence): the runs
-    round 3 ships in selection order, which round 4 assembles with
-    :func:`~coversketch.sketch._sketch_runs` when it needs the sketch.
+    round 3 ships, which round 4 assembles with
+    :func:`~coversketch.sketch._sketch_runs` when it needs the sketch.  A
+    cut that keeps every reported element leaves its run in id order, and
+    the assembly puts it into selection order; other runs are in selection
+    order already.
     """
     m, mc = instance.m, placement.machine_count
-    owner = placement.owner
-
-    def per_machine(elems, units=None):
-        return np.bincount(owner[elems], weights=units,
-                           minlength=mc).astype(np.int64)
-
-    rec.storage_peak[:, 1:] = np.reshape(placement.storage_units, (mc, 1))
     ids = np.arange(m, dtype=np.int64)
+    # Per element, over every family: records reported in round 1, ids
+    # selected in round 2, and capped-run units shipped in round 3.
+    reports = np.zeros(m, dtype=np.int64)
+    selections = np.zeros(m, dtype=np.int64)
+    shipped = np.zeros(m, dtype=np.int64)
     runs = {}
     divergence = False
-    tuples_held = sel_units = sketch_units = 0
     for tag, (source, params) in families.items():
-        # Round 1, map: owners report (id, hash, degree) of small hashes.
-        h = element_hash_array(source, ids)
-        rep = np.flatnonzero(h <= 2.0 * params.n_tilde / m)
-        rec.units_out[:, 1] += 3 * per_machine(rep)
-        rec.units_in[COORDINATOR, 2] += 3 * len(rep)
-        rec.total_messages += len(rep)
-        tuples_held += 3 * len(rep)
+        # Round 1, map: owners report (id, hash, degree) of hashes at most
+        # 2 n_tilde / m.  Every hash is below 1, so from 1 on all report and
+        # nothing needs hashing yet.
+        bound = 2.0 * params.n_tilde / m
+        rep, h = ids, None
+        if bound < 1.0:
+            h = element_hash_array(source, ids)
+            rep = np.flatnonzero(h <= bound)
+            h = h[rep]
+        reports[rep] += 1
 
-        # Round 2, coordinator reduce: the smallest-hash prefix of the
-        # reports; ``rep`` ascends, so ties break by smaller id.
+        # Round 2, coordinator reduce: every report, in id order, when the
+        # cut keeps them all; else the smallest-hash prefix of the reports,
+        # where ties break by smaller id because ``rep`` ascends.
         capped = np.minimum(instance.elem_degrees[rep], params.degree_cap)
-        keep = _select_elements(h[rep], capped, params)
-        sel, counts = rep[keep], capped[keep]
+        if _keeps_every_element(capped, params):
+            sel, counts = rep, capped
+        else:
+            if h is None:
+                h = element_hash_array(source, rep)
+            keep = _select_elements(h, capped, params)
+            sel, counts = rep[keep], capped[keep]
         if len(rep) < m and not (len(rep) and capped.sum() >= params.n_tilde):
             # The reference construction would keep drawing elements whose
             # hash exceeded the reporting threshold.
             divergence = True
-        rec.units_out[COORDINATOR, 2] += len(sel)
-        rec.units_in[:, 3] += per_machine(sel)
-        rec.total_messages += len(sel)
-        sel_units += len(sel)
+        selections[sel] += 1
 
         # Round 3, map: owners ship the capped runs of selected elements.
-        shipped = per_machine(sel, counts)
-        rec.units_out[:, 3] += shipped
-        rec.units_in[COORDINATOR, 4] += shipped.sum()
-        rec.total_messages += len(sel)
+        shipped[sel] += counts
         runs[tag] = sel, counts
-        sketch_units += shipped.sum()
-    rec.storage_peak[COORDINATOR, 2] = tuples_held
-    rec.storage_peak[COORDINATOR, 3] = sel_units
-    rec.storage_peak[COORDINATOR, 4] = sel_units + sketch_units
+
+    def per_machine(units):
+        return np.bincount(placement.owner, weights=units,
+                           minlength=mc).astype(np.int64)
+
+    reported, selected, sketch_units = (
+        int(reports.sum()), int(selections.sum()), int(shipped.sum()))
+    rec.storage_peak[:, 1:] = np.reshape(placement.storage_units, (mc, 1))
+    rec.units_out[:, 1] += 3 * per_machine(reports)
+    rec.units_in[COORDINATOR, 2] += 3 * reported
+    rec.storage_peak[COORDINATOR, 2] = 3 * reported
+    rec.units_out[COORDINATOR, 2] += selected
+    rec.units_in[:, 3] += per_machine(selections)
+    rec.storage_peak[COORDINATOR, 3] = selected
+    rec.units_out[:, 3] += per_machine(shipped)
+    rec.units_in[COORDINATOR, 4] += sketch_units
+    rec.storage_peak[COORDINATOR, 4] = selected + sketch_units
+    # One message per report, per selected id and per shipped run.
+    rec.total_messages += reported + 2 * selected
     return runs, divergence
 
 

@@ -259,6 +259,18 @@ def _hash_order(hashes: np.ndarray) -> np.ndarray:
     return order
 
 
+def _keeps_every_element(capped: np.ndarray, params: SketchParams) -> bool:
+    """Whether the theory cut keeps every element whatever their hashes.
+
+    It does when their capped mass stays below ``n_tilde``, or meets it and
+    no element has capped degree 0: a zero-degree element hashing after the
+    element that reaches ``n_tilde`` would be dropped.
+    """
+    mass = int(capped.sum())
+    return mass < params.n_tilde or (mass == params.n_tilde
+                                     and bool(capped.all()))
+
+
 def _select_elements(hashes: np.ndarray, capped: np.ndarray,
                      params: SketchParams) -> np.ndarray:
     """Indices kept by the sampling rule, in selection order."""
@@ -286,11 +298,27 @@ def _assemble(n: int, selected: np.ndarray, counts: np.ndarray,
                   original_m=int(original_m), oracle_lookups=lookups)
 
 
+def _in_selection_order(selected: np.ndarray, counts: np.ndarray,
+                        source: HashSource, params: SketchParams):
+    """The runs ``(selected, counts)`` in selection order.
+
+    Theory-mode runs come in selection order, or in ascending id order when
+    the cut kept every element (:func:`_keeps_every_element`).  Ascending
+    runs are sorted by hash, then smaller id; a run in both orders sorts to
+    itself.  Practical-mode selection order is id order.
+    """
+    if params.mode == "theory" and (selected[1:] > selected[:-1]).all():
+        order = _hash_order(element_hash_array(source, selected))
+        return selected[order], counts[order]
+    return selected, counts
+
+
 def _sketch_runs(instance: CoverageInstance, selected: np.ndarray,
                  counts: np.ndarray, source: HashSource,
                  params: SketchParams) -> Sketch:
     """Sketch whose element ``i`` is element ``selected[i]`` of ``instance``
-    with its first ``counts[i]`` sets."""
+    with its first ``counts[i]`` sets, after :func:`_in_selection_order`."""
+    selected, counts = _in_selection_order(selected, counts, source, params)
     set_ids = instance.elem_set_ids[_gather_positions(instance.elem_indptr,
                                                       selected, counts)]
     return _assemble(instance.n, selected, counts, set_ids, source.seed,
@@ -299,11 +327,18 @@ def _sketch_runs(instance: CoverageInstance, selected: np.ndarray,
 
 def _selection(instance: CoverageInstance, params: SketchParams,
                source: HashSource) -> tuple[np.ndarray, np.ndarray]:
-    """The kept elements of :func:`build_sketch`, in selection order, and
-    their capped degrees: the runs :func:`_sketch_runs` assembles."""
-    hashes = element_hash_array(source, np.arange(instance.m, dtype=np.int64))
+    """The kept elements of :func:`build_sketch` and their capped degrees:
+    the runs :func:`_sketch_runs` assembles.
+
+    A theory cut that keeps every element hashes and sorts nothing and
+    returns the elements in id order; other cuts return selection order.
+    """
+    ids = np.arange(instance.m, dtype=np.int64)
     capped = np.minimum(instance.elem_degrees, params.cap)
-    selected = _select_elements(hashes, capped, params)
+    if params.mode == "theory" and _keeps_every_element(capped, params):
+        return ids, capped
+    selected = _select_elements(element_hash_array(source, ids), capped,
+                                params)
     return selected, capped[selected]
 
 

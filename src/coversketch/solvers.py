@@ -353,8 +353,9 @@ def _walk_ladder(instance: CoverageInstance, guesses, lam: float,
     ``instance`` given as runs, assembling only the sketches it must.
 
     ``guesses`` yields (guess, selected, counts, source, params) in ascending
-    guess order: the elements the guess's sketch keeps, in selection order,
-    with their capped degrees.  A guess is clamped when ``counts`` carries
+    guess order: the elements the guess's sketch keeps, in selection order
+    or, when its cut keeps every element, in id order, with their capped
+    degrees.  Only an assembled guess is put into selection order.  A guess is clamped when ``counts`` carries
     every edge of the instance, which needs a cap at least the largest
     degree.  Its sketch is then ``instance`` up to element order and empty
     elements, which greedy picks, gains and coverage do not depend on.

@@ -250,6 +250,16 @@ class TestSimulateCommand:
              "--machines", "1"], capsys)
         assert code == 1 and "error" in err
 
+    def test_machine_count_over_limit(self, tmp_path, capsys):
+        inp = tmp_path / "inst.txt"
+        inp.write_text("0 0\n1 1\n")
+        code, _, err = run(
+            ["simulate", "--in", str(inp), "--problem", "kcover", "--k", "1",
+             "--machines", "65537"], capsys)
+        assert code == 1
+        assert "machine count 65537 is over the limit of 65536" in err
+        assert "Traceback" not in err
+
     def test_tiny_eps_ladder_is_error(self, tmp_path, capsys):
         inp = tmp_path / "inst.txt"
         inp.write_text("0 0\n1 1\n2 2\n")

@@ -17,12 +17,14 @@ from coversketch import (
     run_setcover_mapreduce,
     theory_params,
 )
-from coversketch import solvers
+from coversketch import sketch, solvers
 from coversketch.solvers import InfeasibleError, greedy_kcover, \
     guess_families, guess_ladder, select_outlier_solution, \
     set_cover_outliers, stochastic_greedy
-from coversketch.sketch import SketchParams, _selection, derive_seed
+from coversketch.sketch import SketchParams, _in_selection_order, \
+    _select_elements, _selection, derive_seed, element_hash_array
 
+import distsim_reference
 from conftest import random_instance
 
 
@@ -51,6 +53,14 @@ class TestPartitionInput:
         inst = loads_edge_list("0 0\n")
         with pytest.raises(ValueError):
             partition_input(inst, 1)
+
+    def test_machine_count_bounded(self):
+        inst = loads_edge_list("0 0\n0 1\n")
+        assert len(partition_input(inst, 2**16).elements) == 2**16
+        with pytest.raises(ValueError,
+                           match="machine count 65537 is over the limit "
+                                 "of 65536"):
+            partition_input(inst, 2**16 + 1)
 
 
 class TestKcoverMapReduce:
@@ -351,8 +361,8 @@ class TestLazyRound4:
     # that is its sketch keeps every edge of the instance, or unclamped (U).
     # The clamped case has n_tilde at the edge count and caps at or above
     # the largest degree.  The mixed case's caps 21 and 11 lie above the
-    # largest degree 9 and its later caps below it; the last three of
-    # those keep the whole capped mass and are still assembled.
+    # largest degree 9 and its later caps below it; those guesses keep
+    # every element, degree-capped, and are still assembled.
     CASES = (
         (lambda: generate_planted(5, 2000, 10, 0.2, seed=3)[0],
          0.05, 0.7, 0.5, "UU"),
@@ -400,19 +410,30 @@ class TestLazyRound4:
         return counted
 
     @staticmethod
+    def record_results(monkeypatch, module, name):
+        """Wrap ``module.name``; returns the list each call's result is
+        appended to."""
+        results = []
+        wrapped = getattr(module, name)
+
+        def record(*args):
+            results.append(wrapped(*args))
+            return results[-1]
+
+        monkeypatch.setattr(module, name, record)
+        return results
+
+    @staticmethod
     def clamped(inst, reached):
         """Per reached sketch: does it keep every edge of ``inst``?"""
         return [sk.instance.edge_count == inst.edge_count for sk in reached]
 
-    def check_assembled(self, inst, calls, reached):
-        """Each unclamped reached guess is assembled once, in walk order;
-        clamped ones assemble nothing."""
-        assembled = [c.args[1] for c in calls.call_args_list]
-        want = [sk.selected_elements
-                for sk, flag in zip(reached, self.clamped(inst, reached))
-                if not flag]
-        assert len(assembled) == len(want)
-        assert all(map(np.array_equal, assembled, want))
+    def check_assembled(self, inst, assembled, reached):
+        """Each unclamped reached guess is assembled once, in walk order,
+        into its reference sketch; clamped ones assemble nothing."""
+        assert assembled == [
+            sk for sk, flag in zip(reached, self.clamped(inst, reached))
+            if not flag]
 
     def test_accounting_covers_every_guess(self):
         for case in self.cases():
@@ -427,32 +448,165 @@ class TestLazyRound4:
             check_accounting(inst, report)
 
     def test_simulation_assembles_up_to_the_winner(self, monkeypatch):
-        calls = self.count_calls(monkeypatch, solvers, "_sketch_runs")
+        assembled = self.record_results(monkeypatch, solvers, "_sketch_runs")
         for case in self.cases():
             ref, reached = self.reference(case)
-            calls.reset_mock()
+            assembled.clear()
             sol, report = self.simulate(case)
             assert outcome(sol) == outcome(ref)
             assert len(reached) < report.guess_count
-            self.check_assembled(case[0], calls, reached)
+            self.check_assembled(case[0], assembled, reached)
+
+    def test_sorts_only_cuts_that_can_drop_elements(self, monkeypatch):
+        """Rounds 1-3 hash and sort a guess only when its cut can drop an
+        element; round 4 sorts only runs it assembles that were left in id
+        order; the sketch engine sorts likewise.  Every element of these
+        fixtures has an edge and reports."""
+        sorts = self.count_calls(monkeypatch, sketch, "_hash_order")
+        hashes = self.count_calls(monkeypatch, distsim, "element_hash_array")
+        assembled = self.record_results(monkeypatch, solvers, "_sketch_runs")
+        # Per walk: sorts in (rounds 1-3, round 4, the sketch engine).  UU
+        # sorts its first seven guesses (caps 8 to 2, capped mass above
+        # n_tilde) once each, in round 2; its two reached guesses are not
+        # sorted again and its cap-1 guesses keep every element.  Every
+        # guess of the other two cases keeps every element; the mixed case
+        # sorts its five assembled guesses in round 4.
+        want = {"UU": (7, 0, 2), "CCCCC": (0, 0, 0), "CCUUUUU": (0, 5, 5)}
+        for (*_, walk), case in zip(self.CASES, self.cases()):
+            inst, lam, eps, delta_dprime = case
+            families = {i: (source, params) for i, (_, source, params)
+                        in enumerate(self.ladder(case))}
+            sorts.reset_mock()
+            hashes.reset_mock()
+            distsim._run_sketch_rounds(
+                inst, partition_input(inst, self.MACHINES),
+                distsim._Recorder(self.MACHINES, 4), families)
+            in_rounds = sorts.call_count
+            assert hashes.call_count == in_rounds
+            sorts.reset_mock()
+            assembled.clear()
+            self.simulate(case)
+            in_round4 = sorts.call_count - in_rounds
+            assert in_round4 <= len(assembled) == walk.count("U")
+            sorts.reset_mock()
+            set_cover_outliers(inst, lam, eps, delta_dprime, self.SEED,
+                               engine="sketch")
+            assert (in_rounds, in_round4, sorts.call_count) == want[walk]
+            if walk == "CCCCC":
+                # K-cover always assembles, so its one run, kept whole in
+                # id order by rounds 1-3, is sorted once in round 4.
+                sorts.reset_mock()
+                run_kcover_mapreduce(inst, 3, 0.5, 0.5, self.SEED,
+                                     self.MACHINES)
+                assert sorts.call_count == 1
 
     def test_sketch_engine_builds_up_to_the_winner(self, monkeypatch):
-        calls = self.count_calls(monkeypatch, solvers, "_sketch_runs")
+        assembled = self.record_results(monkeypatch, solvers, "_sketch_runs")
         hashed = self.count_calls(monkeypatch, solvers, "_selection")
         for case in self.cases():
             inst, lam, eps, delta_dprime = case
             ref, reached = self.reference(case)
-            calls.reset_mock()
+            assembled.clear()
             hashed.reset_mock()
             sol = set_cover_outliers(inst, lam, eps, delta_dprime, self.SEED,
                                      engine="sketch")
             assert outcome(sol) == outcome(ref)
             assert len(reached) < len(self.ladder(case))
-            self.check_assembled(inst, calls, reached)
-            # Only the guesses the walk reaches are hashed, in walk order.
+            self.check_assembled(inst, assembled, reached)
+            # Only the guesses the walk reaches are selected, in walk order.
             assert [(c.args[1], c.args[2].seed)
                     for c in hashed.call_args_list] == [
                 (sk.params, sk.hash_seed) for sk in reached]
+
+
+class TestExactMassTie:
+    """A cut whose capped mass meets ``n_tilde`` exactly keeps every element
+    only when none has capped degree 0; otherwise the zero-degree elements
+    hashing after the cut are dropped, and rounds 1-3 must sort."""
+
+    # Sets {0, 1, 2}, {3, 4}, {5}; elements 6-10 have no set.  With cap 1
+    # the capped mass is 6, which is n_tilde.
+    INST = CoverageInstance.from_edges(3, 11, [0, 0, 0, 1, 1, 2], range(6))
+    PARAMS = SketchParams(mode="theory", n_tilde=6, degree_cap=1)
+
+    def test_kept_set_matches_the_sort(self):
+        inst, params = self.INST, self.PARAMS
+        ids = np.arange(inst.m, dtype=np.int64)
+        capped = np.minimum(inst.elem_degrees, params.degree_cap)
+        dropped = 0
+        for seed in range(20):
+            source = HashSource(seed)
+            want = _select_elements(element_hash_array(source, ids), capped,
+                                    params)
+            dropped += len(want) < inst.m
+            for machines in (2, 3, 8):
+                runs, divergence = distsim._run_sketch_rounds(
+                    inst, partition_input(inst, machines),
+                    distsim._Recorder(machines, 4), {0: (source, params)})
+                assert not divergence
+                np.testing.assert_array_equal(runs[0][0], want)
+            np.testing.assert_array_equal(
+                _selection(inst, params, source)[0], want)
+        # Some hash orders put an empty element after the sixth edge, so
+        # the kept count, and with it the cover threshold, drops.
+        assert dropped
+
+
+# ---------------------------------------------------------------------------
+# Rounds 1-3 == the per-guess reference loop
+# ---------------------------------------------------------------------------
+
+
+def check_rounds_match_reference(inst, machines, families):
+    """``distsim._run_sketch_rounds`` equals the per-guess reference: every
+    recorder array, the message count, the divergence flag, and each tag's
+    runs once put into selection order."""
+    placement = partition_input(inst, machines)
+    got, want = distsim._Recorder(machines, 4), distsim._Recorder(machines, 4)
+    runs, divergence = distsim._run_sketch_rounds(inst, placement, got,
+                                                  families)
+    want_runs, want_divergence = distsim_reference.run_sketch_rounds(
+        inst, placement, want, families)
+    assert divergence == want_divergence
+    for name in ("units_in", "units_out", "storage_peak"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert got.total_messages == want.total_messages
+    assert runs.keys() == want_runs.keys()
+    for tag, (source, params) in families.items():
+        for have, expect in zip(
+                _in_selection_order(*runs[tag], source, params),
+                want_runs[tag]):
+            np.testing.assert_array_equal(have, expect)
+    return divergence
+
+
+class TestRoundsEqualReference:
+    """Rounds 1-3 without the per-guess sort and accounting equal the loop
+    that sorted and charged each guess, on theory ladders and on drawn
+    ones: zero-degree elements, caps below and above the largest degree,
+    ``n_tilde`` at the capped mass exactly, and diverging runs on 2-9
+    machines."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sim_cases(), st.data())
+    def test_rounds(self, case, data):
+        inst, machines, eps, delta_dprime, seed = case
+        for ladder in (guess_families(inst, eps, delta_dprime, seed),
+                       data.draw(drawn_ladders(inst, seed))):
+            check_rounds_match_reference(
+                inst, machines,
+                {i: (source, params)
+                 for i, (_, source, params) in enumerate(ladder)})
+
+    def test_golden_diverging_instance(self):
+        # The instance of TestReportText.test_golden_diverging_report.
+        rng = np.random.default_rng(0)
+        inst = CoverageInstance.from_edges(6, 3000, rng.integers(0, 6, 300),
+                                           rng.integers(0, 200, 300))
+        ladder = guess_families(inst, 0.5, 0.5, 0)
+        assert check_rounds_match_reference(
+            inst, 4, {i: (source, params)
+                      for i, (_, source, params) in enumerate(ladder)})
 
 
 # ---------------------------------------------------------------------------
