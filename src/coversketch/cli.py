@@ -100,42 +100,48 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _sketch_params_from_args(args, inst) -> sketch_mod.SketchParams:
+def _sketch_params_from_args(args, n: int, m: int,
+                             edge_count: int) -> sketch_mod.SketchParams:
     if args.theory:
         if args.k is None:
             raise ValueError("theory mode requires --k")
-        return sketch_mod.theory_params(inst.n, inst.m, inst.edge_count,
-                                        k=args.k, eps=args.eps,
+        return sketch_mod.theory_params(n, m, edge_count, k=args.k,
+                                        eps=args.eps,
                                         delta_dprime=args.delta_dprime)
     if args.rho is None or args.sigma is None:
         raise ValueError("practical mode requires --rho and --sigma")
     return sketch_mod.practical_params(args.rho, args.sigma)
 
 
-def _warn_if_clamped(inst, args):
+def _warn_if_clamped(args, n: int, m: int, edge_count: int):
     """Print one stderr line when theory mode clamps ``n_tilde`` to the edge
-    count, which makes every theory sketch keep every element, with its
-    edges up to the degree cap.  ``n_tilde``
-    does not depend on ``k``, so guess 1, which starts every set-cover
-    ladder, stands for every ``k``."""
-    params = sketch_mod.theory_params(inst.n, inst.m, inst.edge_count, k=1,
-                                      eps=args.eps,
+    count of an input with ``n`` sets and ``m`` elements, which makes every
+    theory sketch keep every element, with its edges up to the degree cap.
+    ``n_tilde`` does not depend on ``k``, so guess 1, which starts every
+    set-cover ladder, stands for every ``k``."""
+    params = sketch_mod.theory_params(n, m, edge_count, k=1, eps=args.eps,
                                       delta_dprime=args.delta_dprime)
-    if params.n_tilde == inst.edge_count:
+    if params.n_tilde == edge_count:
         print(f"warning: theory-mode n_tilde {params.raw_n_tilde} is clamped "
-              f"to the input's {inst.edge_count} edges, so the sketch keeps "
+              f"to the input's {edge_count} edges, so the sketch keeps "
               "every element, degree-capped", file=sys.stderr)
 
 
 def _cmd_sketch(args) -> int:
-    inst = inst_mod.load_edge_list(args.input)
-    params = _sketch_params_from_args(args, inst)
-    sk = sketch_mod.build_sketch(inst, params, sketch_mod.HashSource(args.seed))
+    # The sketch of the parsed edges, without the instance they form: only
+    # the kept elements' edges get a CSR.
+    rows, _ = inst_mod._read_table(args.input, 2)
+    n, m = inst_mod._id_counts(rows)
+    key = inst_mod._canonical_keys(n, m, rows[:, 0], rows[:, 1])
+    del rows
+    counts = (n, m, len(key))
+    params = _sketch_params_from_args(args, *counts)
+    sk = sketch_mod._sketch_keys(n, m, key, params,
+                                 sketch_mod.HashSource(args.seed))
     sketch_mod.serialize_sketch(sk, args.out)
-    ratio = sk.instance.edge_count / inst.edge_count if inst.edge_count else 0.0
-    print(f"ratio={ratio:.4f}")
+    print(f"ratio={sk.instance.edge_count / len(key):.4f}")
     if args.theory:
-        _warn_if_clamped(inst, args)
+        _warn_if_clamped(args, *counts)
     return 0
 
 
@@ -153,7 +159,7 @@ def _cmd_solve(args) -> int:
                                          args.delta_dprime, args.seed,
                                          engine=args.engine)
         if args.engine == "sketch":
-            _warn_if_clamped(inst, args)
+            _warn_if_clamped(args, inst.n, inst.m, inst.edge_count)
     _write_solution(args.out, sol)
     print(f"value={sol.coverage_value}")
     return 0
@@ -177,7 +183,7 @@ def _cmd_simulate(args) -> int:
         _write_text(args.out_report, report.to_text())
     print(f"value={sol.coverage_value} rounds={report.rounds_executed} "
           f"divergence={int(report.divergence_flag)}")
-    _warn_if_clamped(inst, args)
+    _warn_if_clamped(args, inst.n, inst.m, inst.edge_count)
     return 0
 
 

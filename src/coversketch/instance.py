@@ -85,6 +85,20 @@ def _edge_keys(n: int, m: int, set_ids, elem_ids) -> np.ndarray:
     return set_ids * m + elem_ids
 
 
+def _canonical_keys(n: int, m: int, set_ids, elem_ids) -> np.ndarray:
+    """Checked edges as sorted unique ``set * m + element`` keys: the
+    canonical (set, element) order without duplicate pairs.
+
+    Keys that already strictly ascend, as in every file the serializers
+    write, are neither sorted nor deduplicated.
+    """
+    key = _edge_keys(n, m, set_ids, elem_ids)
+    if not (key[1:] > key[:-1]).all():
+        key.sort()
+        key = key[np.diff(key, prepend=-1) != 0]
+    return key
+
+
 def _set_runs(n: int, m: int, key: np.ndarray):
     """``(set_indptr, set_elems)`` of sorted unique ``set * m + element`` keys."""
     starts = np.searchsorted(key, np.arange(n, dtype=np.int64) * m)
@@ -185,12 +199,17 @@ class CoverageInstance:
         n, m = int(n), int(m)
         if n < 1:
             raise ValueError("instance needs at least one set")
-        # Canonical order is (set, element); drop duplicate pairs.
-        key = _edge_keys(n, m, set_ids, elem_ids)
-        key.sort()
-        key = key[np.diff(key, prepend=-1) != 0]
+        return cls._from_keys(n, m, _canonical_keys(n, m, set_ids, elem_ids),
+                              element_labels)
+
+    @classmethod
+    def _from_keys(cls, n, m, key, element_labels=None):
+        """Instance whose edges are the sorted unique ``set * m + element``
+        keys ``key``, as :func:`_canonical_keys` returns them."""
         set_indptr, set_elems = _set_runs(n, m, key)
-        del key  # freed before the element view is sorted
+        # Freed before the element view is sorted when the caller passed a
+        # temporary.
+        del key
         elem_indptr, elem_set_ids, _ = _transpose(set_indptr, set_elems, m)
         return cls(n, m, set_indptr, set_elems, elem_indptr, elem_set_ids,
                    element_labels)
@@ -508,7 +527,9 @@ def _id_counts(rows: np.ndarray) -> list[int]:
     Raises ValueError, naming the largest id and the row count, when that id
     is at least ``_ID_SLACK + _IDS_PER_ROW * len(rows)``.
     """
-    counts = (rows[:, :2].max(axis=0) + 1).tolist()
+    # One reduction per column: an axis-0 max over the strided pair of
+    # columns is many times slower.
+    counts = [int(rows[:, 0].max()) + 1, int(rows[:, 1].max()) + 1]
     limit = _ID_SLACK + _IDS_PER_ROW * len(rows)
     if max(counts) > limit:
         raise ValueError(

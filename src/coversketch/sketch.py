@@ -325,16 +325,17 @@ def _sketch_runs(instance: CoverageInstance, selected: np.ndarray,
                      params, instance.m)
 
 
-def _selection(instance: CoverageInstance, params: SketchParams,
+def _selection(degrees: np.ndarray, params: SketchParams,
                source: HashSource) -> tuple[np.ndarray, np.ndarray]:
-    """The kept elements of :func:`build_sketch` and their capped degrees:
-    the runs :func:`_sketch_runs` assembles.
+    """The elements :func:`build_sketch` keeps of an instance whose element
+    degrees are ``degrees``, and their capped degrees: the runs
+    :func:`_sketch_runs` assembles.
 
     A theory cut that keeps every element hashes and sorts nothing and
     returns the elements in id order; other cuts return selection order.
     """
-    ids = np.arange(instance.m, dtype=np.int64)
-    capped = np.minimum(instance.elem_degrees, params.cap)
+    ids = np.arange(len(degrees), dtype=np.int64)
+    capped = np.minimum(degrees, params.cap)
     if params.mode == "theory" and _keeps_every_element(capped, params):
         return ids, capped
     selected = _select_elements(element_hash_array(source, ids), capped,
@@ -352,8 +353,29 @@ def build_sketch(instance: CoverageInstance, params: SketchParams,
     hash falls below ``rho``.  A kept element retains its first
     ``min(cap, degree)`` edges, i.e. the smallest set ids.
     """
-    return _sketch_runs(instance, *_selection(instance, params, source),
+    return _sketch_runs(instance,
+                        *_selection(instance.elem_degrees, params, source),
                         source, params)
+
+
+def _sketch_keys(n: int, m: int, key: np.ndarray, params: SketchParams,
+                 source: HashSource) -> Sketch:
+    """:func:`build_sketch` of the instance with ``n`` sets, ``m`` elements
+    and the sorted unique ``set * m + element`` keys ``key``.
+
+    Only the kept elements' edges get a CSR; a cut that keeps every element
+    takes every key.
+    """
+    elems = key % m
+    selected, counts = _selection(np.bincount(elems, minlength=m), params,
+                                  source)
+    if len(selected) < m:
+        keep = np.zeros(m, dtype=bool)
+        keep[selected] = True
+        key = key[keep[elems]]
+    del elems
+    return _sketch_runs(CoverageInstance._from_keys(n, m, key), selected,
+                        counts, source, params)
 
 
 def build_sketch_lazy(element_count: int, degree_oracle, edge_oracle,

@@ -253,13 +253,13 @@ def stochastic_greedy(target, k: int, eps: float, seed: int) -> Solution:
     trace: list[int] = []
     cov = 0
     for _ in range(k):
-        cand = np.unique(rng.integers(0, inst.n, size=sample))
-        cand = cand[gains[cand] >= 0]
-        if len(cand) == 0:
+        draws = rng.integers(0, inst.n, size=sample)
+        g = gains[draws]
+        best = g.max()
+        if best < 0:  # every draw is already chosen
             continue
-        # ``cand`` is sorted, so argmax breaks ties by smallest id.
-        s = int(cand[np.argmax(gains[cand])])
-        trace.append(int(gains[s]))
+        s = int(draws[g == best].min())
+        trace.append(int(best))
         chosen.append(s)
         cov += _take(inst, gains, covered, s)
     return Solution(chosen=chosen, coverage_value=cov, evaluated_on=tag,
@@ -413,7 +413,8 @@ def set_cover_outliers(instance: CoverageInstance, lam: float, eps: float,
         raise ValueError("engine must be 'direct' or 'sketch'")
     n, m = instance.n, instance.m
     if engine == "sketch":
-        guesses = ((g, *_selection(instance, params, source), source, params)
+        degrees = instance.elem_degrees
+        guesses = ((g, *_selection(degrees, params, source), source, params)
                    for g, source, params in guess_families(instance, eps,
                                                            delta_dprime, seed))
         return _walk_ladder(instance, guesses, lam, eps)

@@ -1,11 +1,17 @@
+import contextlib
 import csv
+import io
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from coversketch import load_edge_list
+from coversketch import generate_planted, instance as instance_mod, \
+    load_edge_list, serialize_edge_list, sketch as sketch_mod
 from coversketch.cli import main
+from coversketch.sketch import HashSource, build_sketch, practical_params, \
+    serialize_sketch, theory_params
 
 
 def run(argv, capsys):
@@ -167,6 +173,219 @@ class TestSketchCommand:
             ["sketch", "--in", str(inp), "--out", str(tmp_path / "sk.txt"),
              "--theory", "--k", "5", "--eps", "0.5"], capsys)
         assert code == 1 and "error" in err
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "empty instance"),
+        ("# only a comment\r\n\n", "empty instance"),
+        ("0 1\r\n0 2\r\n0 x\r\n", "line 3: non-integer token"),
+        ("0 1\r0 2\r# note\r0 2 3\r", "line 4: expected 2 fields, got 3"),
+        ("0 1\n0 2\n0 -2\n", "line 3: negative id")])
+    @pytest.mark.parametrize("mode", [["--rho", "0.5", "--sigma", "2"],
+                                      ["--theory", "--k", "1"]])
+    def test_bad_input_exits_one(self, tmp_path, capsys, text, message,
+                                 mode):
+        inp = tmp_path / "inst.txt"
+        inp.write_bytes(text.encode())
+        code, out, err = run(["sketch", "--in", str(inp), "--out",
+                              str(tmp_path / "sk.txt")] + mode, capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not (tmp_path / "sk.txt").exists()
+
+    @pytest.mark.parametrize("mode", [["--rho", "0.5", "--sigma", "2"],
+                                      ["--theory", "--k", "1"]])
+    def test_id_over_bound_rejected_before_allocation(self, tmp_path, capsys,
+                                                      mode):
+        # The bound for 2 rows is 2**20 + 32; theory mode hashes every id.
+        inp = tmp_path / "inst.txt"
+        inp.write_text("0 0\n0 2000000000\n")
+        tracemalloc.start()
+        try:
+            code, _, err = run(["sketch", "--in", str(inp), "--out",
+                                str(tmp_path / "sk.txt")] + mode, capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and "Traceback" not in err
+        assert err.startswith("error: largest id 2000000000 is too large for "
+                              "2 rows")
+        assert peak < 2**20
+
+
+_CLAMP_WARNING = ("warning: theory-mode n_tilde {} is clamped to the input's "
+                  "{} edges, so the sketch keeps every element, "
+                  "degree-capped\n")
+
+
+def composed_sketch(path, out, knobs):
+    """(exit code, stdout, stderr) of ``sketch`` written as the composition
+    of ``load_edge_list`` and ``build_sketch``, which writes ``out``."""
+    try:
+        inst = load_edge_list(path)
+        if "theory" in knobs:
+            params = theory_params(inst.n, inst.m, inst.edge_count,
+                                   knobs["k"], knobs["eps"],
+                                   knobs["delta_dprime"])
+        else:
+            params = practical_params(knobs["rho"], knobs["sigma"])
+        sk = build_sketch(inst, params, HashSource(knobs["seed"]))
+    except ValueError as exc:
+        return 1, "", f"error: {exc}\n"
+    serialize_sketch(sk, out)
+    err = ""
+    if "theory" in knobs:
+        clamp = theory_params(inst.n, inst.m, inst.edge_count, 1,
+                              knobs["eps"], knobs["delta_dprime"])
+        if clamp.n_tilde == inst.edge_count:
+            err = _CLAMP_WARNING.format(clamp.raw_n_tilde, inst.edge_count)
+    return 0, f"ratio={sk.instance.edge_count / inst.edge_count:.4f}\n", err
+
+
+def sketch_argv(path, out, knobs):
+    argv = ["sketch", "--in", path, "--out", out, "--seed",
+            str(knobs["seed"])]
+    if "theory" in knobs:
+        return argv + ["--theory", "--k", str(knobs["k"]), "--eps",
+                       repr(knobs["eps"]), "--delta-dprime",
+                       repr(knobs["delta_dprime"])]
+    return argv + ["--rho", repr(knobs["rho"]), "--sigma",
+                   str(knobs["sigma"])]
+
+
+def quiet_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_sketch_matches_composition(tmp_dir, text: bytes, knobs):
+    """Write ``text`` to ``tmp_dir``, sketch it both ways and compare exit
+    code, stdout, stderr and the file written, absent on both on failure."""
+    inp, got, want = (tmp_dir / name
+                      for name in ("inst.txt", "got.txt", "want.txt"))
+    inp.write_bytes(text)
+    for path in (got, want):
+        path.unlink(missing_ok=True)
+    assert quiet_main(sketch_argv(str(inp), str(got), knobs)) == \
+        composed_sketch(str(inp), str(want), knobs)
+    assert got.exists() == want.exists()
+    if got.exists():
+        assert got.read_bytes() == want.read_bytes()
+
+
+@st.composite
+def messy_edge_text(draw):
+    """Edge-list bytes with duplicate and unsorted rows, comment lines,
+    mixed line ends and id gaps, so that some elements have degree 0."""
+    sets = draw(st.lists(st.integers(0, 12), min_size=1, max_size=6))
+    elems = draw(st.lists(st.integers(0, 40), min_size=1, max_size=12))
+    count = draw(st.integers(1, 40))
+    rows = draw(st.lists(st.tuples(st.sampled_from(sets),
+                                   st.sampled_from(elems)),
+                         min_size=count, max_size=count))
+    rows = draw(st.permutations(rows + rows[:draw(st.integers(0, 5))]))
+    lines = [f"{s}{draw(st.sampled_from([' ', '  ', chr(9)]))}{e}"
+             for s, e in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), "# comment 1 2")
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    return "".join(a + b for a, b in zip(lines, ends)).encode()
+
+
+_practical_knobs = st.fixed_dictionaries({
+    "rho": st.sampled_from([0.05, 0.3, 0.7, 1.0]),
+    "sigma": st.integers(1, 5), "seed": st.integers(0, 2**32)})
+# eps 0.8-0.95 with a small delta_dprime leaves n_tilde below the edge
+# count; the default eps clamps it, and with k = 1 the degree cap reaches
+# every degree, so the capped mass equals n_tilde exactly.
+_theory_knobs = st.fixed_dictionaries({
+    "theory": st.just(True), "k": st.integers(1, 3),
+    "seed": st.integers(0, 2**32)}).flatmap(
+    lambda d: st.one_of(
+        st.fixed_dictionaries({"eps": st.sampled_from([0.8, 0.9, 0.95]),
+                               "delta_dprime": st.sampled_from([0.001,
+                                                                0.01])}),
+        st.fixed_dictionaries({"eps": st.just(0.5),
+                               "delta_dprime": st.just(0.5)})).map(
+        lambda extra: {**d, **extra}))
+
+
+class TestSketchMatchesComposition:
+    """``sketch`` builds a CSR of the kept elements' edges only; its file,
+    stdout and stderr are those of ``build_sketch(load_edge_list(path))``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(messy_edge_text(), _practical_knobs)
+    def test_random_files_practical(self, tmp_path_factory, text, knobs):
+        assert_sketch_matches_composition(tmp_path_factory.mktemp("sk"),
+                                          text, knobs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(messy_edge_text(), _theory_knobs)
+    def test_random_files_theory(self, tmp_path_factory, text, knobs):
+        assert_sketch_matches_composition(tmp_path_factory.mktemp("sk"),
+                                          text, knobs)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_exact_mass_tie_with_empty_elements(self, tmp_path, seed):
+        # Clamped: n_tilde is the 5 edges and the cap 3 covers every
+        # degree, so the capped mass meets n_tilde exactly; elements 1-3 and
+        # 5-6 have degree 0 and are kept only if they hash before the
+        # element that reaches it.
+        text = b"0 0\n1 4\n0 4\n1 7\n1 0\n"
+        knobs = {"theory": True, "k": 1, "eps": 0.5, "delta_dprime": 0.5,
+                 "seed": seed}
+        assert_sketch_matches_composition(tmp_path, text, knobs)
+        inst = load_edge_list(text)
+        params = theory_params(inst.n, inst.m, inst.edge_count, 1, 0.5)
+        assert params.n_tilde == inst.edge_count == 5
+        assert params.degree_cap >= inst.elem_degrees.max()
+
+    def test_exact_mass_tie_drops_empty_elements(self):
+        inst = load_edge_list(b"0 0\n1 4\n0 4\n1 7\n1 0\n")
+        params = theory_params(inst.n, inst.m, inst.edge_count, 1, 0.5)
+        kept = {len(build_sketch(inst, params, HashSource(seed))
+                    .selected_elements) for seed in range(12)}
+        assert min(kept) < inst.m and max(kept) > 3
+
+    @pytest.mark.parametrize("knobs", [
+        {"rho": 0.1, "sigma": 3, "seed": 4},
+        {"theory": True, "k": 5, "eps": 0.5, "delta_dprime": 0.5, "seed": 4},
+        {"theory": True, "k": 5, "eps": 0.9, "delta_dprime": 0.5, "seed": 4},
+        {"theory": True, "k": 5, "eps": 0.95, "delta_dprime": 0.1,
+         "seed": 4}])
+    def test_planted_file_and_messy_copy(self, tmp_path, knobs):
+        inst, _ = generate_planted(10, 2000, 50, 0.2, 1)
+        canonical = serialize_edge_list(inst).encode()
+        rows = canonical.splitlines()
+        messy = b"\r\n".join(rows[::-1] + rows[:50]) + b"\r\n"
+        got = []
+        for name, text in (("canonical", canonical), ("messy", messy)):
+            (tmp_path / name).mkdir()
+            assert_sketch_matches_composition(tmp_path / name, text, knobs)
+            got.append((tmp_path / name / "got.txt").read_bytes())
+        assert got[0] == got[1]
+
+    def test_no_csr_sized_by_the_input(self, tmp_path, monkeypatch):
+        inst, _ = generate_planted(10, 2000, 50, 0.2, 1)
+        path = str(tmp_path / "inst.txt")
+        serialize_edge_list(inst, path)
+        sizes = []
+        for mod in (instance_mod, sketch_mod):
+            def counted(indptr, minor, minor_count,
+                        _transpose=mod._transpose):
+                sizes.append(len(minor))
+                return _transpose(indptr, minor, minor_count)
+            monkeypatch.setattr(mod, "_transpose", counted)
+        assert quiet_main(["sketch", "--in", path, "--out",
+                           str(tmp_path / "sk.txt"), "--rho", "0.1",
+                           "--sigma", "3", "--seed", "4"])[0] == 0
+        selected = np.asarray(
+            (tmp_path / "sk.txt").read_text().splitlines()[2].split()[1:],
+            dtype=np.int64)
+        kept_edges = int(inst.elem_degrees[selected].sum())
+        assert sizes and max(sizes) <= kept_edges < inst.edge_count // 5
 
 
 class TestSolveCommand:

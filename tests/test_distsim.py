@@ -546,7 +546,7 @@ class TestExactMassTie:
                 assert not divergence
                 np.testing.assert_array_equal(runs[0][0], want)
             np.testing.assert_array_equal(
-                _selection(inst, params, source)[0], want)
+                _selection(inst.elem_degrees, params, source)[0], want)
         # Some hash orders put an empty element after the sixth edge, so
         # the kept count, and with it the cover threshold, drops.
         assert dropped
@@ -652,7 +652,8 @@ def simulated_guesses(inst, machines, ladder):
 def engine_guesses(inst, ladder):
     """(guess, selected, counts, source, params) per rung, as the sketch
     engine hashes and selects."""
-    return [(g, *_selection(inst, params, source), source, params)
+    degrees = inst.elem_degrees
+    return [(g, *_selection(degrees, params, source), source, params)
             for g, source, params in ladder]
 
 
