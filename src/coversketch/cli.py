@@ -130,10 +130,7 @@ def _warn_if_clamped(args, n: int, m: int, edge_count: int):
 def _cmd_sketch(args) -> int:
     # The sketch of the parsed edges, without the instance they form: only
     # the kept elements' edges get a CSR.
-    rows, _ = inst_mod._read_table(args.input, 2)
-    n, m = inst_mod._id_counts(rows)
-    key = inst_mod._canonical_keys(n, m, rows[:, 0], rows[:, 1])
-    del rows
+    n, m, key = inst_mod._edge_list_keys(args.input)
     counts = (n, m, len(key))
     params = _sketch_params_from_args(args, *counts)
     sk = sketch_mod._sketch_keys(n, m, key, params,

@@ -606,9 +606,17 @@ def load_edge_list(source) -> CoverageInstance:
     never compacted, so an id far beyond the row count is rejected (see
     ``_ID_SLACK``).  Duplicate edges are deduplicated.
     """
+    return CoverageInstance._from_keys(*_edge_list_keys(source))
+
+
+def _edge_list_keys(source) -> tuple[int, int, np.ndarray]:
+    """``(n, m, key)`` of an unweighted edge list: its id counts and its
+    sorted unique ``set * m + element`` keys, without the CSR views that
+    :func:`load_edge_list` builds from them.  The parsed rows are freed on
+    return."""
     rows, _ = _read_table(source, 2)
     n, m = _id_counts(rows)
-    return CoverageInstance.from_edges(n, m, rows[:, 0], rows[:, 1])
+    return n, m, _canonical_keys(n, m, rows[:, 0], rows[:, 1])
 
 
 def loads_edge_list(text: str) -> CoverageInstance:
