@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -189,30 +190,31 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@dataclass
 class ExperimentSpec:
     """Parsed sweep description: an instance, grids, seeds, and solvers."""
 
-    def __init__(self, instance_kind, instance_args, rho_grid, sigma_grid,
-                 k_grid, seeds, solver, baseline, solver_eps, out):
-        self.instance_kind = instance_kind
-        self.instance_args = instance_args
-        self.rho_grid = rho_grid
-        self.sigma_grid = sigma_grid
-        self.k_grid = k_grid
-        self.seeds = seeds
-        self.solver = solver
-        self.baseline = baseline
-        self.solver_eps = solver_eps
-        self.out = out
-        if not rho_grid or not sigma_grid or not k_grid:
+    instance_kind: str
+    instance_args: dict
+    rho_grid: list[float]
+    sigma_grid: list[int]
+    k_grid: list[int]
+    seeds: list[int]
+    solver: str
+    baseline: str
+    solver_eps: float
+    out: str
+
+    def __post_init__(self):
+        if not self.rho_grid or not self.sigma_grid or not self.k_grid:
             raise ValueError("rho, sigma, and k grids must be non-empty")
-        if not seeds:
+        if not self.seeds:
             raise ValueError("at least one seed required")
-        if len(set(seeds)) != len(seeds):
+        if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
-        if solver not in ("stochastic", "greedy", "lazy"):
+        if self.solver not in ("stochastic", "greedy", "lazy"):
             raise ValueError("solver must be stochastic, greedy, or lazy")
-        if baseline not in ("stochastic", "lazy"):
+        if self.baseline not in ("stochastic", "lazy"):
             raise ValueError("baseline must be stochastic or lazy")
 
 
@@ -296,23 +298,25 @@ def run_experiment(spec: ExperimentSpec):
     Each row solves on a practical sketch and evaluates the chosen sets on
     the full instance; the baseline solves on the full instance directly.
     One mean row (seed column "mean") follows each grid point's seed rows.
+    A sketch depends on (rho, sigma, seed) only, so every k shares it.
     """
     inst = _build_spec_instance(spec)
     baselines: dict[tuple[int, int], float] = {}
     rows = []
     for rho in sorted(spec.rho_grid):
         for sigma in sorted(spec.sigma_grid):
+            params = sketch_mod.practical_params(rho, sigma)
+            sketches = {seed: sketch_mod.build_sketch(
+                            inst, params, sketch_mod.HashSource(seed))
+                        for seed in spec.seeds}
             for k in sorted(spec.k_grid):
                 group = []
-                for seed in spec.seeds:
+                for seed, sk in sketches.items():
                     key = (k, seed)
                     if key not in baselines:
                         base_sol = _solve_target(spec.baseline, inst, k,
                                                  spec.solver_eps, seed)
                         baselines[key] = float(base_sol.coverage_value)
-                    params = sketch_mod.practical_params(rho, sigma)
-                    sk = sketch_mod.build_sketch(inst, params,
-                                                 sketch_mod.HashSource(seed))
                     sol = _solve_target(spec.solver, sk, min(k, sk.instance.n),
                                         spec.solver_eps, seed)
                     cov = float(solvers.coverage(inst, sol.chosen))

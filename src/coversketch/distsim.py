@@ -80,8 +80,7 @@ class Placement:
 
     machine_count: int
     owner: np.ndarray                 # machine id per element
-    elements: list[np.ndarray]        # per machine, owned element ids
-    storage_units: list[int]          # per machine, initial edge share
+    storage_units: np.ndarray         # per machine, initial edge share
 
 
 @dataclass
@@ -90,7 +89,9 @@ class SimReport:
 
     rounds_executed: int
     machine_count: int
-    records: list[tuple[int, int, int, int, int]]  # machine, round, in, out, peak
+    # int64, one row per machine and round, machine-major: machine, round,
+    # units in, units out, storage peak.
+    records: np.ndarray
     loads: list[int]
     max_load: int
     coordinator_load: int
@@ -100,15 +101,13 @@ class SimReport:
     n_tilde: int
     sketch_edges: int
     solution_handoff: dict
-    placement_counts: list[int]
     guess_count: int | None = None
     sketch_edges_per_guess: list[int] | None = None
     sketch_edge_budget: int | None = None
     within_budget: bool | None = None
 
     def to_text(self) -> str:
-        table = np.asarray(self.records, dtype=np.int64).reshape(-1, 5)
-        return _format_rows(table.T).decode("ascii") + (
+        return _format_rows(self.records.T).decode("ascii") + (
             f"rounds={self.rounds_executed} machines={self.machine_count} "
             f"max_load={self.max_load} coordinator_load={self.coordinator_load} "
             f"total_messages={self.total_messages} "
@@ -129,46 +128,27 @@ def partition_input(instance: CoverageInstance, machine_count: int) -> Placement
     if machine_count > _MAX_MACHINES:
         raise ValueError(f"machine count {machine_count} is over the limit "
                          f"of {_MAX_MACHINES}")
-    workers = machine_count - 1
-    owner = 1 + np.arange(instance.m, dtype=np.int64) % workers
-    elements = [np.empty(0, dtype=np.int64)]
-    elements += [np.arange(w - 1, instance.m, workers, dtype=np.int64)
-                 for w in range(1, machine_count)]
-    units = np.bincount(owner, weights=instance.elem_degrees,
-                        minlength=machine_count)
-    storage = [int(u) for u in units]
-    return Placement(machine_count, owner, elements, storage)
+    owner = 1 + np.arange(instance.m, dtype=np.int64) % (machine_count - 1)
+    storage = np.bincount(owner, weights=instance.elem_degrees,
+                          minlength=machine_count).astype(np.int64)
+    return Placement(machine_count, owner, storage)
 
 
-class _Recorder:
-    """Collects per-(machine, round) unit counters."""
-
-    def __init__(self, machine_count: int, rounds: int):
-        self.machine_count = machine_count
-        self.rounds = rounds
-        self.units_in = np.zeros((machine_count, rounds + 1), dtype=np.int64)
-        self.units_out = np.zeros((machine_count, rounds + 1), dtype=np.int64)
-        self.storage_peak = np.zeros((machine_count, rounds + 1), dtype=np.int64)
-        self.total_messages = 0
-
-    def records(self):
-        return [(mach, rnd, int(self.units_in[mach, rnd]),
-                 int(self.units_out[mach, rnd]),
-                 int(self.storage_peak[mach, rnd]))
-                for mach in range(self.machine_count)
-                for rnd in range(1, self.rounds + 1)]
+_IN, _OUT, _PEAK = range(3)  # columns of the (machine, round) unit array
 
 
-def _run_sketch_rounds(instance, placement, rec, families):
+def _run_sketch_rounds(instance, placement, families):
     """Rounds 1..3, and the round-4 accounting, for one or more hash families.
 
-    ``families`` maps a tag to (HashSource, SketchParams); all tags share the
-    same four rounds, and ``rec`` sums their units per machine and round.
-    Returns ({tag: (selected ids, capped counts)}, any_divergence): the runs
-    round 3 ships, which round 4 assembles with
-    :func:`~coversketch.sketch._sketch_runs` when it needs the sketch.  A
-    cut that keeps every reported element leaves its run in id order, and
-    the assembly puts it into selection order; other runs are in selection
+    ``families`` lists (HashSource, SketchParams) pairs; all share the same
+    four rounds.  Returns ``(runs, divergence, units, messages)``: per
+    family the (selected ids, capped counts) runs that round 3 ships, which
+    round 4 assembles with :func:`~coversketch.sketch._sketch_runs` when it
+    needs the sketch; whether any family diverged; a ``(machines, 4, 3)``
+    int64 array of units in, units out and storage peak per machine and
+    round, summed over the families; and the message count.  A cut that
+    keeps every reported element leaves its run in id order, and the
+    assembly puts it into selection order; other runs are in selection
     order already.
     """
     m, mc = instance.m, placement.machine_count
@@ -178,9 +158,9 @@ def _run_sketch_rounds(instance, placement, rec, families):
     reports = np.zeros(m, dtype=np.int64)
     selections = np.zeros(m, dtype=np.int64)
     shipped = np.zeros(m, dtype=np.int64)
-    runs = {}
+    runs = []
     divergence = False
-    for tag, (source, params) in families.items():
+    for source, params in families:
         # Round 1, map: owners report (id, hash, degree) of hashes at most
         # 2 n_tilde / m.  Every hash is below 1, so from 1 on all report and
         # nothing needs hashing yet.
@@ -211,7 +191,7 @@ def _run_sketch_rounds(instance, placement, rec, families):
 
         # Round 3, map: owners ship the capped runs of selected elements.
         shipped[sel] += counts
-        runs[tag] = sel, counts
+        runs.append((sel, counts))
 
     def per_machine(units):
         return np.bincount(placement.owner, weights=units,
@@ -219,39 +199,43 @@ def _run_sketch_rounds(instance, placement, rec, families):
 
     reported, selected, sketch_units = (
         int(reports.sum()), int(selections.sum()), int(shipped.sum()))
-    rec.storage_peak[:, 1:] = np.reshape(placement.storage_units, (mc, 1))
-    rec.units_out[:, 1] += 3 * per_machine(reports)
-    rec.units_in[COORDINATOR, 2] += 3 * reported
-    rec.storage_peak[COORDINATOR, 2] = 3 * reported
-    rec.units_out[COORDINATOR, 2] += selected
-    rec.units_in[:, 3] += per_machine(selections)
-    rec.storage_peak[COORDINATOR, 3] = selected
-    rec.units_out[:, 3] += per_machine(shipped)
-    rec.units_in[COORDINATOR, 4] += sketch_units
-    rec.storage_peak[COORDINATOR, 4] = selected + sketch_units
+    units = np.zeros((mc, 4, 3), dtype=np.int64)
+    units[:, :, _PEAK] = placement.storage_units[:, None]
+    units[:, 0, _OUT] = 3 * per_machine(reports)
+    units[COORDINATOR, 1, _IN] = 3 * reported
+    units[COORDINATOR, 1, _PEAK] = 3 * reported
+    units[COORDINATOR, 1, _OUT] = selected
+    units[:, 2, _IN] = per_machine(selections)
+    units[COORDINATOR, 2, _PEAK] = selected
+    units[:, 2, _OUT] = per_machine(shipped)
+    units[COORDINATOR, 3, _IN] = sketch_units
+    units[COORDINATOR, 3, _PEAK] = selected + sketch_units
     # One message per report, per selected id and per shipped run.
-    rec.total_messages += reported + 2 * selected
-    return runs, divergence
+    return runs, divergence, units, reported + 2 * selected
 
 
-def _finalize(rec, placement, divergence, n_tilde, sketch_edges, handoff,
-              **extra) -> SimReport:
-    loads = (np.asarray(placement.storage_units, dtype=np.int64)
-             + rec.units_in.sum(axis=1)).tolist()
+def _finalize(placement, units, messages, divergence, n_tilde, sketch_edges,
+              handoff, **extra) -> SimReport:
+    """The report of the accounting ``_run_sketch_rounds`` returned."""
+    mc = placement.machine_count
+    received = units[:, :, _IN].sum(axis=1)
+    loads = (placement.storage_units + received).tolist()
+    records = np.column_stack((np.repeat(np.arange(mc), 4),
+                               np.tile(np.arange(1, 5), mc),
+                               units.reshape(-1, 3)))
     return SimReport(
         rounds_executed=4,
-        machine_count=placement.machine_count,
-        records=rec.records(),
+        machine_count=mc,
+        records=records,
         loads=loads,
         max_load=max(loads),
         coordinator_load=loads[COORDINATOR],
-        total_messages=rec.total_messages,
-        total_message_units=int(rec.units_in.sum()),
+        total_messages=messages,
+        total_message_units=int(received.sum()),
         divergence_flag=divergence,
         n_tilde=n_tilde,
         sketch_edges=sketch_edges,
         solution_handoff=handoff,
-        placement_counts=[len(e) for e in placement.elements],
         **extra,
     )
 
@@ -271,10 +255,9 @@ def run_kcover_mapreduce(instance: CoverageInstance, k: int, eps: float,
     placement = partition_input(instance, machine_count)
     params = theory_params(instance.n, instance.m, instance.edge_count,
                            k=k, eps=eps, delta_dprime=delta_dprime)
-    rec = _Recorder(machine_count, 4)
     source = HashSource(seed)
-    runs, divergence = _run_sketch_rounds(instance, placement, rec,
-                                          {0: (source, params)})
+    runs, divergence, units, messages = _run_sketch_rounds(
+        instance, placement, [(source, params)])
     sk = _sketch_runs(instance, *runs[0], source, params)
     if solver == "greedy":
         sol = solvers.greedy_kcover(sk, k)
@@ -282,7 +265,7 @@ def run_kcover_mapreduce(instance: CoverageInstance, k: int, eps: float,
         sol = solvers.stochastic_greedy(sk, k, eps, seed)
     handoff = {"round": 4, "machine": COORDINATOR, "solver": solver,
                "value": sol.coverage_value, "k": k}
-    report = _finalize(rec, placement, divergence, params.n_tilde,
+    report = _finalize(placement, units, messages, divergence, params.n_tilde,
                        sk.instance.edge_count, handoff)
     return sol, report
 
@@ -301,20 +284,21 @@ def run_setcover_mapreduce(instance: CoverageInstance, lam: float, eps: float,
         raise ValueError("lam must lie in (0, 1)")
     placement = partition_input(instance, machine_count)
     ladder = solvers.guess_families(instance, eps, delta_dprime, seed)
-    rec = _Recorder(machine_count, 4)
-    runs, divergence = _run_sketch_rounds(
-        instance, placement, rec,
-        {i: (source, params) for i, (_, source, params) in enumerate(ladder)})
+    runs, divergence, units, messages = _run_sketch_rounds(
+        instance, placement,
+        [(source, params) for _, source, params in ladder])
     sol = solvers._walk_ladder(
-        instance, ((g, *runs[i], source, params)
-                   for i, (g, source, params) in enumerate(ladder)), lam, eps)
-    per_guess = [int(runs[i][1].sum()) for i in range(len(ladder))]
+        instance, ((g, *run, source, params)
+                   for run, (g, source, params) in zip(runs, ladder)),
+        lam, eps)
+    per_guess = [int(counts.sum()) for _, counts in runs]
     budget = sum(params.n_tilde + params.degree_cap
                  for _, _, params in ladder)
     handoff = {"round": 4, "machine": COORDINATOR, "solver": "greedy",
                "value": sol.coverage_value, "lambda": lam}
     report = _finalize(
-        rec, placement, divergence, ladder[0][2].n_tilde, sum(per_guess),
-        handoff, guess_count=len(ladder), sketch_edges_per_guess=per_guess,
-        sketch_edge_budget=budget, within_budget=sum(per_guess) <= budget)
+        placement, units, messages, divergence, ladder[0][2].n_tilde,
+        sum(per_guess), handoff, guess_count=len(ladder),
+        sketch_edges_per_guess=per_guess, sketch_edge_budget=budget,
+        within_budget=sum(per_guess) <= budget)
     return sol, report

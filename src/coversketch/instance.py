@@ -62,12 +62,13 @@ def _check_key_range(*factors: int) -> None:
 _EXPANSION_BUDGET = 10_000_000
 
 
-def _check_budget(total: int, budget: int, unit: str, advice: str) -> None:
-    """Raise ValueError, naming both, when ``total`` exceeds ``budget``;
-    callers check before they allocate anything of that size."""
-    if total > budget:
+def _check_budget(total: int, unit: str, advice: str) -> None:
+    """Raise ValueError, naming both, when ``total`` exceeds
+    ``_EXPANSION_BUDGET``, read at call time; callers check before they
+    allocate anything of that size."""
+    if total > _EXPANSION_BUDGET:
         raise ValueError(f"expansion needs {total} {unit}, over the budget "
-                         f"of {budget}; {advice}")
+                         f"of {_EXPANSION_BUDGET}; {advice}")
 
 
 def _edge_keys(n: int, m: int, set_ids, elem_ids) -> np.ndarray:
@@ -85,14 +86,13 @@ def _edge_keys(n: int, m: int, set_ids, elem_ids) -> np.ndarray:
     return set_ids * m + elem_ids
 
 
-def _canonical_keys(n: int, m: int, set_ids, elem_ids) -> np.ndarray:
-    """Checked edges as sorted unique ``set * m + element`` keys: the
+def _canonical_keys(key: np.ndarray) -> np.ndarray:
+    """Packed ``set * m + element`` edge keys, sorted and unique: the
     canonical (set, element) order without duplicate pairs.
 
     Keys that already strictly ascend, as in every file the serializers
     write, are neither sorted nor deduplicated.
     """
-    key = _edge_keys(n, m, set_ids, elem_ids)
     if not (key[1:] > key[:-1]).all():
         key.sort()
         key = key[np.diff(key, prepend=-1) != 0]
@@ -199,8 +199,9 @@ class CoverageInstance:
         n, m = int(n), int(m)
         if n < 1:
             raise ValueError("instance needs at least one set")
-        return cls._from_keys(n, m, _canonical_keys(n, m, set_ids, elem_ids),
-                              element_labels)
+        return cls._from_keys(
+            n, m, _canonical_keys(_edge_keys(n, m, set_ids, elem_ids)),
+            element_labels)
 
     @classmethod
     def _from_keys(cls, n, m, key, element_labels=None):
@@ -613,10 +614,12 @@ def _edge_list_keys(source) -> tuple[int, int, np.ndarray]:
     """``(n, m, key)`` of an unweighted edge list: its id counts and its
     sorted unique ``set * m + element`` keys, without the CSR views that
     :func:`load_edge_list` builds from them.  The parsed rows are freed on
-    return."""
+    return.  The parser rejects negative ids and ``n`` and ``m`` come from
+    the largest ones, so no id needs a range check."""
     rows, _ = _read_table(source, 2)
     n, m = _id_counts(rows)
-    return n, m, _canonical_keys(n, m, rows[:, 0], rows[:, 1])
+    _check_key_range(n, m)
+    return n, m, _canonical_keys(rows[:, 0] * m + rows[:, 1])
 
 
 def loads_edge_list(text: str) -> CoverageInstance:
@@ -716,8 +719,7 @@ def _khop_from_edges(nv: int, u: np.ndarray, v: np.ndarray,
     for hop in range(2, hops + 1):
         a, mid = reach.edges()
         counts = closed.set_sizes[mid]
-        _check_budget(int(counts.sum()), _EXPANSION_BUDGET,
-                      f"edges for {hop} hops",
+        _check_budget(int(counts.sum()), f"edges for {hop} hops",
                       "use fewer hops or a sparser graph")
         w = closed.set_elems[_gather_positions(closed.set_indptr, mid, counts)]
         reach = CoverageInstance.from_edges(nv, nv, np.repeat(a, counts), w)
@@ -831,8 +833,8 @@ def feature_pairs_instance(matrix) -> CoverageInstance:
         raise ValueError("matrix entries must be 0 or 1")
     nrows, ncols = mat.shape
     ones = mat.sum(axis=0, dtype=np.int64)
-    _check_budget(int((ones * (ones - 1) // 2).sum()), _EXPANSION_BUDGET,
-                  "row pairs", "use fewer rows or sparser columns")
+    _check_budget(int((ones * (ones - 1) // 2).sum()), "row pairs",
+                  "use fewer rows or sparser columns")
     # The 1-entries in column-major order; entry i pairs with the ``later[i]``
     # entries after it in its column.
     col, row = np.nonzero(mat.T)

@@ -21,7 +21,6 @@ from .instance import (
     FractionalInstance,
     ProbabilisticInstance,
     WeightedInstance,
-    _EXPANSION_BUDGET,
     _check_budget,
     _check_key_range,
     _format_rows,
@@ -554,8 +553,7 @@ def _expand_in_chunks(expand, walk: np.ndarray, n_tilde: int | None):
 
 
 def sketch_weighted(winst: WeightedInstance, params: SketchParams,
-                    source: HashSource,
-                    expansion_budget: int = _EXPANSION_BUDGET) -> Sketch:
+                    source: HashSource) -> Sketch:
     """Sketch of the implicit expansion with ``w_v`` unit copies per element.
 
     Copy (v, j) keeps v's edge list; its flat id is ``sum(w_u, u < v) + j``.
@@ -564,15 +562,13 @@ def sketch_weighted(winst: WeightedInstance, params: SketchParams,
     """
     w = winst.element_weight
     total = _copy_count(w)
-    _check_budget(total, expansion_budget, "copies",
-                  "lower the weights or increase the budget")
+    _check_budget(total, "copies", "lower the weights")
     return _sketch_copies(winst.base, np.cumsum(w) - w, w, total, None,
                           params, source, total)
 
 
 def sketch_fractional(finst: FractionalInstance, params: SketchParams,
-                      source: HashSource,
-                      expansion_budget: int = _EXPANSION_BUDGET) -> Sketch:
+                      source: HashSource) -> Sketch:
     """Sketch of the implicit expansion with ``U`` copies per element.
 
     Copy (v, j) is connected to set S iff ``j < alpha_{S,v} * U``; expansion
@@ -587,8 +583,7 @@ def sketch_fractional(finst: FractionalInstance, params: SketchParams,
         copies[has_edge] = np.maximum.reduceat(finst.numer_elem_order,
                                                base.elem_indptr[:-1][has_edge])
     total = _copy_count(copies)
-    _check_budget(total, expansion_budget, "copies",
-                  "lower U or increase the budget")
+    _check_budget(total, "copies", "lower U")
     _check_key_range(base.m, U)
 
     def numer_hit(flat_ids, j, pos, copy):
@@ -607,8 +602,7 @@ def probabilistic_copy_count(n: int, U: int, eps: float) -> int:
 
 
 def sketch_probabilistic(pinst: ProbabilisticInstance, eps: float,
-                         params: SketchParams, source: HashSource,
-                         expansion_budget: int = _EXPANSION_BUDGET) -> Sketch:
+                         params: SketchParams, source: HashSource) -> Sketch:
     """Sketch of the seeded Bernoulli expansion of a probabilistic instance.
 
     Each element becomes ``zeta = ceil(12 (n + 1 + ln n) U / eps^2)`` copies;
@@ -621,8 +615,7 @@ def sketch_probabilistic(pinst: ProbabilisticInstance, eps: float,
     """
     base = pinst.base
     zeta = probabilistic_copy_count(base.n, pinst.U, eps)
-    _check_budget(zeta * base.m, expansion_budget, "copies",
-                  "increase eps or the budget")
+    _check_budget(zeta * base.m, "copies", "increase eps")
     coin_base = source._base(_TAG_EDGE_COIN)
     # Copy half of each coin key once per copy, set half once per set.
     set_half = _combine_array(coin_base ^ _GOLDEN,

@@ -4,9 +4,9 @@
 them before: every hash family hashes all m elements, sorts the reported
 hashes in round 2 and charges its units with per-round ``np.bincount`` calls
 inside the loop over families.  The tests hold
-``distsim._run_sketch_rounds`` equal to it: every ``_Recorder`` array, the
-message count, the divergence flag, and each tag's runs once put into
-selection order.
+``distsim._run_sketch_rounds`` equal to it: the unit array, the message
+count, the divergence flag, and each family's runs once put into selection
+order.
 """
 
 import numpy as np
@@ -14,14 +14,17 @@ import numpy as np
 from coversketch import sketch
 from coversketch.distsim import COORDINATOR
 
+IN, OUT, PEAK = range(3)
 
-def run_sketch_rounds(instance, placement, rec, families):
+
+def run_sketch_rounds(instance, placement, families):
     """Rounds 1..3, and the round-4 accounting, for one or more hash families.
 
-    ``families`` maps a tag to (HashSource, SketchParams); all tags share the
-    same four rounds, and ``rec`` sums their units per machine and round.
-    Returns ({tag: (selected ids, capped counts)}, any_divergence): the runs
-    round 3 ships in selection order.
+    ``families`` lists (HashSource, SketchParams) pairs; all share the same
+    four rounds.  Returns ``(runs, divergence, units, messages)``: per family
+    the (selected ids, capped counts) runs round 3 ships in selection order,
+    whether any family diverged, the ``(machines, 4, 3)`` array of units in,
+    units out and storage peak per machine and round, and the message count.
     """
     m, mc = instance.m, placement.machine_count
     owner = placement.owner
@@ -30,18 +33,20 @@ def run_sketch_rounds(instance, placement, rec, families):
         return np.bincount(owner[elems], weights=units,
                            minlength=mc).astype(np.int64)
 
-    rec.storage_peak[:, 1:] = np.reshape(placement.storage_units, (mc, 1))
+    units = np.zeros((mc, 4, 3), dtype=np.int64)
+    units[:, :, PEAK] = np.reshape(placement.storage_units, (mc, 1))
+    messages = 0
     ids = np.arange(m, dtype=np.int64)
-    runs = {}
+    runs = []
     divergence = False
     tuples_held = sel_units = sketch_units = 0
-    for tag, (source, params) in families.items():
+    for source, params in families:
         # Round 1, map: owners report (id, hash, degree) of small hashes.
         h = sketch.element_hash_array(source, ids)
         rep = np.flatnonzero(h <= 2.0 * params.n_tilde / m)
-        rec.units_out[:, 1] += 3 * per_machine(rep)
-        rec.units_in[COORDINATOR, 2] += 3 * len(rep)
-        rec.total_messages += len(rep)
+        units[:, 0, OUT] += 3 * per_machine(rep)
+        units[COORDINATOR, 1, IN] += 3 * len(rep)
+        messages += len(rep)
         tuples_held += 3 * len(rep)
 
         # Round 2, coordinator reduce: the smallest-hash prefix of the
@@ -53,19 +58,19 @@ def run_sketch_rounds(instance, placement, rec, families):
             # The reference construction would keep drawing elements whose
             # hash exceeded the reporting threshold.
             divergence = True
-        rec.units_out[COORDINATOR, 2] += len(sel)
-        rec.units_in[:, 3] += per_machine(sel)
-        rec.total_messages += len(sel)
+        units[COORDINATOR, 1, OUT] += len(sel)
+        units[:, 2, IN] += per_machine(sel)
+        messages += len(sel)
         sel_units += len(sel)
 
         # Round 3, map: owners ship the capped runs of selected elements.
         shipped = per_machine(sel, counts)
-        rec.units_out[:, 3] += shipped
-        rec.units_in[COORDINATOR, 4] += shipped.sum()
-        rec.total_messages += len(sel)
-        runs[tag] = sel, counts
+        units[:, 2, OUT] += shipped
+        units[COORDINATOR, 3, IN] += shipped.sum()
+        messages += len(sel)
+        runs.append((sel, counts))
         sketch_units += shipped.sum()
-    rec.storage_peak[COORDINATOR, 2] = tuples_held
-    rec.storage_peak[COORDINATOR, 3] = sel_units
-    rec.storage_peak[COORDINATOR, 4] = sel_units + sketch_units
-    return runs, divergence
+    units[COORDINATOR, 1, PEAK] = tuples_held
+    units[COORDINATOR, 2, PEAK] = sel_units
+    units[COORDINATOR, 3, PEAK] = sel_units + sketch_units
+    return runs, divergence, units, messages

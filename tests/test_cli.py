@@ -1,7 +1,9 @@
 import contextlib
 import csv
+import hashlib
 import io
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -579,6 +581,23 @@ class TestExperimentCommand:
                 want = sum(float(r[col]) for r in seeds) / len(seeds)
                 got = float(mean[col])
                 assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+    def test_one_sketch_per_rho_sigma_seed(self, tmp_path, capsys,
+                                           monkeypatch):
+        # 2 rho x 2 sigma x 3 seeds sketches serve all three k values; the
+        # CSV bytes are those of the sweep that built one sketch per k.
+        path, out = self._write_spec(tmp_path, rho="0.8,0.3", sigma="50,4",
+                                     k="5,2,3")
+        builds = mock.Mock(wraps=sketch_mod.build_sketch)
+        monkeypatch.setattr(sketch_mod, "build_sketch", builds)
+        assert run(["experiment", "--spec", str(path)], capsys)[0] == 0
+        assert builds.call_count == 12
+        with open(out, "rb") as fh:
+            data = fh.read()
+        assert data.count(b"\n") == 49  # header, 36 seed rows, 12 means
+        assert hashlib.sha256(data).hexdigest() == (
+            "b67e4c64c13a18b4529e79b12729d812"
+            "90a3c695c585d918b39595c7c737a420")
 
     def test_spec_validation(self, tmp_path, capsys):
         path, _ = self._write_spec(tmp_path, seeds="1,1")

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -32,22 +33,24 @@ class TestPartitionInput:
     def test_modular_placement(self):
         inst = CoverageInstance.from_edges(2, 4, [0, 0, 1, 1], [0, 1, 2, 3])
         placement = partition_input(inst, 3)
-        assert placement.elements[1].tolist() == [0, 2]
-        assert placement.elements[2].tolist() == [1, 3]
-        assert placement.elements[0].tolist() == []
+        # Machine 1 owns elements 0 and 2, machine 2 owns 1 and 3, and the
+        # coordinator owns none.
+        assert placement.owner.tolist() == [1, 2, 1, 2]
+        assert placement.storage_units.tolist() == [0, 2, 2]
 
     def test_two_machines_single_worker(self):
         inst = loads_edge_list("0 0\n0 1\n1 1\n")
         placement = partition_input(inst, 2)
-        assert placement.elements[1].tolist() == [0, 1]
+        assert placement.owner.tolist() == [1, 1]
         assert placement.storage_units[1] == inst.edge_count
         assert placement.storage_units[0] == 0
 
     def test_idle_machines(self):
         inst = loads_edge_list("0 0\n")
         placement = partition_input(inst, 5)
-        counts = [len(e) for e in placement.elements]
+        counts = np.bincount(placement.owner, minlength=5).tolist()
         assert counts.count(0) == 4
+        assert placement.storage_units.tolist().count(0) == 4
 
     def test_needs_two_machines(self):
         inst = loads_edge_list("0 0\n")
@@ -56,7 +59,7 @@ class TestPartitionInput:
 
     def test_machine_count_bounded(self):
         inst = loads_edge_list("0 0\n0 1\n")
-        assert len(partition_input(inst, 2**16).elements) == 2**16
+        assert len(partition_input(inst, 2**16).storage_units) == 2**16
         with pytest.raises(ValueError,
                            match="machine count 65537 is over the limit "
                                  "of 65536"):
@@ -93,6 +96,8 @@ class TestKcoverMapReduce:
             _, report = run_kcover_mapreduce(inst, 2, 0.5, 0.5, 1, machines)
             assert report.rounds_executed == 4
             assert len(report.records) == machines * 4
+            assert report.records.shape == (machines * 4, 5)
+            assert report.records.dtype == np.int64
             lines = report.to_text().splitlines()
             assert len(lines) == machines * 4 + 1
 
@@ -101,7 +106,7 @@ class TestKcoverMapReduce:
         a = run_kcover_mapreduce(inst, 2, 0.5, 0.5, 3, 4)
         b = run_kcover_mapreduce(inst, 2, 0.5, 0.5, 3, 4)
         assert a[0].chosen == b[0].chosen
-        assert a[1].records == b[1].records
+        assert np.array_equal(a[1].records, b[1].records)
         assert a[1].to_text() == b[1].to_text()
 
     def test_worker_load_accounting(self):
@@ -232,6 +237,26 @@ class TestReportText:
             "cff0a1ec9da62069a9306e5187566a99"
             "76d1c3e4620f254f8b48a0ba37e0cbcd")
 
+    def test_machine_bound_report_memory(self):
+        # A 2-edge input on 2**16 machines: 262,144 record rows go from the
+        # unit counters to the text as arrays, with no object per row.
+        inst = loads_edge_list("0 0\n0 1\n")
+        tracemalloc.start()
+        try:
+            _, kcover = run_kcover_mapreduce(inst, 1, 0.5, 0.5, 0, 2**16)
+            _, setcover = run_setcover_mapreduce(inst, 0.5, 0.5, 0.5, 0,
+                                                 2**16)
+            text = kcover.to_text()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+        assert setcover.records.shape == (2**18, 5)
+        assert len(text.splitlines()) == 2**18 + 1
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "c8906a5e0800311c76548bb80d177760"
+            "810bdbd2a38040f2c55b7b47fbffb8a2")
+
 
 # ---------------------------------------------------------------------------
 # Simulated == single-process whenever the divergence flag is clear
@@ -256,12 +281,12 @@ def sim_cases(draw, max_n=7, max_m=24):
 
 
 def simulated_sketches(inst, machines, families):
-    """Round-4 sketches and the divergence flag of one simulated run."""
-    runs, divergence = distsim._run_sketch_rounds(
-        inst, partition_input(inst, machines),
-        distsim._Recorder(machines, 4), families)
-    return {tag: distsim._sketch_runs(inst, *runs[tag], *families[tag])
-            for tag in runs}, divergence
+    """Round-4 sketches, one per family, and the divergence flag of one
+    simulated run."""
+    runs, divergence, _, _ = distsim._run_sketch_rounds(
+        inst, partition_input(inst, machines), families)
+    return [distsim._sketch_runs(inst, *run, *family)
+            for run, family in zip(runs, families)], divergence
 
 
 def outcome(sol):
@@ -280,7 +305,7 @@ def check_accounting(inst, report):
     assert report.loads == [store + got for store, got
                             in zip(placement.storage_units, units_in)]
     assert report.total_message_units == sum(units_in) == units_out
-    assert report.records[3][:3] == (0, 4, report.sketch_edges)
+    assert report.records[3][:3].tolist() == [0, 4, report.sketch_edges]
 
 
 class TestSimulateEqualsSingleProcess:
@@ -293,7 +318,7 @@ class TestSimulateEqualsSingleProcess:
                                delta_dprime=delta_dprime)
         source = HashSource(seed)
         sketches, divergence = simulated_sketches(
-            inst, machines, {0: (source, params)})
+            inst, machines, [(source, params)])
         reference = build_sketch(inst, params, source)
         if not divergence:
             assert sketches[0] == reference
@@ -311,15 +336,15 @@ class TestSimulateEqualsSingleProcess:
     @given(sim_cases(), st.sampled_from([0.05, 0.2, 0.5]))
     def test_setcover(self, case, lam):
         inst, machines, eps, delta_dprime, seed = case
-        families = {
-            i: (HashSource(derive_seed(seed, i)),
-                theory_params(inst.n, inst.m, inst.edge_count, k=g, eps=eps,
-                              delta_dprime=delta_dprime))
-            for i, g in enumerate(guess_ladder(inst.n, eps))}
+        families = [
+            (HashSource(derive_seed(seed, i)),
+             theory_params(inst.n, inst.m, inst.edge_count, k=g, eps=eps,
+                           delta_dprime=delta_dprime))
+            for i, g in enumerate(guess_ladder(inst.n, eps))]
         sketches, divergence = simulated_sketches(inst, machines, families)
         if not divergence:
-            for i, (source, params) in families.items():
-                assert sketches[i] == build_sketch(inst, params, source)
+            for sk, (source, params) in zip(sketches, families):
+                assert sk == build_sketch(inst, params, source)
         try:
             sol, report = run_setcover_mapreduce(inst, lam, eps,
                                                  delta_dprime, seed, machines)
@@ -474,13 +499,12 @@ class TestLazyRound4:
         want = {"UU": (7, 0, 2), "CCCCC": (0, 0, 0), "CCUUUUU": (0, 5, 5)}
         for (*_, walk), case in zip(self.CASES, self.cases()):
             inst, lam, eps, delta_dprime = case
-            families = {i: (source, params) for i, (_, source, params)
-                        in enumerate(self.ladder(case))}
+            families = [(source, params)
+                        for _, source, params in self.ladder(case)]
             sorts.reset_mock()
             hashes.reset_mock()
             distsim._run_sketch_rounds(
-                inst, partition_input(inst, self.MACHINES),
-                distsim._Recorder(self.MACHINES, 4), families)
+                inst, partition_input(inst, self.MACHINES), families)
             in_rounds = sorts.call_count
             assert hashes.call_count == in_rounds
             sorts.reset_mock()
@@ -540,9 +564,9 @@ class TestExactMassTie:
                                     params)
             dropped += len(want) < inst.m
             for machines in (2, 3, 8):
-                runs, divergence = distsim._run_sketch_rounds(
+                runs, divergence, _, _ = distsim._run_sketch_rounds(
                     inst, partition_input(inst, machines),
-                    distsim._Recorder(machines, 4), {0: (source, params)})
+                    [(source, params)])
                 assert not divergence
                 np.testing.assert_array_equal(runs[0][0], want)
             np.testing.assert_array_equal(
@@ -558,24 +582,23 @@ class TestExactMassTie:
 
 
 def check_rounds_match_reference(inst, machines, families):
-    """``distsim._run_sketch_rounds`` equals the per-guess reference: every
-    recorder array, the message count, the divergence flag, and each tag's
+    """``distsim._run_sketch_rounds`` equals the per-guess reference: the
+    unit array, the message count, the divergence flag, and each family's
     runs once put into selection order."""
     placement = partition_input(inst, machines)
-    got, want = distsim._Recorder(machines, 4), distsim._Recorder(machines, 4)
-    runs, divergence = distsim._run_sketch_rounds(inst, placement, got,
-                                                  families)
-    want_runs, want_divergence = distsim_reference.run_sketch_rounds(
-        inst, placement, want, families)
+    runs, divergence, units, messages = distsim._run_sketch_rounds(
+        inst, placement, families)
+    want_runs, want_divergence, want_units, want_messages = \
+        distsim_reference.run_sketch_rounds(inst, placement, families)
     assert divergence == want_divergence
-    for name in ("units_in", "units_out", "storage_peak"):
-        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-    assert got.total_messages == want.total_messages
-    assert runs.keys() == want_runs.keys()
-    for tag, (source, params) in families.items():
-        for have, expect in zip(
-                _in_selection_order(*runs[tag], source, params),
-                want_runs[tag]):
+    assert units.shape == (machines, 4, 3)
+    assert units.dtype == np.int64
+    np.testing.assert_array_equal(units, want_units)
+    assert messages == want_messages
+    assert len(runs) == len(want_runs) == len(families)
+    for run, want_run, (source, params) in zip(runs, want_runs, families):
+        for have, expect in zip(_in_selection_order(*run, source, params),
+                                want_run):
             np.testing.assert_array_equal(have, expect)
     return divergence
 
@@ -595,8 +618,7 @@ class TestRoundsEqualReference:
                        data.draw(drawn_ladders(inst, seed))):
             check_rounds_match_reference(
                 inst, machines,
-                {i: (source, params)
-                 for i, (_, source, params) in enumerate(ladder)})
+                [(source, params) for _, source, params in ladder])
 
     def test_golden_diverging_instance(self):
         # The instance of TestReportText.test_golden_diverging_report.
@@ -605,8 +627,7 @@ class TestRoundsEqualReference:
                                            rng.integers(0, 200, 300))
         ladder = guess_families(inst, 0.5, 0.5, 0)
         assert check_rounds_match_reference(
-            inst, 4, {i: (source, params)
-                      for i, (_, source, params) in enumerate(ladder)})
+            inst, 4, [(source, params) for _, source, params in ladder])
 
 
 # ---------------------------------------------------------------------------
@@ -642,11 +663,11 @@ def drawn_ladders(draw, inst, seed):
 def simulated_guesses(inst, machines, ladder):
     """(guess, selected, counts, source, params) per rung, from the runs
     rounds 1-3 ship."""
-    runs, _ = distsim._run_sketch_rounds(
-        inst, partition_input(inst, machines), distsim._Recorder(machines, 4),
-        {i: (source, params) for i, (_, source, params) in enumerate(ladder)})
-    return [(g, *runs[i], source, params)
-            for i, (g, source, params) in enumerate(ladder)]
+    runs, *_ = distsim._run_sketch_rounds(
+        inst, partition_input(inst, machines),
+        [(source, params) for _, source, params in ladder])
+    return [(g, *run, source, params)
+            for run, (g, source, params) in zip(runs, ladder)]
 
 
 def engine_guesses(inst, ladder):

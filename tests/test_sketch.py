@@ -25,6 +25,7 @@ from coversketch import (
     sketch_weighted,
     theory_params,
 )
+from coversketch import instance as instance_module
 from coversketch import sketch as sketch_module
 from coversketch.instance import (
     FractionalInstance,
@@ -494,11 +495,12 @@ class TestSketchProbabilistic:
                                   HashSource(0))
         assert coverage(sk, []) == 0
 
-    def test_budget_error_advises_larger_eps(self):
+    def test_budget_error_advises_larger_eps(self, monkeypatch):
         pinst = _random_fractional(6, cls=ProbabilisticInstance)
+        monkeypatch.setattr(instance_module, "_EXPANSION_BUDGET", 10)
         with pytest.raises(ValueError, match="eps"):
             sketch_probabilistic(pinst, 0.3, practical_params(1.0, 2),
-                                 HashSource(0), expansion_budget=10)
+                                 HashSource(0))
 
     def test_matches_materialized_expansion(self):
         pinst = _random_fractional(7, cls=ProbabilisticInstance, max_u=2)
@@ -637,18 +639,18 @@ class TestExpansionBudget:
             lambda: sketch_fractional(finst, practical_params(0.5, 2),
                                       HashSource(0)), 2**31 + 2)
 
-    def test_budget_is_a_parameter(self):
+    def test_budget_is_read_at_call_time(self, monkeypatch):
         winst = WeightedInstance(loads_edge_list("0 0\n"), np.array([4]), 4)
+        monkeypatch.setattr(instance_module, "_EXPANSION_BUDGET", 3)
         with pytest.raises(ValueError, match="needs 4 copies"):
-            sketch_weighted(winst, practical_params(1.0, 1), HashSource(0),
-                            expansion_budget=3)
-        sk = sketch_weighted(winst, practical_params(1.0, 1), HashSource(0),
-                             expansion_budget=4)
+            sketch_weighted(winst, practical_params(1.0, 1), HashSource(0))
+        monkeypatch.setattr(instance_module, "_EXPANSION_BUDGET", 4)
+        sk = sketch_weighted(winst, practical_params(1.0, 1), HashSource(0))
         assert sk.instance.m == 4
         finst = FractionalInstance.from_edges(1, 2, [0, 0], [0, 1], [2, 0], 2)
+        monkeypatch.setattr(instance_module, "_EXPANSION_BUDGET", 1)
         with pytest.raises(ValueError, match="needs 2 copies"):
-            sketch_fractional(finst, practical_params(1.0, 1), HashSource(0),
-                              expansion_budget=1)
+            sketch_fractional(finst, practical_params(1.0, 1), HashSource(0))
 
 
 def _elem_order(inst, numer_set_order):
