@@ -1,9 +1,11 @@
 """Bipartite coverage instances: data model, file formats, generators, reductions.
 
 A coverage instance is a bipartite incidence structure between ``n`` sets and
-``m`` elements.  Both sides use dense 0-based integer ids, and the adjacency is
-stored in both directions (CSR style) so solvers can scan by set or by element.
-Instances are immutable after construction and safe to share across threads.
+``m`` elements.  Both sides use dense 0-based integer ids.  The adjacency is
+held by set (CSR style); the view by element, which solvers scan, is derived
+from it on first read.  Instances are immutable after construction and safe to
+share across threads: two threads that read the element view first may both
+build it, and the two builds are equal arrays.
 """
 
 from __future__ import annotations
@@ -146,6 +148,14 @@ def _transpose(indptr: np.ndarray, minor: np.ndarray, minor_count: int):
 class CoverageInstance:
     """Immutable set/element incidence structure.
 
+    The set view ``set_indptr``/``set_elems`` is always held.  The element
+    view ``elem_indptr``/``elem_set_ids`` is taken from the constructor when
+    given; otherwise the instance is a :class:`_SetView` until that view is
+    first read, and one :func:`_transpose` of the set view builds it then.
+    ``elem_degrees`` read before it is a bincount of ``set_elems`` and needs
+    no transpose.  A race between threads may build a view twice; both
+    builds are equal arrays.
+
     Attributes
     ----------
     n : int
@@ -172,22 +182,29 @@ class CoverageInstance:
         "element_labels",
     )
 
-    def __init__(self, n, m, set_indptr, set_elems, elem_indptr, elem_set_ids,
-                 element_labels=None):
+    def __init__(self, n, m, set_indptr, set_elems, elem_indptr=None,
+                 elem_set_ids=None, element_labels=None):
         self.n = int(n)
         self.m = int(m)
         self.set_indptr = set_indptr
         self.set_elems = set_elems
-        self.elem_indptr = elem_indptr
-        self.elem_set_ids = elem_set_ids
         self.edge_count = int(len(set_elems))
         self.set_sizes = np.diff(set_indptr)
-        self.elem_degrees = np.diff(elem_indptr)
         self.element_labels = element_labels
-        if len(set_indptr) != self.n + 1 or len(elem_indptr) != self.m + 1:
+        if len(set_indptr) != self.n + 1:
+            raise ValueError("inconsistent index pointers")
+        if (elem_indptr is None) != (elem_set_ids is None):
+            raise ValueError("the element view needs both of its arrays")
+        if elem_indptr is None:
+            self.__class__ = _SetView
+            return
+        if len(elem_indptr) != self.m + 1:
             raise ValueError("inconsistent index pointers")
         if len(elem_set_ids) != self.edge_count:
             raise ValueError("adjacency mismatch between set and element views")
+        self.elem_indptr = elem_indptr
+        self.elem_set_ids = elem_set_ids
+        self.elem_degrees = np.diff(elem_indptr)
 
     @classmethod
     def from_edges(cls, n, m, set_ids, elem_ids, element_labels=None):
@@ -206,14 +223,9 @@ class CoverageInstance:
     @classmethod
     def _from_keys(cls, n, m, key, element_labels=None):
         """Instance whose edges are the sorted unique ``set * m + element``
-        keys ``key``, as :func:`_canonical_keys` returns them."""
-        set_indptr, set_elems = _set_runs(n, m, key)
-        # Freed before the element view is sorted when the caller passed a
-        # temporary.
-        del key
-        elem_indptr, elem_set_ids, _ = _transpose(set_indptr, set_elems, m)
-        return cls(n, m, set_indptr, set_elems, elem_indptr, elem_set_ids,
-                   element_labels)
+        keys ``key``, as :func:`_canonical_keys` returns them.  The element
+        view is left to the first read."""
+        return cls(n, m, *_set_runs(n, m, key), None, None, element_labels)
 
     def set_elements(self, s: int) -> np.ndarray:
         """Sorted element ids contained in set ``s``."""
@@ -242,6 +254,31 @@ class CoverageInstance:
     def __repr__(self):
         return (f"CoverageInstance(n={self.n}, m={self.m}, "
                 f"edge_count={self.edge_count})")
+
+
+class _SetView(CoverageInstance):
+    """A :class:`CoverageInstance` whose element view is not built yet.
+
+    Reading an unset slot reaches ``__getattr__``, which fills it from the
+    set view.  Once the element view is built the instance becomes a plain
+    :class:`CoverageInstance`, so only unread instances pay for the hook: on
+    every instance it would slow each attribute read, and the greedy pick
+    step makes several per pick.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        if name == "elem_degrees":
+            self.elem_degrees = np.bincount(self.set_elems, minlength=self.m)
+        elif name in ("elem_indptr", "elem_set_ids"):
+            self.elem_indptr, self.elem_set_ids, _ = _transpose(
+                self.set_indptr, self.set_elems, self.m)
+            self.elem_degrees = np.diff(self.elem_indptr)
+            self.__class__ = CoverageInstance
+        else:
+            raise AttributeError(name)
+        return object.__getattribute__(self, name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -549,7 +586,8 @@ def _format_rows(columns, end: bytes = b"\n") -> bytes:
     length of its largest value.  A leading zero is written as a 0 byte (the
     last digit always stays), a one-byte column of spaces follows each block
     and ``end`` replaces the last one.  One boolean mask then drops the 0
-    bytes.
+    bytes.  A column of at most 9 digits is divided in uint32, which holds
+    it exactly and divides faster than int64.
     """
     rows = len(columns[0])
     if not rows:
@@ -559,7 +597,7 @@ def _format_rows(columns, end: bytes = b"\n") -> bytes:
     last = -1
     for col, width in zip(columns, widths):
         first, last = last + 1, last + width
-        rest = col
+        rest = col.astype(np.uint32) if width <= 9 else col
         for j in range(last, first - 1, -1):
             quot = rest // 10
             digit = rest - quot * 10 + ord("0")
@@ -769,17 +807,25 @@ def generate_planted(k: int, m: int, k_prime: int, eps: float,
     if decoy_size > m:
         raise ValueError("decoy sets larger than the ground set")
     rng = np.random.default_rng(seed)
-    set_chunks = [np.repeat(np.arange(k, dtype=np.int64), block)]
-    elem_chunks = [np.arange(m, dtype=np.int64)]
+    n = k + k_prime
+    # Run j < k of ``rows`` is planted block j; run k + i is decoy i's
+    # picks, sorted, so every run ascends.  Set ``perm[j]`` is run j, so
+    # the set view is the runs in the order of the inverse permutation.
+    rows = np.empty(m + k_prime * decoy_size, dtype=np.int64)
+    rows[:m] = np.arange(m)
+    picks = rows[m:].reshape(k_prime, decoy_size)
     for i in range(k_prime):
-        picks = rng.choice(m, size=decoy_size, replace=False)
-        set_chunks.append(np.full(decoy_size, k + i, dtype=np.int64))
-        elem_chunks.append(np.asarray(picks, dtype=np.int64))
-    perm = rng.permutation(k + k_prime).astype(np.int64)
-    inst = CoverageInstance.from_edges(
-        k + k_prime, m, perm[np.concatenate(set_chunks)],
-        np.concatenate(elem_chunks))
-    return inst, sorted(int(s) for s in perm[:k])
+        picks[i] = rng.choice(m, size=decoy_size, replace=False)
+    picks.sort(axis=1)
+    perm = rng.permutation(n)
+    run_sizes = np.where(np.arange(n) < k, block, decoy_size)
+    old = np.argsort(perm)
+    sizes = run_sizes[old]
+    set_elems = rows[_gather_positions(
+        np.concatenate(([0], np.cumsum(run_sizes))), old, sizes)]
+    return (CoverageInstance(n, m, np.concatenate(([0], np.cumsum(sizes))),
+                             set_elems),
+            sorted(int(s) for s in perm[:k]))
 
 
 def generate_adversarial(n: int, k: int, beta: float,

@@ -412,6 +412,30 @@ class TestWriter:
                 assert fh.read() == want.encode("ascii")
 
 
+class TestUint32Digits:
+    """Columns of at most 9 digits are divided in uint32, wider ones in
+    int64; the text is the same on both sides of the switch."""
+
+    VALUES = [0, 9, 10, 999_999_999, 1_000_000_000, 2**31 - 1, 2**32 - 1,
+              2**32, 2**62]
+
+    @pytest.mark.parametrize("block", [None, 2])
+    def test_rows_at_the_switch(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(instance_mod, "_WRITE_BLOCK", block)
+        for v in self.VALUES:
+            assert instance_mod._format_rows([np.array([v])]) == \
+                f"{v}\n".encode()
+        # Each prefix ends at a different largest value, so the columns
+        # (and, with two-row blocks, each block) cross the switch in turn.
+        for stop in range(1, len(self.VALUES) + 1):
+            col = np.array(self.VALUES[:stop], dtype=np.int64)
+            columns = (col, col[::-1].copy(), np.minimum(col, 999_999_999))
+            want = "".join(" ".join(map(str, row)) + "\n"
+                           for row in zip(*(c.tolist() for c in columns)))
+            assert instance_mod._write_rows(None, [], *columns) == want
+
+
 def _sha256(text):
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 

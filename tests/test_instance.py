@@ -1,10 +1,13 @@
 import io
 import json
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coversketch import (
     CoverageInstance,
@@ -21,17 +24,26 @@ from coversketch import (
     serialize_edge_list,
     stats,
 )
+from coversketch import cli
+from coversketch import instance as instance_mod
+from coversketch import sketch as sketch_mod
 from coversketch.instance import (
     FractionalInstance,
     WeightedInstance,
     _decoy_size,
+    _edge_list_keys,
+    _khop_from_edges,
+    _transpose,
     load_fractional_edge_list,
     load_probabilistic_edge_list,
     load_weighted_edge_list,
     serialize_fractional_edge_list,
     serialize_weighted_edge_list,
 )
+from coversketch.sketch import HashSource, _sketch_keys, build_sketch, \
+    practical_params
 
+import planted_reference
 from conftest import decimals
 
 
@@ -111,6 +123,133 @@ class TestCoverageInstance:
         broken = CoverageInstance(2, 2, a.set_indptr, a.set_elems, [0, 2, 2],
                                   [0, 1])
         assert broken != a
+
+    def test_element_view_needs_both_arrays(self):
+        a = CoverageInstance.from_edges(2, 2, [0, 1], [0, 1])
+        with pytest.raises(ValueError, match="both of its arrays"):
+            CoverageInstance(2, 2, a.set_indptr, a.set_elems, a.elem_indptr)
+
+
+def _sketch_of_keys(text):
+    """The instance the sketch command writes for ``text``."""
+    n, m, key = _edge_list_keys(text)
+    return _sketch_keys(n, m, key, practical_params(0.5, 2),
+                        HashSource(3)).instance
+
+
+# (constructor, transposes a full read of the element view makes).  The
+# sketch assembly hands both views to the constructor.
+LAZY_CONSTRUCTORS = [
+    ("from_edges", lambda: CoverageInstance.from_edges(
+        4, 6, [0, 3, 1, 0, 3, 2], [5, 0, 2, 5, 1, 5]), 1),
+    ("load_edge_list", lambda: load_edge_list(b"2 1\n0 3\n2 0\n2 3\n"), 1),
+    ("khop", lambda: _khop_from_edges(5, np.array([0, 1, 2, 3]),
+                                      np.array([1, 2, 3, 4]), 2), 1),
+    ("feature_pairs", lambda: feature_pairs_instance(
+        [[1, 0, 1], [1, 1, 0], [0, 1, 1], [1, 1, 1]]), 1),
+    ("adversarial", lambda: generate_adversarial(4, 2, 1.0), 1),
+    ("planted", lambda: generate_planted(3, 12, 4, 0.5, 7)[0], 1),
+    ("build_sketch", lambda: build_sketch(
+        generate_planted(3, 12, 4, 0.5, 7)[0], practical_params(0.5, 2),
+        HashSource(3)).instance, 0),
+    ("sketch_keys", lambda: _sketch_of_keys(
+        b"0 0\n0 1\n1 1\n2 1\n2 3\n0 4\n3 4\n1 5\n"), 0),
+]
+
+
+@pytest.fixture
+def transposes(monkeypatch):
+    """The minor-id count of every ``_transpose`` call from here on, in
+    both modules that call it."""
+    calls = []
+    for mod in (instance_mod, sketch_mod):
+        def counted(indptr, minor, minor_count, _transpose=mod._transpose):
+            calls.append(minor_count)
+            return _transpose(indptr, minor, minor_count)
+        monkeypatch.setattr(mod, "_transpose", counted)
+    return calls
+
+
+class TestLazyElementView:
+    """The set view is held; the element view is derived on first read and
+    equals an eager transpose of the set view."""
+
+    @pytest.mark.parametrize("make, builds", [c[1:] for c in LAZY_CONSTRUCTORS],
+                             ids=[c[0] for c in LAZY_CONSTRUCTORS])
+    def test_derived_view_equals_transpose(self, make, builds, transposes):
+        inst = make()
+        del transposes[:]
+        want_indptr, want_ids, _ = _transpose(inst.set_indptr, inst.set_elems,
+                                              inst.m)
+        degrees = inst.elem_degrees
+        assert transposes == []
+        assert degrees.dtype == np.int64
+        np.testing.assert_array_equal(degrees, np.diff(want_indptr))
+        for _ in range(2):
+            for got, want in ((inst.elem_indptr, want_indptr),
+                              (inst.elem_set_ids, want_ids)):
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, want)
+        assert len(transposes) == builds
+        # Once built, reads no longer pass through the fallback hook.
+        assert type(inst) is CoverageInstance
+        for v in range(inst.m):
+            assert inst.element_sets(v).tolist() == [
+                s for s in range(inst.n) if v in inst.set_elements(s)]
+
+    def test_threads_share_one_unread_instance(self):
+        # Threads that race to the first read may each build the view; every
+        # reader must still see arrays equal to one eager transpose.
+        want = CoverageInstance.from_edges(300, 400, *np.divmod(
+            np.random.default_rng(5).choice(120_000, 20_000, replace=False),
+            400))
+        want_indptr, want_ids, _ = _transpose(want.set_indptr, want.set_elems,
+                                              want.m)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                inst = CoverageInstance(want.n, want.m, want.set_indptr,
+                                        want.set_elems)
+                seen = []
+                readers = [threading.Thread(target=lambda: seen.append(
+                    (inst.elem_degrees, inst.elem_set_ids, inst.elem_indptr)))
+                    for _ in range(6)]
+                for t in readers:
+                    t.start()
+                for t in readers:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in readers)
+                assert len(seen) == len(readers)
+                for degrees, ids, indptr in seen:
+                    np.testing.assert_array_equal(indptr, want_indptr)
+                    np.testing.assert_array_equal(ids, want_ids)
+                    np.testing.assert_array_equal(degrees,
+                                                  np.diff(want_indptr))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("make", [c[1] for c in LAZY_CONSTRUCTORS[:6]],
+                             ids=[c[0] for c in LAZY_CONSTRUCTORS[:6]])
+    def test_set_view_readers_never_transpose(self, make, transposes):
+        inst = make()
+        del transposes[:]
+        stats(inst)
+        serialize_edge_list(inst)
+        inst.elem_degrees
+        assert transposes == []
+
+    def test_generate_commands_never_transpose(self, tmp_path, capsys,
+                                               transposes):
+        graph = tmp_path / "graph.txt"
+        graph.write_text("0 1\n1 2\n2 3\n0 3\n")
+        for argv in (["planted", "--k", "10", "--m", "2000", "--kprime",
+                      "50", "--eps", "0.2", "--seed", "1"],
+                     ["khop", "--graph", str(graph), "--hops", "2"]):
+            out = str(tmp_path / f"{argv[0]}.txt")
+            assert cli.main(["generate", *argv, "--out", out]) == 0
+        capsys.readouterr()
+        assert transposes == []
 
 
 def reference_khop(adjacency, hops):
@@ -204,6 +343,23 @@ class TestKhopDominating:
         with pytest.raises(ValueError):
             khop_dominating_instance([[1], [0]], 4)
 
+    def test_two_hop_star_memory(self):
+        # 1,000 leaves at 2 hops reach every vertex: 1,002,001 edges, built
+        # and written without the element view, which nothing here reads.
+        leaves = np.arange(1, 1001, dtype=np.int64)
+        hub = np.zeros_like(leaves)
+        tracemalloc.start()
+        try:
+            inst = _khop_from_edges(1001, np.concatenate((hub, leaves)),
+                                    np.concatenate((leaves, hub)), 2)
+            text = serialize_edge_list(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inst.edge_count == 1001**2
+        assert text.count("\n") == inst.edge_count
+        assert peak < 42 * 2**20
+
 
 class TestGeneratePlanted:
     def test_partition_no_decoys(self):
@@ -239,6 +395,28 @@ class TestGeneratePlanted:
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             generate_planted(3, 10, 5, 0.2, seed=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 6),
+           st.one_of(st.sampled_from([0.0, 1.0, 2.0, 3.0, 5.0]),
+                     decimals(0, 3).map(float)),
+           st.integers(0, 2**32 - 1))
+    @example(2, 2, 3, 1.0, 0)  # decoy_size == m
+    @example(10, 200, 0, 0.2, 1)
+    def test_matches_reference(self, k, block, k_prime, eps, seed):
+        # An integer eps of k - 1 makes every decoy the whole ground set.
+        m = k * block
+        try:
+            want, want_planted = planted_reference.generate_planted(
+                k, m, k_prime, eps, seed)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                generate_planted(k, m, k_prime, eps, seed)
+            return
+        got, planted = generate_planted(k, m, k_prime, eps, seed)
+        assert planted == want_planted
+        assert_same_csr(got, want)
+        assert got == want
 
     def test_decoy_size_exact_at_scale(self):
         # In floats 1.1 * 21e6 is 23100000.000000004.
