@@ -412,6 +412,8 @@ _MAX_VALUE = 2**31 - 1
 _MAX_DIGITS = 18
 # Rows formatted per block by the writer.
 _WRITE_BLOCK = 1 << 16
+# Bytes per window of the reader; each parsed block ends at a line end.
+_PARSE_BLOCK = 1 << 18
 # Ids are positional, so a loaded instance's arrays grow with its largest id,
 # not its row count.  Loaders reject ids that reach this many plus
 # _IDS_PER_ROW per row, before anything sized by the ids is allocated.
@@ -432,14 +434,63 @@ def _read_bytes(source) -> bytes:
     raise TypeError("source must be a path, bytes, or file object")
 
 
-def _line_number(buf: np.ndarray, pos: int) -> int:
-    """1-based line of byte ``pos``; LF, CR and CRLF each end one line."""
-    lf, cr = buf[:pos] == ord("\n"), buf[:pos] == ord("\r")
-    crlf = np.count_nonzero(cr[:-1] & lf[1:])
-    return 1 + int(np.count_nonzero(lf) + np.count_nonzero(cr) - crlf)
+def _blocks(source):
+    """Yield the input as consecutive blocks of whole lines.
+
+    A block ends after the last line end in a window of ``_PARSE_BLOCK``
+    bytes.  A window without a line end is followed by one twice its size:
+    a long line extends its block, and the input is still scanned in linear
+    time.  A bytes source is sliced without a copy, and a window of it that
+    would end between the CR and the LF of a CRLF takes the LF too.  A file
+    object is read one window at a time, and a CR in the last byte of a
+    read window does not end a block, since its LF may be read next.  So no
+    cut splits a CRLF.  The last block ends at the end of the input, with or
+    without a line end.
+    """
+    if isinstance(source, bytes):
+        view, start, lo, size = memoryview(source), 0, 0, _PARSE_BLOCK
+        while start < len(source):
+            hi = lo + size
+            hi += source[hi - 1:hi + 1] == b"\r\n"
+            end = len(source) if hi >= len(source) else 1 + max(
+                source.rfind(b"\n", lo, hi), source.rfind(b"\r", lo, hi))
+            if end:
+                yield view[start:end]
+                start = lo = end
+                size = _PARSE_BLOCK
+            else:
+                lo, size = hi, 2 * size
+    elif hasattr(source, "read"):
+        held, size = [], _PARSE_BLOCK  # the open block's earlier windows
+        while window := source.read(size):
+            if isinstance(window, str):
+                window = window.encode("utf-8")
+            # A CR in the last byte may be the first half of a CRLF.
+            end = 1 + max(window.rfind(b"\n"),
+                          window.rfind(b"\r", 0, len(window) - 1))
+            if not end:
+                held.append(window)
+                size *= 2
+                continue
+            view = memoryview(window)
+            held.append(view[:end])
+            yield held[0] if len(held) == 1 else b"".join(held)
+            held, size = [view[end:]], _PARSE_BLOCK
+        if any(held):
+            yield b"".join(held)
+    else:
+        raise TypeError("source must be a path, bytes, or file object")
 
 
-def _strip_comments(data: bytes, buf: np.ndarray, bounds: np.ndarray):
+def _line_ends(buf: np.ndarray, bounds: np.ndarray, pos: int) -> int:
+    """Lines ended before byte ``pos``; LF, CR and CRLF each end one."""
+    ends = bounds[1:np.searchsorted(bounds, pos)]
+    crlf = ((np.diff(ends) == 1) & (buf[ends[:-1]] == ord("\r"))
+            & (buf[ends[1:]] == ord("\n")))
+    return len(ends) - int(np.count_nonzero(crlf))
+
+
+def _strip_comments(buf: np.ndarray, bounds: np.ndarray):
     """Blank full-line `#` comments; returns (buffer, headers, bad).
 
     ``bad`` is the position of the `#` of the first malformed `#U` header, or
@@ -467,7 +518,7 @@ def _strip_comments(data: bytes, buf: np.ndarray, bounds: np.ndarray):
     u_lines = np.searchsorted(bounds, np.flatnonzero(buf == ord("U")))
     maybe_u = np.isin(np.searchsorted(bounds, hashes), u_lines)
     for h, end in zip(hashes[maybe_u].tolist(), ends[maybe_u].tolist()):
-        tokens = data[h + 1:end].split()
+        tokens = buf[h + 1:end].tobytes().split()
         if len(tokens) == 2 and tokens[0] == b"U":
             u = tokens[1]
             if not (u.isdigit() and len(u) <= _MAX_DIGITS
@@ -486,8 +537,9 @@ def _strip_comments(data: bytes, buf: np.ndarray, bounds: np.ndarray):
 
 
 def _line_error(buf: np.ndarray, bounds: np.ndarray, pos: int,
-                columns: int, field: str | None) -> ParseError:
-    """Describe what is wrong with the line holding byte ``pos``.
+                columns: int, field: str | None, line: int) -> ParseError:
+    """Describe what is wrong with the line holding byte ``pos``, which is
+    line ``line`` of the input.
 
     ``field`` names every column, or is None for edge-list columns: two ids,
     then values.
@@ -495,7 +547,7 @@ def _line_error(buf: np.ndarray, bounds: np.ndarray, pos: int,
     i = int(np.searchsorted(bounds, pos)) - 1
     text = buf[bounds[i] + 1:bounds[i + 1]].tobytes()
     tokens = [t for t in text.replace(b"\t", b" ").split(b" ") if t]
-    where = f"line {_line_number(buf, pos)}"
+    where = f"line {line}"
     if len(tokens) != columns:
         return ParseError(f"{where}: expected {columns} fields, "
                           f"got {len(tokens)}")
@@ -508,29 +560,27 @@ def _line_error(buf: np.ndarray, bounds: np.ndarray, pos: int,
     return ParseError(f"{where}: integer out of range (max {_MAX_VALUE})")
 
 
-def _read_table(source, columns: int | None, field: str | None = None):
-    """Parse rows of ``columns`` integers; returns (rows, headers).
+def _parse_block(block, columns: int | None, field: str | None,
+                 lines: int):
+    """Check and convert one block of whole lines with array operations.
 
-    ``rows`` is an ``(r, columns)`` int64 array in file order and
-    ``headers`` holds the value of a `#U <int>` comment, if any.  With
-    ``columns=None`` the first data line sets the width.  ``field`` names
-    every column in error messages; by default the columns are an edge
-    list's two ids and its values.  The whole input is
-    checked and converted with array operations; a ParseError names the
-    first malformed line, and an input without rows is an empty instance.
+    ``lines`` lines of the input come before the block.  Returns
+    ``(values, columns, headers, lines)``: the block's integers in order, the
+    row width (still None if ``columns`` was and the block has no data
+    line), its `#U` header, if any, and ``lines`` plus the block's line
+    ends.  A ParseError names the block's first malformed line.
     """
-    data = _read_bytes(source)
-    buf = np.frombuffer(data, dtype=np.uint8)
+    buf = np.frombuffer(block, dtype=np.uint8)
     newline = (buf == ord("\n")) | (buf == ord("\r"))
     bounds = np.concatenate(([-1], np.flatnonzero(newline), [buf.size]))
-    buf, headers, bad_header = _strip_comments(data, buf, bounds)
+    buf, headers, bad_header = _strip_comments(buf, bounds)
     sep = newline | (buf == ord(" ")) | (buf == ord("\t"))
     digit = (buf - np.uint8(ord("0"))) < 10
     # Token boundaries alternate start, end.
     flips = np.flatnonzero(np.diff(sep, prepend=True, append=True))
     starts, ends = flips[0::2], flips[1::2]
     counts = np.diff(np.searchsorted(starts, bounds))
-    if columns is None:  # 0 without a data line: the input is empty
+    if columns is None:  # 0 without a data line, and None again on return
         columns = int(counts[counts != 0][:1].sum())
     # Everything before the first bad line is well-formed and gets parsed,
     # so an out-of-range value on an earlier line is still reported first.
@@ -550,12 +600,41 @@ def _read_table(source, columns: int | None, field: str | None = None):
         first = int(starts[big[0]])
     # A bad `#U` header is an error of its own line, so the earlier one wins.
     if bad_header is not None and (first is None or bad_header < first):
-        raise ParseError(f"line {_line_number(buf, bad_header)}: "
-                         "bad #U header")
+        line = lines + 1 + _line_ends(buf, bounds, bad_header)
+        raise ParseError(f"line {line}: bad #U header")
     if first is not None:
-        raise _line_error(buf, bounds, first, columns, field)
-    if not values.size:
+        raise _line_error(buf, bounds, first, columns, field,
+                          lines + 1 + _line_ends(buf, bounds, first))
+    return (values, columns or None, headers,
+            lines + _line_ends(buf, bounds, buf.size))
+
+
+def _read_table(source, columns: int | None, field: str | None = None):
+    """Parse rows of ``columns`` integers; returns (rows, headers).
+
+    ``rows`` is an ``(r, columns)`` int64 array in file order and
+    ``headers`` holds the value of the last `#U <int>` comment, if any.
+    With ``columns=None`` the first data line sets the width.  ``field``
+    names every column in error messages; by default the columns are an
+    edge list's two ids and its values.  The input is parsed one block of
+    whole lines at a time (see :func:`_blocks`), so a parse holds the rows
+    (twice while the blocks' rows are joined) and one block with its masks.
+    A ParseError names the first malformed line of the input, and an input
+    without rows is an empty instance.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as fh:
+            return _read_table(fh, columns, field)
+    parts, headers, lines = [], {}, 0
+    for block in _blocks(source):
+        values, columns, found, lines = _parse_block(block, columns, field,
+                                                     lines)
+        headers.update(found)
+        if values.size:
+            parts.append(values)
+    if not parts:
         raise ValueError("empty instance")
+    values = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return values.reshape(-1, columns), headers
 
 

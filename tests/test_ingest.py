@@ -1,9 +1,13 @@
 """Edge-list ingest against a per-line reference parser.
 
-The loaders parse the whole input with array operations.  The reference
-below reads the same format one line at a time and is the specification the
-properties hold the loaders to: rows, headers and the line an error names
-must agree on every input.
+The loaders parse their input one block of whole lines at a time, each
+block with array operations.  The reference below reads the same format one
+line at a time and is the specification the properties hold the loaders
+to: rows, headers and the line an error names must agree on every input.
+The properties also run with windows of 1 to 64 bytes, so that every block
+cut is crossed, and ``parse_reference`` (the whole-file parse that the block
+parse replaced) must give the same rows, headers and error messages on
+multi-block files.
 """
 
 import hashlib
@@ -30,6 +34,8 @@ from coversketch.instance import FractionalInstance, WeightedInstance, \
     serialize_weighted_edge_list
 from coversketch.sketch import HashSource, build_sketch, practical_params, \
     serialize_sketch, theory_params
+
+import parse_reference
 
 _LINE_END = re.compile(rb"\r\n|\r|\n")
 _TOKEN = re.compile(rb"[0-9]{1,18}")
@@ -234,6 +240,189 @@ class TestIngestContract:
         rows, headers = _read_table(raw, 2)
         assert time.perf_counter() - start < 1.0
         assert rows.tolist() == [[0, 1]] and headers == {"U": 3}
+
+
+# Window sizes that put block cuts inside CRLFs, `#U` headers, comments and
+# tokens.
+_SMALL_BLOCKS = [1, 2, 3, 7, 64]
+
+
+@pytest.fixture(scope="class", params=_SMALL_BLOCKS)
+def small_block(request):
+    with mock.patch.object(instance_mod, "_PARSE_BLOCK", request.param):
+        yield request.param
+
+
+def _sources(raw, tmp_dir):
+    """``raw`` as every source kind the loaders accept."""
+    path = os.path.join(tmp_dir, "inst.txt")
+    with open(path, "wb") as fh:
+        fh.write(raw)
+    return [raw, path, io.BytesIO(raw), io.StringIO(raw.decode("utf-8"))]
+
+
+def _message(parse, source, columns):
+    """The ParseError text, else (rows, headers)."""
+    try:
+        rows, headers = parse(source, columns)
+    except ValueError as exc:
+        return str(exc)
+    return rows.tolist(), headers
+
+
+@pytest.mark.usefixtures("small_block")
+class TestAgainstReferenceSmallBlocks(TestAgainstReference):
+    """The reference properties with windows of 1 to 64 bytes."""
+
+
+@pytest.mark.usefixtures("small_block")
+class TestIngestContractSmallBlocks(TestIngestContract):
+    """The ingest contract with windows of 1 to 64 bytes."""
+
+    def test_many_comment_lines(self):
+        # Each window of a few comment lines is a block of its own, so the
+        # base test's clock holds at the real block size only.
+        raw = b"# note\n" * 1_000 + b"#U 3\n0 1\n"
+        rows, headers = _read_table(raw, 2)
+        assert rows.tolist() == [[0, 1]] and headers == {"U": 3}
+
+
+@pytest.mark.usefixtures("small_block")
+class TestBlockCuts:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_blocks_are_whole_lines(self, data):
+        lines, ends, _ = data.draw(edge_file(2))
+        raw = _join(lines, ends)
+        want = _message(parse_reference.read_table, raw, 2)
+        for source in (raw, io.BytesIO(raw), io.StringIO(raw.decode())):
+            blocks = [bytes(b) for b in instance_mod._blocks(source)]
+            assert b"".join(blocks) == raw and all(blocks)
+            for block, after in zip(blocks, blocks[1:]):
+                assert block[-1:] in (b"\n", b"\r")
+                assert not (block.endswith(b"\r")
+                            and after.startswith(b"\n"))
+        with tempfile.TemporaryDirectory() as tmp:
+            for source in _sources(raw, tmp):
+                assert _message(_read_table, source, 2) == want
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_error_in_later_block(self, end):
+        lines = [f"{i} {i % 7}" for i in range(60)]
+        lines[40] = "4 -2"
+        lines[50] = "#U x"
+        raw = (end.join(lines) + end).encode()
+        with tempfile.TemporaryDirectory() as tmp:
+            for source in _sources(raw, tmp):
+                with pytest.raises(ParseError, match="^line 41: negative id"):
+                    _read_table(source, 2)
+
+    def test_width_and_header_from_later_block(self):
+        raw = b"# first\n\n#U 5\n \n1 2 3\n4 5 6\n#U 9\n"
+        rows, headers = _read_table(raw, None)
+        assert rows.tolist() == [[1, 2, 3], [4, 5, 6]]
+        assert headers == {"U": 9}
+        with pytest.raises(ValueError, match="^empty instance$"):
+            _read_table(b"# only\r\n\r\n#U 3\r\n", None)
+
+
+def test_cr_closes_window_lf_in_next(tmp_path):
+    # Every window size up to the whole input; the first window of 4 or 9
+    # bytes ends in the CR of a CRLF.
+    raw = b"0 1\r\n0 x\r\n"
+    for block in range(1, len(raw) + 1):
+        with mock.patch.object(instance_mod, "_PARSE_BLOCK", block):
+            for source in _sources(raw, str(tmp_path)):
+                with pytest.raises(ParseError,
+                                   match="^line 2: non-integer token"):
+                    _read_table(source, 2)
+
+
+class TestWholeFileReference:
+    """The block parse at the real block size against the whole-file parse
+    on a 2.2 MB planted file, its messy copies and late-block mutations."""
+
+    @pytest.fixture(scope="class")
+    def text(self):
+        inst, _ = generate_planted(10, 20000, 100, 0.2, 1)
+        text = serialize_edge_list(inst, header_lines=["planted"])
+        assert len(text) > 8 * instance_mod._PARSE_BLOCK
+        return text
+
+    @staticmethod
+    def _copies(text):
+        head, *rows = text.splitlines()
+        noted = [f"{r}\n\t# note {i}" if i % 997 == 0 else r
+                 for i, r in enumerate(rows)]
+        noted.insert(len(rows) * 3 // 4, "#U 7")
+        return {"lf": text,
+                "reversed-crlf": "\r\n".join([head, *rows[::-1]]) + "\r\n",
+                "cr": text.replace("\n", "\r"),
+                "comments-crlf": "\r\n".join([head, *noted]),
+                "comments-cr": "\r".join([head, *noted]) + "\r"}
+
+    def test_rows_and_headers_agree(self, text, tmp_path):
+        for name, copy in self._copies(text).items():
+            raw = copy.encode()
+            want = parse_reference.read_table(raw, 2)
+            for source in _sources(raw, str(tmp_path)):
+                rows, headers = _read_table(source, 2)
+                assert np.array_equal(rows, want[0]), name
+                assert headers == want[1], name
+
+    def test_late_mutations_agree(self, text):
+        lines = self._copies(text)["comments-crlf"].split("\r\n")
+        rng = np.random.default_rng(0)
+        late = rng.integers(len(lines) * 9 // 10, len(lines), 2 * 17)
+        edits = [lambda t, tok=tok: [t[0], tok] for tok in _BAD_TOKENS]
+        edits += [lambda t: t[:1], lambda t: t + ["7"]]
+        for edit, i, j in zip(edits, late[0::2], late[1::2]):
+            mutated = list(lines)
+            for at in sorted((i, j)):  # the first bad line must win
+                if not mutated[at].lstrip().startswith("#"):
+                    mutated[at] = " ".join(edit(mutated[at].split()))
+            raw = "\r\n".join(mutated).encode()
+            want = _message(parse_reference.read_table, raw, 2)
+            assert isinstance(want, str) and want.startswith("line ")
+            assert _message(_read_table, raw, 2) == want
+
+
+class TestLongLines:
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_data_line_past_four_blocks(self, tmp_path, end):
+        pad = " \t" * (2 * instance_mod._PARSE_BLOCK + 3)
+        raw = f"0 1{end}2{pad}3{end}4 5{end}".encode()
+        for source in _sources(raw, str(tmp_path)):
+            rows, _ = _read_table(source, 2)
+            assert rows.tolist() == [[0, 1], [2, 3], [4, 5]]
+
+    def test_selected_line_longer_than_a_block(self):
+        m = 60_000
+        inst = CoverageInstance.from_edges(3, m, np.arange(m) % 3,
+                                           np.arange(m))
+        sk = build_sketch(inst, practical_params(1.0, 10), HashSource(1))
+        text = serialize_sketch(sk)
+        selected = text.splitlines()[2]
+        assert selected.startswith("#selected ")
+        assert len(selected) > instance_mod._PARSE_BLOCK
+        assert loads_edge_list(text) == sk.instance
+
+
+def test_parse_memory_is_rows_plus_a_block(tmp_path):
+    """A parse holds the rows twice while it joins the blocks' rows, plus
+    one block and its masks."""
+    inst, _ = generate_planted(100, 20000, 2000, 0.2, 3)
+    path = tmp_path / "planted.txt"
+    serialize_edge_list(inst, str(path))
+    assert path.stat().st_size >= 4_000_000
+    tracemalloc.start()
+    try:
+        rows, _ = _read_table(path, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (inst.edge_count, 2)
+    assert peak < 2 * rows.nbytes + 4 * 2**20
 
 
 class TestIdBound:
