@@ -235,7 +235,7 @@ def parse_experiment_spec(path) -> ExperimentSpec:
     `seeds` list, optional `solver`, `baseline`, `solver_eps`, and `out`.
     """
     kv = {}
-    text = inst_mod._read_bytes(path).decode("utf-8")
+    text = Path(path).read_bytes().decode("utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

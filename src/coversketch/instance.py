@@ -10,6 +10,7 @@ build it, and the two builds are equal arrays.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
@@ -421,65 +422,38 @@ _ID_SLACK = 2**20
 _IDS_PER_ROW = 16
 
 
-def _read_bytes(source) -> bytes:
-    """Raw content of a path, bytes, or binary or text file object."""
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            return fh.read()
-    if isinstance(source, bytes):
-        return source
-    if hasattr(source, "read"):
-        data = source.read()
-        return data.encode("utf-8") if isinstance(data, str) else data
-    raise TypeError("source must be a path, bytes, or file object")
-
-
 def _blocks(source):
     """Yield the input as consecutive blocks of whole lines.
 
-    A block ends after the last line end in a window of ``_PARSE_BLOCK``
-    bytes.  A window without a line end is followed by one twice its size:
-    a long line extends its block, and the input is still scanned in linear
-    time.  A bytes source is sliced without a copy, and a window of it that
-    would end between the CR and the LF of a CRLF takes the LF too.  A file
-    object is read one window at a time, and a CR in the last byte of a
-    read window does not end a block, since its LF may be read next.  So no
-    cut splits a CRLF.  The last block ends at the end of the input, with or
+    The input is read ``_PARSE_BLOCK`` bytes at a time, and a block ends
+    after the last line end of its window.  A CR in the last byte of a
+    window does not end a block, since its LF may be read next, so no cut
+    splits a CRLF.  A window without a line end is followed by one twice
+    its size: a long line extends its block, and the input is still scanned
+    in linear time.  The last block ends at the end of the input, with or
     without a line end.
     """
     if isinstance(source, bytes):
-        view, start, lo, size = memoryview(source), 0, 0, _PARSE_BLOCK
-        while start < len(source):
-            hi = lo + size
-            hi += source[hi - 1:hi + 1] == b"\r\n"
-            end = len(source) if hi >= len(source) else 1 + max(
-                source.rfind(b"\n", lo, hi), source.rfind(b"\r", lo, hi))
-            if end:
-                yield view[start:end]
-                start = lo = end
-                size = _PARSE_BLOCK
-            else:
-                lo, size = hi, 2 * size
-    elif hasattr(source, "read"):
-        held, size = [], _PARSE_BLOCK  # the open block's earlier windows
-        while window := source.read(size):
-            if isinstance(window, str):
-                window = window.encode("utf-8")
-            # A CR in the last byte may be the first half of a CRLF.
-            end = 1 + max(window.rfind(b"\n"),
-                          window.rfind(b"\r", 0, len(window) - 1))
-            if not end:
-                held.append(window)
-                size *= 2
-                continue
-            view = memoryview(window)
-            held.append(view[:end])
-            yield held[0] if len(held) == 1 else b"".join(held)
-            held, size = [view[end:]], _PARSE_BLOCK
-        if any(held):
-            yield b"".join(held)
-    else:
+        source = io.BytesIO(source)
+    if not hasattr(source, "read"):
         raise TypeError("source must be a path, bytes, or file object")
+    held, size = [], _PARSE_BLOCK  # the open block's earlier windows
+    while window := source.read(size):
+        if isinstance(window, str):
+            window = window.encode("utf-8")
+        # A CR in the last byte may be the first half of a CRLF.
+        end = 1 + max(window.rfind(b"\n"),
+                      window.rfind(b"\r", 0, len(window) - 1))
+        if not end:
+            held.append(window)
+            size *= 2
+            continue
+        view = memoryview(window)
+        held.append(view[:end])
+        yield held[0] if len(held) == 1 else b"".join(held)
+        held, size = [view[end:]], _PARSE_BLOCK
+    if any(held):
+        yield b"".join(held)
 
 
 def _line_ends(buf: np.ndarray, bounds: np.ndarray, pos: int) -> int:
