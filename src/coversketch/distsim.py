@@ -175,7 +175,7 @@ def _run_sketch_rounds(instance, placement, families):
         # Round 2, coordinator reduce: every report, in id order, when the
         # cut keeps them all; else the smallest-hash prefix of the reports,
         # where ties break by smaller id because ``rep`` ascends.
-        capped = np.minimum(instance.elem_degrees[rep], params.degree_cap)
+        capped = np.minimum(instance.elem_degrees[rep], params.cap)
         if _keeps_every_element(capped, params):
             sel, counts = rep, capped
         else:

@@ -53,6 +53,7 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _U = np.uint64
 _INV53 = float(2.0 ** -53)
+_INT64_MAX = 2**63 - 1
 
 # Stream tags keep independent hash families from colliding.
 _TAG_ELEMENT = 0x01
@@ -171,7 +172,10 @@ class SketchParams:
 
     @property
     def cap(self) -> int:
-        return self.degree_cap if self.mode == "theory" else self.sigma
+        """The degree cap, clamped to the int64 range so that numpy can take
+        the minimum of it and int64 degrees; no degree reaches the clamp."""
+        cap = self.degree_cap if self.mode == "theory" else self.sigma
+        return min(cap, _INT64_MAX)
 
 
 def theory_params(n: int, m: int, edge_count: int, k: int, eps: float,
@@ -188,6 +192,10 @@ def theory_params(n: int, m: int, edge_count: int, k: int, eps: float,
         raise ValueError("need 1 <= k <= n")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1) in theory mode")
+    if 1.0 - eps == 1.0:
+        # ln(1 / (1 - eps)) would be 0; any larger eps keeps every term finite.
+        raise ValueError(f"eps={eps!r} is too small for theory mode: "
+                         "1 - eps rounds to 1")
     if not 0.0 < delta_dprime <= 1.0:
         raise ValueError("delta_dprime must lie in (0, 1]")
     if m < 2:

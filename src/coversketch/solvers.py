@@ -292,7 +292,10 @@ def guess_ladder(n: int, eps: float) -> list[int]:
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    steps = math.ceil(math.log(max(n, 1)) / math.log1p(eps / 3.0))
+    try:
+        steps = math.ceil(math.log(max(n, 1)) / math.log1p(eps / 3.0))
+    except (ZeroDivisionError, OverflowError):  # eps / 3 is 0 or tiny
+        steps = math.inf
     if steps > _MAX_LADDER_STEPS:
         raise ValueError(
             f"guess ladder for n={n}, eps={eps} needs {steps} steps, over "

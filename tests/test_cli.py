@@ -492,6 +492,57 @@ class TestSimulateCommand:
         assert "Traceback" not in err
 
 
+class TestExtremeArguments:
+    """Arguments past what floats or int64 hold end in an error line and
+    exit 1, or succeed; never in a traceback."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["sketch", "--theory", "--k", "1", "--eps", "1e-300"],
+         "eps=1e-300 is too small for theory mode"),
+        (["simulate", "--problem", "kcover", "--k", "1", "--machines", "2",
+          "--eps", "1e-300"], "eps=1e-300 is too small for theory mode"),
+        (["simulate", "--problem", "setcover-outliers", "--machines", "2",
+          "--eps", "5e-324"], "eps=5e-324 needs inf steps"),
+        (["solve", "--problem", "setcover-outliers", "--engine", "sketch",
+          "--eps", "5e-324"], "eps=5e-324 needs inf steps")])
+    def test_vanishing_eps_exits_one(self, tmp_path, capsys, argv, message):
+        inp = tmp_path / "inst.txt"
+        inp.write_text("0 0\n1 1\n2 2\n")
+        if argv[0] == "sketch":
+            argv = argv + ["--out", str(tmp_path / "sk.txt")]
+        code, _, err = run(argv + ["--in", str(inp)], capsys)
+        assert code == 1 and err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    def test_sigma_past_int64_sketches(self, tmp_path, capsys):
+        inp = tmp_path / "inst.txt"
+        inst, _ = generate_planted(4, 40, 6, 0.2, 1)
+        serialize_edge_list(inst, str(inp))
+        outs = []
+        for sigma in ("1000000000000000000000", str(inst.n)):
+            out = tmp_path / f"sk{len(outs)}.txt"
+            code, stdout, err = run(["sketch", "--in", str(inp), "--out",
+                                     str(out), "--rho", "0.5", "--sigma",
+                                     sigma, "--seed", "2"], capsys)
+            assert (code, err) == (0, "")
+            outs.append((stdout, out.read_text().split("\n", 1)[1]))
+        assert outs[0] == outs[1]
+
+    def test_adversarial_over_budget_exits_one(self, tmp_path, capsys):
+        tracemalloc.start()
+        try:
+            code, _, err = run(["generate", "adversarial", "--n",
+                                "1000000000", "--k", "2", "--beta", "1",
+                                "--out", str(tmp_path / "adv.txt")], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and "Traceback" not in err
+        assert err.startswith("error: expansion needs 1000000001000000000 "
+                              "edges, over the budget of 10000000")
+        assert peak < 2**20
+
+
 class TestClampWarning:
     """One stderr line when theory mode clamps n_tilde to the edge count;
     stdout and the files written are what they are without it."""

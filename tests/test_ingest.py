@@ -408,6 +408,99 @@ class TestLongLines:
         assert loads_edge_list(text) == sk.instance
 
 
+# Text that replaces up to three bytes of a canonical file: each leaves the
+# writers' form, or keeps it, and so picks the path of its block.
+_MUTATIONS = _BAD_TOKENS + ["", "\t", "  ", " \n", "\r", "\r\n", "\n",
+                            "# note\n", "#U 5\n", "#U x\n", "0" * 18]
+
+
+@st.composite
+def canonical_file(draw):
+    """Text as the writers lay rows out, and its column count."""
+    columns = draw(st.sampled_from([2, 3]))
+    rows = draw(st.integers(1, 30))
+    value = st.one_of(st.integers(0, 40), st.integers(0, _MAX_VALUE))
+    cols = [np.array(draw(st.lists(value, min_size=rows, max_size=rows)),
+                     dtype=np.int64) for _ in range(columns)]
+    return instance_mod._format_rows(cols).decode(), columns
+
+
+class TestCanonicalFastPath:
+    """Blocks in the writers' form skip the general checks; every other
+    block, and so every error message, goes through them."""
+
+    @pytest.mark.parametrize("block", [3, 8, 64])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_one_mutation_agrees_with_reference(self, block, data):
+        text, columns = data.draw(canonical_file())
+        if data.draw(st.booleans()):
+            # Separators get drawn often: most bad edits sit next to one.
+            seps = [i for i, c in enumerate(text) if c in " \n"]
+            pos = data.draw(st.one_of(st.integers(0, len(text)),
+                                      st.sampled_from(seps)))
+            cut = data.draw(st.integers(0, 3))
+            text = (text[:pos] + data.draw(st.sampled_from(_MUTATIONS))
+                    + text[pos + cut:])
+        raw = text.encode()
+        width = data.draw(st.sampled_from([columns, None]))
+        # Blocks of a few bytes, and segments of a few values, so that the
+        # parts of the rows are joined more than once.
+        with mock.patch.object(instance_mod, "_PARSE_BLOCK", block), \
+                mock.patch.object(instance_mod, "_JOIN_SEGMENT", 5):
+            got = _message(_read_table, raw, width)
+        assert got == _message(parse_reference.read_table, raw, width)
+
+    def test_every_edit_agrees_with_reference(self):
+        # Each mutation replacing 0 to 3 bytes at each position of a small
+        # file, and each prefix of it.
+        text = instance_mod._format_rows(
+            [np.array([0, 7, 12]), np.array([31, 4, 2147483647])]).decode()
+        edits = [text[:end] for end in range(len(text))]
+        edits += [text[:pos] + new + text[pos + cut:]
+                  for pos in range(len(text) + 1) for cut in range(4)
+                  for new in _MUTATIONS]
+        with mock.patch.object(instance_mod, "_PARSE_BLOCK", 8):
+            for raw in map(str.encode, edits):
+                for width in (2, None):
+                    assert _message(_read_table, raw, width) == \
+                        _message(parse_reference.read_table, raw, width)
+
+    @pytest.fixture(scope="class")
+    def text(self):
+        inst, _ = generate_planted(10, 20000, 100, 0.2, 1)
+        text = serialize_edge_list(inst, header_lines=["planted", "seed=1"])
+        assert len(text) > 8 * instance_mod._PARSE_BLOCK
+        return text
+
+    def test_writer_blocks_skip_general_checks(self, text):
+        want = parse_reference.read_table(text.encode(), 2)
+        with mock.patch.object(instance_mod, "_strip_comments",
+                               wraps=instance_mod._strip_comments) as strip:
+            rows, headers = _read_table(text.encode(), 2)
+        assert strip.call_count == 1  # the block that holds the header
+        assert rows.dtype == np.int32
+        assert np.array_equal(rows, want[0]) and headers == want[1] == {}
+
+    @pytest.mark.parametrize("token", [str(_MAX_VALUE + 1), "9" * 19,
+                                       "-1", "x"])
+    def test_late_bad_value_named(self, text, token):
+        lines = text.split("\n")
+        at = len(lines) * 9 // 10
+        lines[at] = f"0 {token}"
+        raw = "\n".join(lines).encode()
+        want = _message(parse_reference.read_table, raw, 2)
+        assert want.startswith(f"line {at + 1}: ")
+        assert _message(_read_table, raw, 2) == want
+
+    def test_keys_past_int32(self):
+        # The key 1048575 * 1048576 wraps in int32.
+        raw = b"1048575 0\n0 1048575\n"
+        want = CoverageInstance.from_edges(2**20, 2**20, [2**20 - 1, 0],
+                                           [0, 2**20 - 1])
+        assert load_edge_list(raw) == want
+
+
 def test_parse_memory_is_rows_plus_a_block(tmp_path):
     """A parse holds the rows twice while it joins the blocks' rows, plus
     one block and its masks."""

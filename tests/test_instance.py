@@ -456,6 +456,13 @@ class TestGenerateAdversarial:
         with pytest.raises(ValueError):
             generate_adversarial(10, 2, 1.3)  # beta*n/k not integral
 
+    @pytest.mark.parametrize("n,edges", [(10**9, 10**18 + 10**9),
+                                         (30_000, 900_030_000)])
+    def test_edge_count_over_budget_rejected(self, n, edges):
+        with pytest.raises(ValueError, match=f"expansion needs {edges} "
+                                             "edges, over the budget"):
+            generate_adversarial(n, 2, 1.0)
+
     def test_near_integral_beta_rejected(self):
         # 1.0000000001 * 4 / 2 lies within 1e-9 of 2 but is not an integer.
         with pytest.raises(ValueError, match="positive integer"):

@@ -16,6 +16,7 @@ from coversketch import (
     coverage,
     element_hash,
     element_hash_array,
+    generate_planted,
     greedy_kcover,
     load_edge_list,
     loads_edge_list,
@@ -124,6 +125,22 @@ class TestTheoryParams:
         with pytest.raises(ValueError):
             theory_params(n=5, m=10, edge_count=20, k=6, eps=0.5)
 
+    @pytest.mark.parametrize("eps", [5e-17, 1e-300, 5e-324])
+    def test_eps_that_vanishes_from_one_rejected(self, eps):
+        # 1 - eps rounds to 1, so ln(1 / (1 - eps)) would divide by zero.
+        with pytest.raises(ValueError, match="1 - eps rounds to 1"):
+            theory_params(n=10, m=10, edge_count=20, k=2, eps=eps)
+
+    def test_smallest_eps_above_one_ulp(self):
+        # The degree cap passes 2**63; sketches clamp it for numpy.
+        inst, _ = generate_planted(4, 40, 46, 0.2, 1)
+        p = theory_params(inst.n, inst.m, inst.edge_count, k=1, eps=1.2e-16)
+        assert p.degree_cap > 2**63
+        sk = build_sketch(inst, p, HashSource(0))
+        assert sk.instance == build_sketch(
+            inst, dataclasses.replace(p, degree_cap=inst.n),
+            HashSource(0)).instance
+
 
 class TestBuildSketch:
     def test_practical_identity(self):
@@ -132,6 +149,13 @@ class TestBuildSketch:
         assert sk.instance.edge_count == inst.edge_count
         assert np.array_equal(sk.selected_elements, np.arange(inst.m))
         assert sk.instance == inst
+
+    def test_sigma_past_int64_is_uncapped(self):
+        inst = random_instance(0)
+        huge = build_sketch(inst, practical_params(0.5, 10**21), HashSource(3))
+        want = build_sketch(inst, practical_params(0.5, inst.n), HashSource(3))
+        assert huge.instance == want.instance
+        assert huge.params.sigma == 10**21
 
     def test_practical_sigma_one(self):
         inst = random_instance(1)

@@ -210,6 +210,12 @@ class TestGuessLadder:
                                              f"{steps} steps"):
             guess_ladder(10**6, 1e-6)
 
+    @pytest.mark.parametrize("eps", [1e-308, 5e-324])
+    def test_vanishing_eps_raises_value_error(self, eps):
+        # ln(n) / log1p(eps / 3) overflows, or eps / 3 rounds to 0.
+        with pytest.raises(ValueError, match=f"eps={eps} needs inf steps"):
+            guess_ladder(2100, eps)
+
     @pytest.mark.parametrize("eps", [0.0, -0.5, 1.0])
     def test_eps_outside_unit_interval_rejected(self, eps):
         with pytest.raises(ValueError, match="eps must lie in"):
