@@ -129,15 +129,13 @@ def _warn_if_clamped(args, n: int, m: int, edge_count: int):
 
 
 def _cmd_sketch(args) -> int:
-    # The sketch of the parsed edges, without the instance they form: only
-    # the kept elements' edges get a CSR.
-    n, m, key = inst_mod._edge_list_keys(args.input)
-    counts = (n, m, len(key))
+    inst = inst_mod.load_edge_list(args.input)
+    counts = (inst.n, inst.m, inst.edge_count)
     params = _sketch_params_from_args(args, *counts)
-    sk = sketch_mod._sketch_keys(n, m, key, params,
+    sk = sketch_mod.build_sketch(inst, params,
                                  sketch_mod.HashSource(args.seed))
     sketch_mod.serialize_sketch(sk, args.out)
-    print(f"ratio={sk.instance.edge_count / len(key):.4f}")
+    print(f"ratio={sk.instance.edge_count / inst.edge_count:.4f}")
     if args.theory:
         _warn_if_clamped(args, *counts)
     return 0

@@ -10,12 +10,13 @@ rounds, which every hash family (one per set-cover guess) shares:
    records shuffle to the coordinator.  Hashes lie below 1, so from
    ``2 n_tilde / m >= 1`` on every element reports and the simulation
    computes a hash only when a later step needs it,
-2. coordinator reduce: over the reported records only, keep the
-   smallest-hash prefix whose capped degree mass reaches ``n_tilde`` (the
-   cut :func:`~coversketch.sketch.build_sketch` makes) and send each kept id
-   to its owner.  When the reports' capped mass stays below ``n_tilde``, or
-   meets it with no zero-degree report, the cut keeps every report and
-   nothing is sorted: the kept ids stay in id order,
+2. coordinator reduce: over the reported records only, make the cut of
+   :func:`~coversketch.sketch.build_sketch` (``sketch._selection``, which
+   hashes the reported ids again): keep the smallest-hash prefix whose capped
+   degree mass reaches ``n_tilde`` and send each kept id to its owner.  When
+   the reports' capped mass stays below ``n_tilde``, or meets it with no
+   zero-degree report, the cut keeps every report and nothing is hashed or
+   sorted: the kept ids stay in id order,
 3. map: each owner emits the capped run of ascending set ids of each of its
    kept elements; the shuffle delivers the runs to the coordinator,
 4. coordinator reduce: put runs left in id order into selection order (by
@@ -53,8 +54,7 @@ import numpy as np
 from .instance import CoverageInstance, _format_rows
 from .sketch import (
     HashSource,
-    _keeps_every_element,
-    _select_elements,
+    _selection,
     _sketch_runs,
     element_hash_array,
     theory_params,
@@ -165,25 +165,16 @@ def _run_sketch_rounds(instance, placement, families):
         # 2 n_tilde / m.  Every hash is below 1, so from 1 on all report and
         # nothing needs hashing yet.
         bound = 2.0 * params.n_tilde / m
-        rep, h = ids, None
+        rep = ids
         if bound < 1.0:
-            h = element_hash_array(source, ids)
-            rep = np.flatnonzero(h <= bound)
-            h = h[rep]
+            rep = np.flatnonzero(element_hash_array(source, ids) <= bound)
         reports[rep] += 1
 
-        # Round 2, coordinator reduce: every report, in id order, when the
-        # cut keeps them all; else the smallest-hash prefix of the reports,
-        # where ties break by smaller id because ``rep`` ascends.
-        capped = np.minimum(instance.elem_degrees[rep], params.cap)
-        if _keeps_every_element(capped, params):
-            sel, counts = rep, capped
-        else:
-            if h is None:
-                h = element_hash_array(source, rep)
-            keep = _select_elements(h, capped, params)
-            sel, counts = rep[keep], capped[keep]
-        if len(rep) < m and not (len(rep) and capped.sum() >= params.n_tilde):
+        # Round 2, coordinator reduce: the cut of ``build_sketch`` over the
+        # reports, which ascend, so ties break by smaller id.
+        sel, counts = _selection(instance.elem_degrees[rep], params, source,
+                                 rep)
+        if len(rep) < m and not (len(rep) and counts.sum() >= params.n_tilde):
             # The reference construction would keep drawing elements whose
             # hash exceeded the reporting threshold.
             divergence = True

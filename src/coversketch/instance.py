@@ -751,25 +751,18 @@ def load_edge_list(source) -> CoverageInstance:
 
     ``n`` and ``m`` are one past the largest ids seen; ids are positional and
     never compacted, so an id far beyond the row count is rejected (see
-    ``_ID_SLACK``).  Duplicate edges are deduplicated.
+    ``_ID_SLACK``).  Duplicate edges are deduplicated.  The parser rejects
+    negative ids and ``n`` and ``m`` come from the largest ones, so no id
+    needs a range check.  The element view is left to the first read.
     """
-    return CoverageInstance._from_keys(*_edge_list_keys(source))
-
-
-def _edge_list_keys(source) -> tuple[int, int, np.ndarray]:
-    """``(n, m, key)`` of an unweighted edge list: its id counts and its
-    sorted unique ``set * m + element`` keys, without the CSR views that
-    :func:`load_edge_list` builds from them.  The parsed int32 rows are
-    freed before the keys are sorted.  The parser rejects negative ids and
-    ``n`` and ``m`` come from the largest ones, so no id needs a range
-    check."""
     rows, _ = _read_table(source, 2)
     n, m = _id_counts(rows)
     _check_key_range(n, m)
     # int64 before the product, which passes 2**31 once n * m does.
     key = rows[:, 0].astype(np.int64) * m + rows[:, 1]
-    del rows
-    return n, m, _canonical_keys(key)
+    del rows  # freed before the keys are sorted
+    key = _canonical_keys(key)
+    return CoverageInstance._from_keys(n, m, key)
 
 
 def loads_edge_list(text: str) -> CoverageInstance:

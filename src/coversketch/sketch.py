@@ -21,6 +21,7 @@ from .instance import (
     FractionalInstance,
     ProbabilisticInstance,
     WeightedInstance,
+    _SetView,
     _check_budget,
     _check_key_range,
     _format_rows,
@@ -333,21 +334,35 @@ def _sketch_runs(instance: CoverageInstance, selected: np.ndarray,
 
 
 def _selection(degrees: np.ndarray, params: SketchParams,
-               source: HashSource) -> tuple[np.ndarray, np.ndarray]:
-    """The elements :func:`build_sketch` keeps of an instance whose element
-    degrees are ``degrees``, and their capped degrees: the runs
-    :func:`_sketch_runs` assembles.
+               source: HashSource, ids: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The candidates ``ids`` (ascending; every element by default) that the
+    cut of :func:`build_sketch` keeps given their ``degrees``, and their
+    capped degrees: the runs :func:`_sketch_runs` assembles.
 
-    A theory cut that keeps every element hashes and sorts nothing and
-    returns the elements in id order; other cuts return selection order.
+    A theory cut that keeps every candidate hashes and sorts nothing and
+    returns them in id order; other cuts return selection order, ties
+    broken by smaller id.
     """
-    ids = np.arange(len(degrees), dtype=np.int64)
+    if ids is None:
+        ids = np.arange(len(degrees), dtype=np.int64)
     capped = np.minimum(degrees, params.cap)
     if params.mode == "theory" and _keeps_every_element(capped, params):
         return ids, capped
-    selected = _select_elements(element_hash_array(source, ids), capped,
-                                params)
-    return selected, capped[selected]
+    keep = _select_elements(element_hash_array(source, ids), capped, params)
+    return ids[keep], capped[keep]
+
+
+def _kept_set_view(instance: CoverageInstance,
+                   selected: np.ndarray) -> CoverageInstance:
+    """``instance`` with only the edges of the elements ``selected``, as a
+    set view whose element view is left to the first read."""
+    keep = np.zeros(instance.m, dtype=bool)
+    keep[selected] = True
+    pos = np.flatnonzero(keep[instance.set_elems])
+    return CoverageInstance(instance.n, instance.m,
+                            np.searchsorted(pos, instance.set_indptr),
+                            instance.set_elems[pos])
 
 
 def build_sketch(instance: CoverageInstance, params: SketchParams,
@@ -359,30 +374,15 @@ def build_sketch(instance: CoverageInstance, params: SketchParams,
     is exhausted.  Practical mode keeps each element independently iff its
     hash falls below ``rho``.  A kept element retains its first
     ``min(cap, degree)`` edges, i.e. the smallest set ids.
+
+    An instance whose element view is not built yet, such as a freshly
+    loaded one, keeps it unbuilt when the cut drops an element: the runs
+    are gathered from an element view of the kept elements' edges only.
     """
-    return _sketch_runs(instance,
-                        *_selection(instance.elem_degrees, params, source),
-                        source, params)
-
-
-def _sketch_keys(n: int, m: int, key: np.ndarray, params: SketchParams,
-                 source: HashSource) -> Sketch:
-    """:func:`build_sketch` of the instance with ``n`` sets, ``m`` elements
-    and the sorted unique ``set * m + element`` keys ``key``.
-
-    Only the kept elements' edges get a CSR; a cut that keeps every element
-    takes every key.
-    """
-    elems = key % m
-    selected, counts = _selection(np.bincount(elems, minlength=m), params,
-                                  source)
-    if len(selected) < m:
-        keep = np.zeros(m, dtype=bool)
-        keep[selected] = True
-        key = key[keep[elems]]
-    del elems
-    return _sketch_runs(CoverageInstance._from_keys(n, m, key), selected,
-                        counts, source, params)
+    selected, counts = _selection(instance.elem_degrees, params, source)
+    if isinstance(instance, _SetView) and len(selected) < instance.m:
+        instance = _kept_set_view(instance, selected)
+    return _sketch_runs(instance, selected, counts, source, params)
 
 
 def build_sketch_lazy(element_count: int, degree_oracle, edge_oracle,

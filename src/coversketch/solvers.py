@@ -298,8 +298,8 @@ def guess_ladder(n: int, eps: float) -> list[int]:
         steps = math.inf
     if steps > _MAX_LADDER_STEPS:
         raise ValueError(
-            f"guess ladder for n={n}, eps={eps} needs {steps} steps, over "
-            f"the limit of {_MAX_LADDER_STEPS}; increase eps")
+            f"guess ladder for n={n}, eps={eps} needs more than "
+            f"{_MAX_LADDER_STEPS} steps; increase eps")
     vals: list[int] = []
     i = 0
     while True:
@@ -355,19 +355,19 @@ def _walk_ladder(instance: CoverageInstance, guesses, lam: float,
     """:func:`select_outlier_solution` over per-guess sketches of
     ``instance`` given as runs, assembling only the sketches it must.
 
-    ``guesses`` yields (guess, selected, counts, source, params) in ascending
-    guess order: the elements the guess's sketch keeps, in selection order
-    or, when its cut keeps every element, in id order, with their capped
-    degrees.  Only an assembled guess is put into selection order.  A guess is clamped when ``counts`` carries
-    every edge of the instance, which needs a cap at least the largest
-    degree.  Its sketch is then ``instance`` up to element order and empty
-    elements, which greedy picks, gains and coverage do not depend on.
-    Clamped guesses with the same threshold share one threshold-stopped run
-    on ``instance``, and each guess's budgeted run is its first ``budget``
-    picks.  The threshold comes from ``len(selected)``: when the edge count
-    meets ``n_tilde`` exactly, the zero-degree elements hashing after the
-    cut are not in the sketch.  Other guesses are assembled when the walk
-    reaches them.
+    ``guesses`` yields (guess, selected, counts, source, params) in
+    ascending guess order: the elements the guess's sketch keeps, in
+    selection order or, when its cut keeps every element, in id order, with
+    their capped degrees.  Only an assembled guess is put into selection
+    order.  A guess is clamped when ``counts`` carries every edge of the
+    instance, which needs a cap at least the largest degree.  Its sketch is
+    then ``instance`` up to element order and empty elements, which greedy
+    picks, gains and coverage do not depend on.  Clamped guesses with the
+    same threshold share one threshold-stopped run on ``instance``, and each
+    guess's budgeted run is its first ``budget`` picks.  The threshold comes
+    from ``len(selected)``: when the edge count meets ``n_tilde`` exactly,
+    the zero-degree elements hashing after the cut are not in the sketch.
+    Other guesses are assembled when the walk reaches them.
     """
     runs: dict[int, tuple] = {}     # by threshold
     for guess, selected, counts, source, params in guesses:

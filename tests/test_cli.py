@@ -220,9 +220,14 @@ _CLAMP_WARNING = ("warning: theory-mode n_tilde {} is clamped to the input's "
 
 def composed_sketch(path, out, knobs):
     """(exit code, stdout, stderr) of ``sketch`` written as the composition
-    of ``load_edge_list`` and ``build_sketch``, which writes ``out``."""
+    of ``load_edge_list`` and ``build_sketch``, which writes ``out``.
+
+    The element view is read before ``build_sketch``, so that it gathers
+    every sketch from the full element view; the command sketches a freshly
+    loaded instance, which a cut that drops an element leaves unbuilt."""
     try:
         inst = load_edge_list(path)
+        inst.elem_indptr
         if "theory" in knobs:
             params = theory_params(inst.n, inst.m, inst.edge_count,
                                    knobs["k"], knobs["eps"],
@@ -314,8 +319,9 @@ _theory_knobs = st.fixed_dictionaries({
 
 
 class TestSketchMatchesComposition:
-    """``sketch`` builds a CSR of the kept elements' edges only; its file,
-    stdout and stderr are those of ``build_sketch(load_edge_list(path))``."""
+    """``sketch`` gathers from an element view of the kept elements' edges
+    when its cut drops one; its file, stdout and stderr are those of
+    ``build_sketch`` gathering from the full element view."""
 
     @settings(max_examples=150, deadline=None)
     @given(messy_edge_text(), _practical_knobs)
@@ -488,7 +494,8 @@ class TestSimulateCommand:
             ["simulate", "--in", str(inp), "--problem", "setcover-outliers",
              "--machines", "4", "--eps", "1e-6"], capsys)
         assert code == 1
-        assert "guess ladder for n=3, eps=1e-06 needs" in err
+        assert "guess ladder for n=3, eps=1e-06 needs more than 10000 " \
+            "steps" in err
         assert "Traceback" not in err
 
 
@@ -502,9 +509,11 @@ class TestExtremeArguments:
         (["simulate", "--problem", "kcover", "--k", "1", "--machines", "2",
           "--eps", "1e-300"], "eps=1e-300 is too small for theory mode"),
         (["simulate", "--problem", "setcover-outliers", "--machines", "2",
-          "--eps", "5e-324"], "eps=5e-324 needs inf steps"),
+          "--eps", "5e-324"], "eps=5e-324 needs more than 10000 steps"),
         (["solve", "--problem", "setcover-outliers", "--engine", "sketch",
-          "--eps", "5e-324"], "eps=5e-324 needs inf steps")])
+          "--eps", "5e-324"], "eps=5e-324 needs more than 10000 steps"),
+        (["solve", "--problem", "setcover-outliers", "--engine", "sketch",
+          "--eps", "1e-300"], "eps=1e-300 needs more than 10000 steps")])
     def test_vanishing_eps_exits_one(self, tmp_path, capsys, argv, message):
         inp = tmp_path / "inst.txt"
         inp.write_text("0 0\n1 1\n2 2\n")

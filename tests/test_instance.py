@@ -31,7 +31,6 @@ from coversketch.instance import (
     FractionalInstance,
     WeightedInstance,
     _decoy_size,
-    _edge_list_keys,
     _khop_from_edges,
     _transpose,
     load_fractional_edge_list,
@@ -40,8 +39,7 @@ from coversketch.instance import (
     serialize_fractional_edge_list,
     serialize_weighted_edge_list,
 )
-from coversketch.sketch import HashSource, _sketch_keys, build_sketch, \
-    practical_params
+from coversketch.sketch import HashSource, build_sketch, practical_params
 
 import planted_reference
 from conftest import decimals
@@ -132,8 +130,7 @@ class TestCoverageInstance:
 
 def _sketch_of_keys(text):
     """The instance the sketch command writes for ``text``."""
-    n, m, key = _edge_list_keys(text)
-    return _sketch_keys(n, m, key, practical_params(0.5, 2),
+    return build_sketch(load_edge_list(text), practical_params(0.5, 2),
                         HashSource(3)).instance
 
 
@@ -159,12 +156,12 @@ LAZY_CONSTRUCTORS = [
 
 @pytest.fixture
 def transposes(monkeypatch):
-    """The minor-id count of every ``_transpose`` call from here on, in
-    both modules that call it."""
+    """(minor-id count, entry count) of every ``_transpose`` call from here
+    on, in both modules that call it."""
     calls = []
     for mod in (instance_mod, sketch_mod):
         def counted(indptr, minor, minor_count, _transpose=mod._transpose):
-            calls.append(minor_count)
+            calls.append((minor_count, len(minor)))
             return _transpose(indptr, minor, minor_count)
         monkeypatch.setattr(mod, "_transpose", counted)
     return calls
@@ -238,6 +235,22 @@ class TestLazyElementView:
         serialize_edge_list(inst)
         inst.elem_degrees
         assert transposes == []
+
+    def test_sketch_leaves_a_loaded_set_view_unbuilt(self, transposes):
+        # A cut that drops an element gathers the runs from an element view
+        # of the kept elements' edges; the loaded instance stays a set view.
+        text = b"0 0\n0 1\n1 1\n2 1\n2 3\n0 4\n3 4\n1 5\n"
+        inst = load_edge_list(text)
+        del transposes[:]
+        sk = build_sketch(inst, practical_params(0.5, 2), HashSource(3))
+        assert type(inst) is instance_mod._SetView
+        kept = int(inst.elem_degrees[sk.selected_elements].sum())
+        assert 0 < kept < inst.edge_count
+        assert transposes == [(inst.m, kept), (inst.n, sk.instance.edge_count)]
+        full = load_edge_list(text)
+        full.elem_indptr
+        assert sk == build_sketch(full, practical_params(0.5, 2),
+                                  HashSource(3))
 
     def test_generate_commands_never_transpose(self, tmp_path, capsys,
                                                transposes):

@@ -205,15 +205,15 @@ class TestGuessLadder:
 
     def test_overlong_ladder_raises_before_looping(self):
         # The loop would take about 4e7 steps; the count is computed first.
-        steps = math.ceil(math.log(10**6) / math.log1p(1e-6 / 3))
-        with pytest.raises(ValueError, match=f"n=1000000, eps=1e-06 needs "
-                                             f"{steps} steps"):
+        with pytest.raises(ValueError, match="n=1000000, eps=1e-06 needs "
+                                             "more than 10000 steps"):
             guess_ladder(10**6, 1e-6)
 
     @pytest.mark.parametrize("eps", [1e-308, 5e-324])
     def test_vanishing_eps_raises_value_error(self, eps):
         # ln(n) / log1p(eps / 3) overflows, or eps / 3 rounds to 0.
-        with pytest.raises(ValueError, match=f"eps={eps} needs inf steps"):
+        with pytest.raises(ValueError,
+                           match=f"eps={eps} needs more than 10000 steps"):
             guess_ladder(2100, eps)
 
     @pytest.mark.parametrize("eps", [0.0, -0.5, 1.0])
