@@ -69,17 +69,20 @@ def _mix_scalar(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix_inplace(z: np.ndarray) -> np.ndarray:
+def _mix_inplace(z: np.ndarray, buffer: np.ndarray | None = None
+                 ) -> np.ndarray:
     """Mix the uint64 array ``z`` in place and return it.
 
     Every caller passes a temporary it owns; the array form of
-    :func:`_mix_scalar`.
+    :func:`_mix_scalar`.  The shifted words go through ``buffer`` (an
+    array like ``z``, made here when not given), so no step allocates.
     """
-    z ^= z >> _U(30)
+    t = np.empty_like(z) if buffer is None else buffer
+    z ^= np.right_shift(z, _U(30), out=t)
     z *= _U(_MIX1)
-    z ^= z >> _U(27)
+    z ^= np.right_shift(z, _U(27), out=t)
     z *= _U(_MIX2)
-    z ^= z >> _U(31)
+    z ^= np.right_shift(z, _U(31), out=t)
     return z
 
 
@@ -88,16 +91,34 @@ def _unit_array(z: np.ndarray) -> np.ndarray:
     return (z >> _U(11)).astype(np.float64) * _INV53
 
 
+def _unit_limit(q):
+    """Cut on hash bits: ``(z >> 11) < _unit_limit(q)`` exactly when
+    ``_unit_array(z) < q``, for every q (a float or an array) in [0, 1].
+
+    ``(z >> 11) * 2**-53`` is exact, so it lies below q iff the integer
+    ``z >> 11`` lies below ``q * 2**53`` (also exact), that is below its
+    ceiling.
+    """
+    return np.ceil(np.multiply(q, 2.0 ** 53)).astype(_U)
+
+
+def _bits_below(z: np.ndarray, limit) -> np.ndarray:
+    """``_unit_array(z) < q`` for ``limit = _unit_limit(q)``; shifts ``z``
+    in place."""
+    return np.right_shift(z, _U(11), out=z) < limit
+
+
 def _combine_scalar(state: int, key: int) -> int:
     return _mix_scalar(state ^ _mix_scalar((key + _GOLDEN) & _MASK64))
 
 
 def _combine_array(state: int, keys: np.ndarray) -> np.ndarray:
     z = keys.astype(_U)
+    t = np.empty_like(z)
     z += _U(_GOLDEN)
-    _mix_inplace(z)
+    _mix_inplace(z, t)
     z ^= _U(state)
-    return _mix_inplace(z)
+    return _mix_inplace(z, t)
 
 
 @dataclass(frozen=True)
@@ -116,10 +137,16 @@ def element_hash(source: HashSource, element_id: int) -> float:
     return (z >> 11) * _INV53
 
 
+def _element_bits(source: HashSource, ids: np.ndarray) -> np.ndarray:
+    """The uint64 hashes of element ids, whose top 53 bits
+    :func:`element_hash_array` returns as floats."""
+    return _combine_array(source._base(_TAG_ELEMENT),
+                          np.asarray(ids, dtype=np.int64))
+
+
 def element_hash_array(source: HashSource, ids: np.ndarray) -> np.ndarray:
     """Vectorized :func:`element_hash`; bit-identical to the scalar form."""
-    return _unit_array(_combine_array(source._base(_TAG_ELEMENT),
-                                      np.asarray(ids, dtype=np.int64)))
+    return _unit_array(_element_bits(source, ids))
 
 
 def _edge_coin_array(source: HashSource, flat_ids: np.ndarray,
@@ -127,8 +154,12 @@ def _edge_coin_array(source: HashSource, flat_ids: np.ndarray,
     """Uniform coins on [0, 1) keyed by (copy id, set id).
 
     :func:`sketch_probabilistic` draws the same coins for the edges of the
-    copies it keeps, hashing the copy half of the key once per copy and the
-    set half once per set; the tests compare it against this form.
+    copies it keeps, but never as floats.  It hashes the copy half of the
+    key once per kept copy and reads the set half from a per-edge table;
+    a coin is then a gather, an xor and one mix, and it compares the bits
+    with the edge's :func:`_unit_limit` of ``numerator / U`` from a second
+    table, which decides exactly as ``coin < numerator / U``.  The tests
+    compare it against this form.
     """
     base = source._base(_TAG_EDGE_COIN)
     z = _combine_array(base, np.asarray(flat_ids, dtype=np.int64))
@@ -438,17 +469,23 @@ def build_sketch_lazy(element_count: int, degree_oracle, edge_oracle,
 #
 # Each transform views the input as an implicit unweighted expansion: element
 # v becomes copies with flat ids offset(v) + j, and copies are hashed exactly
-# as the materialized expansion's elements would be.  Only the copies that the
-# sampling rule keeps are expanded: their edges are gathered from the base
-# adjacency, filtered per copy (by numerator or by seeded coin) and capped.
-# The expansion itself is never built.  Degenerate parameters (all weights
-# one, rho = 1 with no cap) therefore reproduce the plain constructions bit
-# for bit.
+# as the materialized expansion's elements would be.  The expansion itself is
+# never built.  Practical mode makes one pass per block of _HASH_BLOCK
+# candidate copies: it hashes the block's flat ids to uint64 bits, keeps the
+# copies whose bits fall below the integer form of rho (_unit_limit), and
+# expands those at once: their edges are gathered from the base adjacency,
+# filtered per copy (by numerator, or by a seeded coin drawn from per-edge
+# tables) and capped.  A block of 2**15 copies takes 256 KiB of hash words,
+# so at small rho every temporary of a block stays in a core's L2 cache.
+# Theory mode needs the global hash order, so it hashes every block first
+# and expands the walk in chunks (_expand_in_chunks).  Degenerate parameters
+# (all weights one, rho = 1 with no cap) reproduce the plain constructions
+# bit for bit.
 # ---------------------------------------------------------------------------
 
-_HASH_BLOCK = 1 << 18  # candidate copies hashed per block
-_FIRST_CHUNK = 1 << 12  # kept copies expanded in the first chunk
-_MAX_CHUNK = 1 << 16  # chunks double up to this many copies
+_HASH_BLOCK = 1 << 15  # candidate copies hashed and expanded per block
+_FIRST_CHUNK = 1 << 12  # kept copies expanded in the first theory chunk
+_MAX_CHUNK = 1 << 16  # theory chunks double up to this many copies
 
 
 def _copy_count(copies: np.ndarray) -> int:
@@ -457,21 +494,30 @@ def _copy_count(copies: np.ndarray) -> int:
     return int(copies.sum()) if approx < 2**62 else int(approx)
 
 
-def _copy_hashes(source: HashSource, shift: np.ndarray, starts: np.ndarray,
-                 ends: np.ndarray, total: int):
-    """Yield ``(lo, hashes)`` for the candidate copies, one block at a time.
+def _copy_bits(source: HashSource, shift: np.ndarray, starts: np.ndarray,
+               ends: np.ndarray, total: int):
+    """Yield ``(lo, bits)`` for the candidate copies, one block at a time.
 
     Candidate ``i`` of element v (``starts[v] <= i < ends[v]``) has flat id
-    ``i + shift[v]``.
+    ``i + shift[v]``; ``bits`` are the :func:`_element_bits` of the flat ids
+    of candidates ``lo, lo + 1, ...``.
     """
+    contiguous = not shift.any()
     for lo in range(0, total, _HASH_BLOCK):
         hi = min(lo + _HASH_BLOCK, total)
-        v0 = int(np.searchsorted(ends, lo, side="right"))
-        v1 = int(np.searchsorted(ends, hi - 1, side="right")) + 1
-        reps = np.minimum(ends[v0:v1], hi) - np.maximum(starts[v0:v1], lo)
         flat = np.arange(lo, hi, dtype=np.int64)
-        flat += np.repeat(shift[v0:v1], reps)
-        yield lo, element_hash_array(source, flat)
+        if not contiguous:
+            v0 = int(np.searchsorted(ends, lo, side="right"))
+            v1 = int(np.searchsorted(ends, hi - 1, side="right")) + 1
+            reps = np.minimum(ends[v0:v1], hi) - np.maximum(starts[v0:v1], lo)
+            flat += np.repeat(shift[v0:v1], reps)
+        yield lo, _element_bits(source, flat)
+
+
+def _concatenate_runs(parts):
+    """(flat ids, counts, positions) of the ``parts`` laid end to end."""
+    empty = np.empty(0, dtype=np.int64)
+    return tuple(map(np.concatenate, zip((empty, empty, empty), *parts)))
 
 
 def _sketch_copies(base: CoverageInstance, first: np.ndarray,
@@ -492,6 +538,8 @@ def _sketch_copies(base: CoverageInstance, first: np.ndarray,
     ends = np.cumsum(copies)
     starts = ends - copies
     cap = params.cap
+    # When no degree exceeds the cap, no filtered copy needs cutting.
+    over_cap = base.m > 0 and int(base.elem_degrees.max()) > cap
 
     def expand(idx):
         """(flat ids, capped counts, edge positions grouped by copy) of idx."""
@@ -508,47 +556,52 @@ def _sketch_copies(base: CoverageInstance, first: np.ndarray,
         hit = edge_filter(flat_ids, j, pos, copy)
         pos, copy = pos[hit], copy[hit]
         counts = np.bincount(copy, minlength=len(idx))
-        rank = np.arange(len(copy)) - np.repeat(np.cumsum(counts) - counts,
-                                                counts)
-        pos = pos[rank < cap]
-        np.minimum(counts, cap, out=counts)
+        if over_cap:
+            rank = np.arange(len(copy)) - np.repeat(np.cumsum(counts) - counts,
+                                                    counts)
+            pos = pos[rank < cap]
+            np.minimum(counts, cap, out=counts)
         has_edge = counts > 0
         return flat_ids[has_edge], counts[has_edge], pos
 
-    blocks = _copy_hashes(source, first - starts, starts, ends, total)
+    blocks = _copy_bits(source, first - starts, starts, ends, total)
     if params.mode == "practical":
-        walk = np.concatenate([np.empty(0, dtype=np.int64)] + [
-            lo + np.flatnonzero(h < params.rho) for lo, h in blocks])
-        n_tilde = None
+        limit = _unit_limit(params.rho)
+        selected, counts, pos = _concatenate_runs(
+            expand(lo + np.flatnonzero(_bits_below(z, limit)))
+            for lo, z in blocks)
     else:
         hashes = np.empty(total, dtype=np.float64)
-        for lo, h in blocks:
-            hashes[lo:lo + len(h)] = h
+        for lo, z in blocks:
+            hashes[lo:lo + len(z)] = _unit_array(z)
         walk = _hash_order(hashes)  # ties by smaller flat id
         del hashes
-        n_tilde = params.n_tilde
-    selected, counts, pos = _expand_in_chunks(expand, walk, n_tilde)
-    return _assemble(base.n, selected, counts, base.elem_set_ids[pos],
-                     source.seed, params, original_m)
+        selected, counts, pos = _expand_in_chunks(expand, walk,
+                                                  params.n_tilde)
+        del walk
+    set_ids = base.elem_set_ids[pos]
+    del pos
+    return _assemble(base.n, selected, counts, set_ids, source.seed, params,
+                     original_m)
 
 
-def _expand_in_chunks(expand, walk: np.ndarray, n_tilde: int | None):
-    """(flat ids, capped counts, edge positions) of the candidates ``walk``.
+def _expand_in_chunks(expand, walk: np.ndarray, n_tilde: int):
+    """(flat ids, capped counts, edge positions) of the theory cut of the
+    candidates ``walk``, which come in hash order.
 
-    Expands ``walk`` in order, in chunks of doubling size.  With ``n_tilde``
-    set (theory mode) the walk stops at the first copy whose cumulative
-    capped mass reaches it, the cut :func:`_select_elements` makes over every
-    copy at once; when the mass never gets there, every copy is kept.
+    Expands ``walk`` in order, in chunks of doubling size, and stops at the
+    first copy whose cumulative capped mass reaches ``n_tilde``, the cut
+    :func:`_select_elements` makes over every copy at once; when the mass
+    never gets there, every copy is kept.
     """
-    empty = np.empty(0, dtype=np.int64)
-    parts = [(empty, empty, empty)]
+    parts = []
     mass = lo = 0
     size = _FIRST_CHUNK
     while lo < len(walk):
         flat_ids, counts, pos = expand(walk[lo:lo + size])
         lo, size = lo + size, min(2 * size, _MAX_CHUNK)
         cum = mass + np.cumsum(counts)
-        done = n_tilde is not None and cum.size and cum[-1] >= n_tilde
+        done = cum.size and cum[-1] >= n_tilde
         if done:
             cut = int(np.searchsorted(cum, n_tilde)) + 1
             flat_ids, counts = flat_ids[:cut], counts[:cut]
@@ -557,7 +610,7 @@ def _expand_in_chunks(expand, walk: np.ndarray, n_tilde: int | None):
         if done:
             break
         mass = int(cum[-1]) if cum.size else mass
-    return tuple(map(np.concatenate, zip(*parts)))
+    return _concatenate_runs(parts)
 
 
 def sketch_weighted(winst: WeightedInstance, params: SketchParams,
@@ -625,15 +678,17 @@ def sketch_probabilistic(pinst: ProbabilisticInstance, eps: float,
     zeta = probabilistic_copy_count(base.n, pinst.U, eps)
     _check_budget(zeta * base.m, "copies", "increase eps")
     coin_base = source._base(_TAG_EDGE_COIN)
-    # Copy half of each coin key once per copy, set half once per set.
+    # Per base edge: the set half of its coin key, hashed once per set, and
+    # the integer cut of its probability.
     set_half = _combine_array(coin_base ^ _GOLDEN,
                               np.arange(base.n, dtype=np.int64))
+    edge_half = set_half[base.elem_set_ids]
+    edge_limit = _unit_limit(pinst.numer_elem_order / pinst.U)
 
     def coin_hit(flat_ids, j, pos, copy):
         z = _combine_array(coin_base, flat_ids)[copy]
-        z ^= set_half[base.elem_set_ids[pos]]
-        coins = _unit_array(_mix_inplace(z))
-        return coins < pinst.numer_elem_order[pos] / pinst.U
+        z ^= edge_half[pos]
+        return _bits_below(_mix_inplace(z), edge_limit[pos])
 
     return _sketch_copies(base, np.arange(base.m, dtype=np.int64) * zeta,
                           np.full(base.m, zeta, dtype=np.int64),

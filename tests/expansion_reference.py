@@ -6,8 +6,9 @@ copy graph first (every copy's edge list, and for the probabilistic variant
 every coin) and then samples it, the way the library did before.  The tests
 hold the library sketches equal to the ``reference_*`` sketches here.
 
-Hashes are looked up on the sketch module at call time, so a test that
-patches ``coversketch.sketch.element_hash_array`` patches both sides.
+Hashes are looked up on the sketch module at call time, and both sides
+take them from ``coversketch.sketch._element_bits``, so a test that patches
+that function patches both sides.
 """
 
 import functools

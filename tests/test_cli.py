@@ -655,9 +655,27 @@ class TestExperimentCommand:
         with open(out, "rb") as fh:
             data = fh.read()
         assert data.count(b"\n") == 49  # header, 36 seed rows, 12 means
-        assert hashlib.sha256(data).hexdigest() == (
-            "b67e4c64c13a18b4529e79b12729d812"
-            "90a3c695c585d918b39595c7c737a420")
+        assert hashlib.sha256(data).hexdigest() == self.SWEEP_SHA256
+
+    SWEEP_SHA256 = ("b67e4c64c13a18b4529e79b12729d812"
+                    "90a3c695c585d918b39595c7c737a420")
+
+    def test_builds_the_element_view_once(self, tmp_path, capsys,
+                                          monkeypatch, transposes):
+        # The baseline solves read the element view.  Built before the
+        # sweep, it serves every sketch's gather, so no sketch masks the
+        # set view of the fresh instance; the CSV does not change.
+        path, out = self._write_spec(tmp_path, rho="0.8,0.3", sigma="50,4",
+                                     k="5,2,3")
+        inst, _ = generate_planted(5, 200, 20, 0.2, 3)
+        masks = mock.Mock(wraps=sketch_mod._kept_set_view)
+        monkeypatch.setattr(sketch_mod, "_kept_set_view", masks)
+        assert run(["experiment", "--spec", str(path)], capsys)[0] == 0
+        assert masks.call_count == 0
+        full = [c for c in transposes if c[0] == inst.m]
+        assert full == [(inst.m, inst.edge_count)]
+        with open(out, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == self.SWEEP_SHA256
 
     def test_spec_validation(self, tmp_path, capsys):
         path, _ = self._write_spec(tmp_path, seeds="1,1")

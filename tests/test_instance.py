@@ -26,7 +26,6 @@ from coversketch import (
 )
 from coversketch import cli
 from coversketch import instance as instance_mod
-from coversketch import sketch as sketch_mod
 from coversketch.instance import (
     FractionalInstance,
     WeightedInstance,
@@ -152,19 +151,6 @@ LAZY_CONSTRUCTORS = [
     ("sketch_keys", lambda: _sketch_of_keys(
         b"0 0\n0 1\n1 1\n2 1\n2 3\n0 4\n3 4\n1 5\n"), 0),
 ]
-
-
-@pytest.fixture
-def transposes(monkeypatch):
-    """(minor-id count, entry count) of every ``_transpose`` call from here
-    on, in both modules that call it."""
-    calls = []
-    for mod in (instance_mod, sketch_mod):
-        def counted(indptr, minor, minor_count, _transpose=mod._transpose):
-            calls.append((minor_count, len(minor)))
-            return _transpose(indptr, minor, minor_count)
-        monkeypatch.setattr(mod, "_transpose", counted)
-    return calls
 
 
 class TestLazyElementView:

@@ -1,11 +1,12 @@
 import dataclasses
 import io
+import math
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import chi2
 
 from coversketch import (
@@ -37,6 +38,9 @@ from coversketch.instance import (
 from coversketch.sketch import (
     Sketch,
     SketchParams,
+    _bits_below,
+    _unit_array,
+    _unit_limit,
     derive_seed,
     probabilistic_copy_count,
     serialize_sketch,
@@ -91,6 +95,43 @@ class TestElementHash:
         b = element_hash_array(HashSource(derive_seed(7, 1)), ids)
         assert not np.array_equal(a, b)
         assert derive_seed(7, 3) == derive_seed(7, 3)
+
+
+# Cut probabilities: the ends of [0, 1], the smallest float, exact
+# multiples of 2**-53, numerator / U for U up to 2**31 - 1, and any float.
+CUT_PROBABILITIES = st.one_of(
+    st.sampled_from([0.0, 1.0, 5e-324]),
+    st.integers(0, 2**53).map(lambda i: i * 2.0 ** -53),
+    st.integers(1, 2**31 - 1).flatmap(
+        lambda U: st.integers(0, U).map(lambda a: a / U)),
+    st.floats(0.0, 1.0))
+
+
+class TestUnitLimit:
+    """The integer cut on hash bits decides as the float cut on hashes."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(CUT_PROBABILITIES, st.integers(0, 2**64 - 1), st.booleans(),
+           st.integers(-2**12, 2**12))
+    @example(0.0, 0, False, 0)
+    @example(1.0, 2**64 - 1, False, 0)
+    @example(5e-324, 0, False, 0)
+    @example(5e-324, 0, True, 2**11)
+    @example(0.5, 0, True, -1)
+    def test_integer_cut_equals_float_cut(self, q, z, near, offset):
+        limit = math.ceil(q * 2.0 ** 53)
+        if near:  # z on either side of the first bits the cut rejects
+            z = min(max((limit << 11) + offset, 0), 2**64 - 1)
+        bits = np.array([z], dtype=np.uint64)
+        got = _unit_limit(q)
+        assert int(got) == limit
+        want = _unit_array(bits) < q
+        np.testing.assert_array_equal((bits >> np.uint64(11)) < got, want)
+        np.testing.assert_array_equal(_bits_below(bits.copy(), got), want)
+        # Per-edge tables take an array of probabilities.
+        table = _unit_limit(np.array([q, q]))
+        np.testing.assert_array_equal(_bits_below(bits.repeat(2), table),
+                                      want.repeat(2))
 
 
 class TestTheoryParams:
@@ -555,9 +596,10 @@ def variant_cases(draw, max_n=4, max_m=6, max_u=3):
     return finst, np.array(weights, dtype=np.int64)
 
 
-def _coarse_hashes(src, ids, exact=sketch_module.element_hash_array):
-    """Element hashes rounded down to quarters, so that many of them tie."""
-    return np.floor(exact(src, ids) * 4) / 4
+def _coarse_bits(src, ids, exact=sketch_module._element_bits):
+    """Element hash bits with all but the top two cleared.  Their hashes
+    are the exact ones rounded down to quarters, so that many of them tie."""
+    return exact(src, ids) & np.uint64(3 << 62)
 
 
 def assert_same_sketch(got, want):
@@ -598,9 +640,10 @@ class TestVariantsMatchReference:
         pinst = ProbabilisticInstance(base, finst.numer_set_order,
                                       finst.numer_elem_order, U)
         source = HashSource(seed)
-        hashes = _coarse_hashes if tied else sketch_module.element_hash_array
-        # Small chunks and hash blocks walk the chunked paths on tiny inputs.
-        with mock.patch.multiple(sketch_module, element_hash_array=hashes,
+        bits = _coarse_bits if tied else sketch_module._element_bits
+        # Small chunks and hash blocks walk the chunked paths on tiny inputs;
+        # blocks of 1-16 copies split an element's copies.
+        with mock.patch.multiple(sketch_module, _element_bits=bits,
                                  _FIRST_CHUNK=first_chunk,
                                  _MAX_CHUNK=max_chunk, _HASH_BLOCK=hash_block):
             assert_same_sketch(sketch_weighted(winst, params, source),
