@@ -19,17 +19,16 @@ rounds, which every hash family (one per set-cover guess) shares:
    sorted: the kept ids stay in id order,
 3. map: each owner emits the capped run of ascending set ids of each of its
    kept elements; the shuffle delivers the runs to the coordinator,
-4. coordinator reduce: put runs left in id order into selection order (by
-   hash, then smaller id), assemble the sketch from the runs, exactly as
-   ``build_sketch`` does, and run the solver.  The set-cover ladder walk
-   assembles a guess's sketch only when it reaches that guess, so guesses
-   after the winner are never assembled.  A reached guess whose runs carry
-   every edge of the input (``n_tilde`` clamped to the edge count and a
-   degree cap at least the largest degree) is not assembled either: its
-   sketch is the input up to element order, and such guesses share one
-   greedy run per threshold.  Rounds 1-3 and all unit accounting still
-   cover every guess; the accounting sums per-element counters over all
-   guesses and charges them to machines once.
+4. coordinator reduce: run the solver on the runs as they arrived,
+   without building the sketch's CSR: greedy over the runs gives the picks,
+   gains and coverage of greedy on the sketch ``build_sketch`` would build,
+   whatever the order of the runs (``solvers._start``).  The set-cover
+   ladder walk solves a guess only when it reaches that guess.  Reached
+   guesses whose runs carry every edge of the input (``n_tilde`` clamped to
+   the edge count and a degree cap at least the largest degree) share one
+   greedy run on the input per threshold.  Rounds 1-3 and all unit
+   accounting still cover every guess; the accounting sums per-element
+   counters over all guesses and charges them to machines once.
 
 Locality: a map reads only what its machine owns, the ids and degrees
 (round 1) and adjacency lists (round 3) of its elements plus the ids sent to
@@ -52,13 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import CoverageInstance, _format_rows
-from .sketch import (
-    HashSource,
-    _selection,
-    _sketch_runs,
-    element_hash_array,
-    theory_params,
-)
+from .sketch import HashSource, _selection, element_hash_array, theory_params
 from . import solvers
 
 __all__ = [
@@ -142,22 +135,23 @@ def _run_sketch_rounds(instance, placement, families):
 
     ``families`` lists (HashSource, SketchParams) pairs; all share the same
     four rounds.  Returns ``(runs, divergence, units, messages)``: per
-    family the (selected ids, capped counts) runs that round 3 ships, which
-    round 4 assembles with :func:`~coversketch.sketch._sketch_runs` when it
-    needs the sketch; whether any family diverged; a ``(machines, 4, 3)``
+    family the (selected ids, capped counts) runs that round 3 ships and
+    round 4 solves on; whether any family diverged; a ``(machines, 4, 3)``
     int64 array of units in, units out and storage peak per machine and
     round, summed over the families; and the message count.  A cut that
-    keeps every reported element leaves its run in id order, and the
-    assembly puts it into selection order; other runs are in selection
-    order already.
+    keeps every reported element leaves its run in id order; other runs are
+    in selection order.
     """
     m, mc = instance.m, placement.machine_count
     ids = np.arange(m, dtype=np.int64)
     # Per element, over every family: records reported in round 1, ids
-    # selected in round 2, and capped-run units shipped in round 3.
+    # selected in round 2, and capped-run units shipped in round 3.  A
+    # family in which every element reports, or is selected, adds to the
+    # scalar count instead.
     reports = np.zeros(m, dtype=np.int64)
     selections = np.zeros(m, dtype=np.int64)
     shipped = np.zeros(m, dtype=np.int64)
+    every_reported = every_selected = 0
     runs = []
     divergence = False
     for source, params in families:
@@ -165,10 +159,12 @@ def _run_sketch_rounds(instance, placement, families):
         # 2 n_tilde / m.  Every hash is below 1, so from 1 on all report and
         # nothing needs hashing yet.
         bound = 2.0 * params.n_tilde / m
-        rep = ids
         if bound < 1.0:
             rep = np.flatnonzero(element_hash_array(source, ids) <= bound)
-        reports[rep] += 1
+            reports[rep] += 1
+        else:
+            rep = ids
+            every_reported += 1
 
         # Round 2, coordinator reduce: the cut of ``build_sketch`` over the
         # reports, which ascend, so ties break by smaller id.
@@ -178,25 +174,34 @@ def _run_sketch_rounds(instance, placement, families):
             # The reference construction would keep drawing elements whose
             # hash exceeded the reporting threshold.
             divergence = True
-        selections[sel] += 1
 
         # Round 3, map: owners ship the capped runs of selected elements.
-        shipped[sel] += counts
+        if sel is ids:  # the cut kept every element, in id order
+            every_selected += 1
+            shipped += counts
+        else:
+            selections[sel] += 1
+            shipped[sel] += counts
         runs.append((sel, counts))
 
-    def per_machine(units):
-        return np.bincount(placement.owner, weights=units,
-                           minlength=mc).astype(np.int64)
+    elements = np.bincount(placement.owner, minlength=mc)
 
-    reported, selected, sketch_units = (
-        int(reports.sum()), int(selections.sum()), int(shipped.sum()))
+    def per_machine(units, every=0):
+        """Per machine, the sum of ``units`` over its elements plus
+        ``every`` units from each of them."""
+        return (np.bincount(placement.owner, weights=units, minlength=mc)
+                .astype(np.int64) + every * elements)
+
+    reported = int(reports.sum()) + every_reported * m
+    selected = int(selections.sum()) + every_selected * m
+    sketch_units = int(shipped.sum())
     units = np.zeros((mc, 4, 3), dtype=np.int64)
     units[:, :, _PEAK] = placement.storage_units[:, None]
-    units[:, 0, _OUT] = 3 * per_machine(reports)
+    units[:, 0, _OUT] = 3 * per_machine(reports, every_reported)
     units[COORDINATOR, 1, _IN] = 3 * reported
     units[COORDINATOR, 1, _PEAK] = 3 * reported
     units[COORDINATOR, 1, _OUT] = selected
-    units[:, 2, _IN] = per_machine(selections)
+    units[:, 2, _IN] = per_machine(selections, every_selected)
     units[COORDINATOR, 2, _PEAK] = selected
     units[:, 2, _OUT] = per_machine(shipped)
     units[COORDINATOR, 3, _IN] = sketch_units
@@ -236,10 +241,11 @@ def run_kcover_mapreduce(instance: CoverageInstance, k: int, eps: float,
                          solver: str = "greedy"):
     """Four-round distributed k-cover; returns (Solution, SimReport).
 
-    When the divergence flag is clear, the assembled sketch and therefore the
-    solution are identical to the single-process pipeline
-    ``build_sketch(instance, theory_params(...), HashSource(seed))`` followed
-    by the same solver with the same seed.
+    Round 4 runs the solver on the shipped runs over ``instance``.  When the
+    divergence flag is clear, the runs are those of the single-process
+    pipeline ``build_sketch(instance, theory_params(...), HashSource(seed))``
+    and the solution equals that of the same solver with the same seed on
+    its sketch.
     """
     if solver not in ("greedy", "stochastic"):
         raise ValueError("solver must be 'greedy' or 'stochastic'")
@@ -249,15 +255,14 @@ def run_kcover_mapreduce(instance: CoverageInstance, k: int, eps: float,
     source = HashSource(seed)
     runs, divergence, units, messages = _run_sketch_rounds(
         instance, placement, [(source, params)])
-    sk = _sketch_runs(instance, *runs[0], source, params)
     if solver == "greedy":
-        sol = solvers.greedy_kcover(sk, k)
+        sol = solvers._kcover(instance, "sketch", k, runs[0])
     else:
-        sol = solvers.stochastic_greedy(sk, k, eps, seed)
+        sol = solvers._stochastic(instance, "sketch", k, eps, seed, runs[0])
     handoff = {"round": 4, "machine": COORDINATOR, "solver": solver,
                "value": sol.coverage_value, "k": k}
     report = _finalize(placement, units, messages, divergence, params.n_tilde,
-                       sk.instance.edge_count, handoff)
+                       int(runs[0][1].sum()), handoff)
     return sol, report
 
 
@@ -268,8 +273,8 @@ def run_setcover_mapreduce(instance: CoverageInstance, lam: float, eps: float,
     All guesses of the geometric ladder share the same four rounds; their
     records carry the guess index as a tag, and rounds 1-3 and all unit
     accounting cover every guess.  In round 4 the coordinator walks the
-    ladder with the budgeted-greedy selection and assembles a guess's sketch
-    only when the walk reaches it and the sketch leaves some edge out.
+    ladder with the budgeted-greedy selection, solving a guess on its runs
+    only when the walk reaches it.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1)")
@@ -279,8 +284,7 @@ def run_setcover_mapreduce(instance: CoverageInstance, lam: float, eps: float,
         instance, placement,
         [(source, params) for _, source, params in ladder])
     sol = solvers._walk_ladder(
-        instance, ((g, *run, source, params)
-                   for run, (g, source, params) in zip(runs, ladder)),
+        instance, ((g, *run) for run, (g, _, _) in zip(runs, ladder)),
         lam, eps)
     per_guess = [int(counts.sum()) for _, counts in runs]
     budget = sum(params.n_tilde + params.degree_cap

@@ -117,9 +117,9 @@ def _run_ids(indptr: np.ndarray) -> np.ndarray:
 def _gather_positions(indptr: np.ndarray, picks: np.ndarray,
                       counts: np.ndarray) -> np.ndarray:
     """Positions of the first ``counts[i]`` entries of each picked list."""
-    shift = np.cumsum(counts) - counts - indptr[picks]
-    return np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(shift,
-                                                                   counts)
+    shift = (counts.cumsum() - counts - indptr[picks]).repeat(counts)
+    return np.subtract(np.arange(len(shift), dtype=np.int64), shift,
+                       out=shift)
 
 
 def _transpose(indptr: np.ndarray, minor: np.ndarray, minor_count: int):

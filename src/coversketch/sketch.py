@@ -149,24 +149,6 @@ def element_hash_array(source: HashSource, ids: np.ndarray) -> np.ndarray:
     return _unit_array(_element_bits(source, ids))
 
 
-def _edge_coin_array(source: HashSource, flat_ids: np.ndarray,
-                     set_ids: np.ndarray) -> np.ndarray:
-    """Uniform coins on [0, 1) keyed by (copy id, set id).
-
-    :func:`sketch_probabilistic` draws the same coins for the edges of the
-    copies it keeps, but never as floats.  It hashes the copy half of the
-    key once per kept copy and reads the set half from a per-edge table;
-    a coin is then a gather, an xor and one mix, and it compares the bits
-    with the edge's :func:`_unit_limit` of ``numerator / U`` from a second
-    table, which decides exactly as ``coin < numerator / U``.  The tests
-    compare it against this form.
-    """
-    base = source._base(_TAG_EDGE_COIN)
-    z = _combine_array(base, np.asarray(flat_ids, dtype=np.int64))
-    z ^= _combine_array(base ^ _GOLDEN, np.asarray(set_ids, dtype=np.int64))
-    return _unit_array(_mix_inplace(z))
-
-
 def derive_seed(seed: int, index: int) -> int:
     """Stable per-index sub-seed (e.g. one hash family per guess)."""
     return _combine_scalar(_combine_scalar(_mix_scalar(seed & _MASK64),

@@ -4,7 +4,11 @@ All solvers run uniformly on a :class:`~coversketch.instance.CoverageInstance`
 or a :class:`~coversketch.sketch.Sketch`.  Tie-breaking is globally "smallest
 set id" so sketch-vs-instance comparisons are bit-exact.  Every greedy-family
 solver reads marginal gains from one maintained array, updated by
-:func:`_take` after each pick.
+:func:`_take` after each pick.  The same engine also runs on a sketch given
+as runs over its parent instance, (element, capped degree) pairs, without
+building the sketch: the simulator's round 4 and the outlier ladder's sketch
+engine solve that way, with picks, gains and coverage equal to greedy on the
+built sketch.
 """
 
 from __future__ import annotations
@@ -21,12 +25,12 @@ from .instance import (
     FractionalInstance,
     ProbabilisticInstance,
     WeightedInstance,
+    _gather_positions,
 )
 from .sketch import (
     HashSource,
     Sketch,
     _selection,
-    _sketch_runs,
     derive_seed,
     theory_params,
 )
@@ -143,16 +147,43 @@ def coverage_probabilistic(pinst: ProbabilisticInstance, chosen) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _start(inst: CoverageInstance, runs=None):
+    """Initial marginal gains of greedy, and the ``(limit, cut)`` that
+    :func:`_take` reads.
+
+    With ``runs = (selected, counts)``, greedy runs on the sketch whose
+    elements are ``selected`` of ``inst``, each with its first ``counts``
+    sets, without building that sketch.  ``limit[e]`` is the kept count of
+    element ``e`` (0 outside the runs) and ``cut[e]`` the first set id its
+    run leaves out (``n`` when it keeps them all); runs hold ascending set
+    ids, so set ``s`` keeps ``e`` iff ``s < cut[e]``.  Without runs, greedy
+    runs on ``inst``: the limit is the degree, and there is no cut.
+    """
+    if runs is None:
+        return inst.set_sizes.astype(np.int64), (inst.elem_degrees, None)
+    selected, counts = runs
+    limit = np.zeros(inst.m, dtype=np.int64)
+    limit[selected] = counts
+    cut = np.full(inst.m, inst.n, dtype=np.int64)
+    short = np.flatnonzero(limit < inst.elem_degrees)
+    cut[short] = inst.elem_set_ids[inst.elem_indptr[short] + limit[short]]
+    kept = inst.elem_set_ids[_gather_positions(inst.elem_indptr, selected,
+                                               counts)]
+    return np.bincount(kept, minlength=inst.n).astype(np.int64), (limit, cut)
+
+
 def _greedy_run(inst: CoverageInstance, max_picks: int,
-                stop_threshold: int | None = None, fill_zero: bool = False):
-    """Shared greedy loop.
+                stop_threshold: int | None = None, fill_zero: bool = False,
+                runs=None):
+    """Shared greedy loop, on ``inst`` or on the sketch ``runs`` over it
+    (see :func:`_start`).
 
     Picks the set with the largest marginal coverage, smallest id on ties.
     With ``fill_zero`` the loop keeps picking (zero-gain, id order) until
     ``max_picks`` sets are chosen; otherwise it stops at zero gain or once
     ``stop_threshold`` covered elements are reached.
     """
-    gains = inst.set_sizes.astype(np.int64)
+    gains, view = _start(inst, runs)
     covered = np.zeros(inst.m, dtype=bool)
     chosen: list[int] = []
     trace: list[int] = []
@@ -160,7 +191,7 @@ def _greedy_run(inst: CoverageInstance, max_picks: int,
     while len(chosen) < max_picks:
         if stop_threshold is not None and cov >= stop_threshold:
             break
-        s = int(np.argmax(gains))
+        s = int(gains.argmax())
         g = int(gains[s])
         if g <= 0:
             if not fill_zero:
@@ -172,39 +203,43 @@ def _greedy_run(inst: CoverageInstance, max_picks: int,
                 chosen.append(int(t))
                 trace.append(0)
             break
-        cov += _take(inst, gains, covered, s)
+        cov += _take(inst, view, gains, covered, s)
         chosen.append(s)
         trace.append(g)
     return chosen, trace, cov
 
 
-def _take(inst: CoverageInstance, gains: np.ndarray, covered: np.ndarray,
-          s: int) -> int:
+def _take(inst: CoverageInstance, view, gains: np.ndarray,
+          covered: np.ndarray, s: int) -> int:
     """Pick set ``s``: mark its fresh elements covered and subtract them from
-    the gain of every set holding them.  Chosen sets keep gain -1 (their
-    elements are covered, so no later pick touches them).  Returns the
-    number of newly covered elements.
+    the gain of every set holding them.  ``view`` is the ``(limit, cut)`` of
+    :func:`_start`: set ``s`` holds the elements ``e`` of ``inst`` with
+    ``s < cut[e]``, and element ``e`` the first ``limit[e]`` of its sets.
+    Chosen sets keep gain -1 (their elements are covered, so no later pick
+    touches them).  Returns the number of newly covered elements.
     """
+    limit, cut = view
     elems = inst.set_elements(s)
-    fresh = elems[~covered[elems]]
+    fresh = ~covered[elems]
+    if cut is not None:
+        fresh &= s < cut[elems]
+    fresh = elems[fresh]
     covered[fresh] = True
     if len(fresh):
-        # The sets of every fresh element in one gather: run i of the
-        # output starts at elem_indptr[fresh[i]].
-        counts = inst.elem_degrees[fresh]
-        start = np.cumsum(counts) - counts
-        offset = np.repeat(inst.elem_indptr[fresh] - start, counts)
-        touched = inst.elem_set_ids[offset + np.arange(len(offset))]
+        # The kept sets of every fresh element in one gather.
+        touched = inst.elem_set_ids[_gather_positions(
+            inst.elem_indptr, fresh, limit[fresh])]
         gains -= np.bincount(touched, minlength=inst.n)
     gains[s] = -1
     return len(fresh)
 
 
-def _kcover(target, k: int) -> Solution:
-    inst, tag = _unwrap(target)
+def _kcover(inst: CoverageInstance, tag: str, k: int, runs=None) -> Solution:
+    """:func:`greedy_kcover` on ``inst``, or on the sketch ``runs`` over it
+    (see :func:`_start`); ``tag`` is what the solution was evaluated on."""
     if not 0 <= k <= inst.n:
         raise ValueError("need 0 <= k <= n")
-    chosen, trace, cov = _greedy_run(inst, k, fill_zero=True)
+    chosen, trace, cov = _greedy_run(inst, k, fill_zero=True, runs=runs)
     return Solution(chosen=chosen, coverage_value=cov, evaluated_on=tag,
                     gains=trace, evaluations=inst.n)
 
@@ -215,7 +250,7 @@ def greedy_kcover(target, k: int) -> Solution:
     Runs ``k`` picks; once marginal gains hit zero the remaining slots are
     filled with the smallest-id unchosen sets.
     """
-    return _kcover(target, k)
+    return _kcover(*_unwrap(target), k)
 
 
 def lazy_greedy(target, k: int) -> Solution:
@@ -226,28 +261,22 @@ def lazy_greedy(target, k: int) -> Solution:
     already keeps every marginal gain exact with one vectorised update per
     pick.
     """
-    return _kcover(target, k)
+    return _kcover(*_unwrap(target), k)
 
 
-def stochastic_greedy(target, k: int, eps: float, seed: int) -> Solution:
-    """Greedy over a random candidate sample per pick.
-
-    Each of ``k`` picks samples ``ceil((n/k) ln(1/eps))`` candidate sets
-    uniformly with replacement and takes the best marginal gain among the
-    unchosen ones (ties by id).  When the sample size reaches ``n`` the
-    sampling degrades to a full scan and the result equals
-    :func:`greedy_kcover`.  Deterministic in ``seed``.
-    """
-    inst, tag = _unwrap(target)
+def _stochastic(inst: CoverageInstance, tag: str, k: int, eps: float,
+                seed: int, runs=None) -> Solution:
+    """:func:`stochastic_greedy` on ``inst``, or on the sketch ``runs`` over
+    it (see :func:`_start`)."""
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     if not 1 <= k <= inst.n:
         raise ValueError("need 1 <= k <= n")
     sample = math.ceil((inst.n / k) * math.log(1.0 / eps))
     if sample >= inst.n:
-        return _kcover(target, k)
+        return _kcover(inst, tag, k, runs)
     rng = np.random.default_rng(seed)
-    gains = inst.set_sizes.astype(np.int64)
+    gains, view = _start(inst, runs)
     covered = np.zeros(inst.m, dtype=bool)
     chosen: list[int] = []
     trace: list[int] = []
@@ -261,9 +290,21 @@ def stochastic_greedy(target, k: int, eps: float, seed: int) -> Solution:
         s = int(draws[g == best].min())
         trace.append(int(best))
         chosen.append(s)
-        cov += _take(inst, gains, covered, s)
+        cov += _take(inst, view, gains, covered, s)
     return Solution(chosen=chosen, coverage_value=cov, evaluated_on=tag,
                     gains=trace)
+
+
+def stochastic_greedy(target, k: int, eps: float, seed: int) -> Solution:
+    """Greedy over a random candidate sample per pick.
+
+    Each of ``k`` picks samples ``ceil((n/k) ln(1/eps))`` candidate sets
+    uniformly with replacement and takes the best marginal gain among the
+    unchosen ones (ties by id).  When the sample size reaches ``n`` the
+    sampling degrades to a full scan and the result equals
+    :func:`greedy_kcover`.  Deterministic in ``seed``.
+    """
+    return _stochastic(*_unwrap(target), k, eps, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -353,24 +394,24 @@ def select_outlier_solution(sketches, lam: float, eps: float) -> Solution:
 def _walk_ladder(instance: CoverageInstance, guesses, lam: float,
                  eps: float) -> Solution:
     """:func:`select_outlier_solution` over per-guess sketches of
-    ``instance`` given as runs, assembling only the sketches it must.
+    ``instance`` given as runs, solved on the runs without building the
+    sketches.
 
-    ``guesses`` yields (guess, selected, counts, source, params) in
-    ascending guess order: the elements the guess's sketch keeps, in
-    selection order or, when its cut keeps every element, in id order, with
-    their capped degrees.  Only an assembled guess is put into selection
-    order.  A guess is clamped when ``counts`` carries every edge of the
-    instance, which needs a cap at least the largest degree.  Its sketch is
-    then ``instance`` up to element order and empty elements, which greedy
-    picks, gains and coverage do not depend on.  Clamped guesses with the
-    same threshold share one threshold-stopped run on ``instance``, and each
-    guess's budgeted run is its first ``budget`` picks.  The threshold comes
-    from ``len(selected)``: when the edge count meets ``n_tilde`` exactly,
-    the zero-degree elements hashing after the cut are not in the sketch.
-    Other guesses are assembled when the walk reaches them.
+    ``guesses`` yields (guess, selected, counts) in ascending guess order:
+    the elements the guess's sketch keeps, in any order, with their capped
+    degrees.  Greedy picks, gains and coverage do not depend on element
+    order, so each guess runs the greedy engine on its runs (see
+    :func:`_start`).  A guess is clamped when ``counts`` carries every edge
+    of the instance, which needs a cap at least the largest degree.  Its
+    sketch is then ``instance`` up to element order and empty elements, so
+    clamped guesses with the same threshold share one threshold-stopped run
+    on ``instance``, and each guess's budgeted run is its first ``budget``
+    picks.  The threshold comes from ``len(selected)``: when the edge count
+    meets ``n_tilde`` exactly, the zero-degree elements hashing after the
+    cut are not in the sketch.
     """
     runs: dict[int, tuple] = {}     # by threshold
-    for guess, selected, counts, source, params in guesses:
+    for guess, selected, counts in guesses:
         thresh = cover_threshold(len(selected), lam)
         budget = _guess_budget(guess, eps, lam)
         if counts.sum() == instance.edge_count:
@@ -381,9 +422,9 @@ def _walk_ladder(instance: CoverageInstance, guesses, lam: float,
             chosen, trace = chosen[:budget], trace[:budget]
             cov = sum(trace)
         else:
-            sk = _sketch_runs(instance, selected, counts, source, params)
-            chosen, trace, cov = _greedy_run(sk.instance, budget,
-                                             stop_threshold=thresh)
+            chosen, trace, cov = _greedy_run(instance, budget,
+                                             stop_threshold=thresh,
+                                             runs=(selected, counts))
         if cov >= thresh:
             return Solution(chosen=chosen, coverage_value=cov,
                             evaluated_on="sketch", gains=trace)
@@ -402,11 +443,12 @@ def set_cover_outliers(instance: CoverageInstance, lam: float, eps: float,
     which has size at most ``(1+eps) ln(1/lam) OPT`` with the usual
     high-probability guarantee.
 
-    The sketch engine assembles a reached guess's sketch unless it keeps
-    every edge: when theory mode clamps ``n_tilde`` to the edge count and
-    the guess's degree cap is at least the largest degree, the sketch is
-    the instance up to element order, and such guesses share one greedy
-    run per threshold, as the direct engine does.
+    The sketch engine runs greedy on a reached guess's runs over the
+    instance and never builds its sketch.  When theory mode clamps
+    ``n_tilde`` to the edge count and the guess's degree cap is at least
+    the largest degree, the sketch is the instance up to element order, and
+    such guesses share one greedy run per threshold, as the direct engine
+    does.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1)")
@@ -417,7 +459,7 @@ def set_cover_outliers(instance: CoverageInstance, lam: float, eps: float,
     n, m = instance.n, instance.m
     if engine == "sketch":
         degrees = instance.elem_degrees
-        guesses = ((g, *_selection(degrees, params, source), source, params)
+        guesses = ((g, *_selection(degrees, params, source))
                    for g, source, params in guess_families(instance, eps,
                                                            delta_dprime, seed))
         return _walk_ladder(instance, guesses, lam, eps)

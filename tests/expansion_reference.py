@@ -93,6 +93,22 @@ def fractional_copy_graph(finst):
     return copy_graph(finst.base, finst.U, reps, j)
 
 
+def edge_coin_array(source, flat_ids, set_ids):
+    """Uniform coins on [0, 1) keyed by (copy id, set id), as floats.
+
+    ``sketch_probabilistic`` draws the same coins for the edges of the
+    copies it keeps, but never as floats.  It hashes the copy half of the
+    key once per kept copy and reads the set half from a per-edge table;
+    a coin is then a gather, an xor and one mix, and it compares the bits
+    with the edge's ``_unit_limit`` of ``numerator / U`` from a second
+    table, which decides exactly as ``coin < numerator / U``.
+    """
+    base = source._base(_TAG_EDGE_COIN)
+    z = _combine_array(base, np.asarray(flat_ids, dtype=np.int64))
+    z ^= _combine_array(base ^ _GOLDEN, np.asarray(set_ids, dtype=np.int64))
+    return _unit_array(_mix_inplace(z))
+
+
 def probabilistic_copy_graph(pinst, zeta, source):
     """Seeded Bernoulli expansion: copy (v, j) joins S with prob alpha_{S,v}."""
     base = pinst.base

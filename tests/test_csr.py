@@ -15,11 +15,11 @@ from hypothesis import given, settings, strategies as st
 from coversketch import CoverageInstance, FractionalInstance, \
     ProbabilisticInstance, feature_pairs_instance
 from coversketch.instance import _check_key_range
-from coversketch.sketch import HashSource, _assemble, _edge_coin_array, \
-    _hash_order, _select_elements, practical_params, probabilistic_copy_count, \
+from coversketch.sketch import HashSource, _assemble, _hash_order, \
+    _select_elements, practical_params, probabilistic_copy_count, \
     sketch_fractional, sketch_probabilistic, SketchParams
 
-from expansion_reference import fractional_copy_graph, \
+from expansion_reference import edge_coin_array, fractional_copy_graph, \
     probabilistic_copy_graph, sketch_over_copies, sketch_params
 
 
@@ -87,8 +87,8 @@ def reference_probabilistic_copies(pinst, zeta, source):
         lo, hi = base.elem_indptr[v], base.elem_indptr[v + 1]
         for s, a in zip(base.elem_set_ids[lo:hi].tolist(),
                         pinst.numer_elem_order[lo:hi].tolist()):
-            coins = _edge_coin_array(source, ids,
-                                     np.full(zeta, s, dtype=np.int64))
+            coins = edge_coin_array(source, ids,
+                                    np.full(zeta, s, dtype=np.int64))
             hit = coins < a / pinst.U
             flat.append(ids[hit])
             sets.append(np.full(int(hit.sum()), s, dtype=np.int64))

@@ -285,7 +285,7 @@ def simulated_sketches(inst, machines, families):
     simulated run."""
     runs, divergence, _, _ = distsim._run_sketch_rounds(
         inst, partition_input(inst, machines), families)
-    return [distsim._sketch_runs(inst, *run, *family)
+    return [sketch._sketch_runs(inst, *run, *family)
             for run, family in zip(runs, families)], divergence
 
 
@@ -378,10 +378,10 @@ def mixed_instance():
 
 
 class TestLazyRound4:
-    """Round 4 assembles a guess's sketch only when the ladder walk reaches
-    it and the sketch leaves some edge out; clamped guesses share one
-    greedy run.  Rounds 1-3 and the unit accounting still cover every
-    guess."""
+    """Round 4 solves a guess on its runs, without assembling its sketch,
+    only when the ladder walk reaches it and the sketch leaves some edge
+    out; clamped guesses share one greedy run on the instance.  Rounds 1-3
+    and the unit accounting still cover every guess."""
 
     SEED, MACHINES = 3, 4
     # (instance, lam, eps, delta_dprime, walk); none diverges.  ``walk``
@@ -390,7 +390,7 @@ class TestLazyRound4:
     # The clamped case has n_tilde at the edge count and caps at or above
     # the largest degree.  The mixed case's caps 21 and 11 lie above the
     # largest degree 9 and its later caps below it; those guesses keep
-    # every element, degree-capped, and are still assembled.
+    # every element, degree-capped, and are solved on their runs.
     CASES = (
         (lambda: generate_planted(5, 2000, 10, 0.2, seed=3)[0],
          0.05, 0.7, 0.5, "UU"),
@@ -438,30 +438,36 @@ class TestLazyRound4:
         return counted
 
     @staticmethod
-    def record_results(monkeypatch, module, name):
-        """Wrap ``module.name``; returns the list each call's result is
-        appended to."""
-        results = []
-        wrapped = getattr(module, name)
+    def record_runs(monkeypatch):
+        """Wrap ``solvers._greedy_run``; returns the list that the runs of
+        each call on runs are appended to."""
+        solved = []
+        greedy_run = solvers._greedy_run
 
-        def record(*args):
-            results.append(wrapped(*args))
-            return results[-1]
+        def record(*args, runs=None, **kwargs):
+            if runs is not None:
+                solved.append(runs)
+            return greedy_run(*args, runs=runs, **kwargs)
 
-        monkeypatch.setattr(module, name, record)
-        return results
+        monkeypatch.setattr(solvers, "_greedy_run", record)
+        return solved
 
     @staticmethod
     def clamped(inst, reached):
         """Per reached sketch: does it keep every edge of ``inst``?"""
         return [sk.instance.edge_count == inst.edge_count for sk in reached]
 
-    def check_assembled(self, inst, assembled, reached):
-        """Each unclamped reached guess is assembled once, in walk order,
-        into its reference sketch; clamped ones assemble nothing."""
-        assert assembled == [
-            sk for sk, flag in zip(reached, self.clamped(inst, reached))
-            if not flag]
+    def check_solved(self, inst, solved, reached):
+        """Each unclamped reached guess is solved once on its runs, in walk
+        order, and those runs assemble into its reference sketch; clamped
+        ones are solved on the instance."""
+        unclamped = [sk for sk, flag in zip(reached,
+                                            self.clamped(inst, reached))
+                     if not flag]
+        assert len(solved) == len(unclamped)
+        for runs, sk in zip(solved, unclamped):
+            assert sketch._sketch_runs(inst, *runs, HashSource(sk.hash_seed),
+                                       sk.params) == sk
 
     def test_accounting_covers_every_guess(self):
         for case in self.cases():
@@ -476,30 +482,35 @@ class TestLazyRound4:
             check_accounting(inst, report)
 
     def test_simulation_assembles_up_to_the_winner(self, monkeypatch):
-        assembled = self.record_results(monkeypatch, solvers, "_sketch_runs")
+        """Round 4 assembles no sketch: it solves the reached guesses, up
+        to the winner, on their runs."""
+        assert not hasattr(distsim, "_sketch_runs")
+        assembled = self.count_calls(monkeypatch, sketch, "_sketch_runs")
+        solved = self.record_runs(monkeypatch)
         for case in self.cases():
             ref, reached = self.reference(case)
-            assembled.clear()
+            assembled.reset_mock()
+            solved.clear()
             sol, report = self.simulate(case)
+            assert assembled.call_count == 0
             assert outcome(sol) == outcome(ref)
             assert len(reached) < report.guess_count
-            self.check_assembled(case[0], assembled, reached)
+            self.check_solved(case[0], solved, reached)
 
     def test_sorts_only_cuts_that_can_drop_elements(self, monkeypatch):
         """Rounds 1-3 hash and sort a guess only when its cut can drop an
-        element; round 4 sorts only runs it assembles that were left in id
-        order; the sketch engine sorts likewise.  Every element of these
-        fixtures has an edge and reports."""
+        element; round 4 sorts nothing, since greedy over the runs does not
+        depend on their order; the sketch engine sorts only in its cuts.
+        Every element of these fixtures has an edge and reports."""
         sorts = self.count_calls(monkeypatch, sketch, "_hash_order")
         hashes = self.count_calls(monkeypatch, sketch, "element_hash_array")
-        assembled = self.record_results(monkeypatch, solvers, "_sketch_runs")
+        assembled = self.count_calls(monkeypatch, sketch, "_sketch_runs")
         # Per walk: sorts in (rounds 1-3, round 4, the sketch engine).  UU
         # sorts its first seven guesses (caps 8 to 2, capped mass above
-        # n_tilde) once each, in round 2; its two reached guesses are not
-        # sorted again and its cap-1 guesses keep every element.  Every
-        # guess of the other two cases keeps every element; the mixed case
-        # sorts its five assembled guesses in round 4.
-        want = {"UU": (7, 0, 2), "CCCCC": (0, 0, 0), "CCUUUUU": (0, 5, 5)}
+        # n_tilde) once each, in round 2, and the sketch engine sorts its
+        # two reached guesses in their cuts; its cap-1 guesses keep every
+        # element.  Every guess of the other two cases keeps every element.
+        want = {"UU": (7, 0, 2), "CCCCC": (0, 0, 0), "CCUUUUU": (0, 0, 0)}
         for (*_, walk), case in zip(self.CASES, self.cases()):
             inst, lam, eps, delta_dprime = case
             families = [(source, params)
@@ -511,35 +522,41 @@ class TestLazyRound4:
             in_rounds = sorts.call_count
             assert hashes.call_count == in_rounds
             sorts.reset_mock()
-            assembled.clear()
+            assembled.reset_mock()
             self.simulate(case)
             in_round4 = sorts.call_count - in_rounds
-            assert in_round4 <= len(assembled) == walk.count("U")
             sorts.reset_mock()
             set_cover_outliers(inst, lam, eps, delta_dprime, self.SEED,
                                engine="sketch")
             assert (in_rounds, in_round4, sorts.call_count) == want[walk]
+            assert assembled.call_count == 0
             if walk == "CCCCC":
-                # K-cover always assembles, so its one run, kept whole in
-                # id order by rounds 1-3, is sorted once in round 4.
+                # K-cover's one run, kept whole in id order by rounds 1-3,
+                # is solved in id order: nothing is sorted or assembled.
                 sorts.reset_mock()
                 run_kcover_mapreduce(inst, 3, 0.5, 0.5, self.SEED,
                                      self.MACHINES)
-                assert sorts.call_count == 1
+                assert sorts.call_count == assembled.call_count == 0
 
     def test_sketch_engine_builds_up_to_the_winner(self, monkeypatch):
-        assembled = self.record_results(monkeypatch, solvers, "_sketch_runs")
+        """The sketch engine assembles no sketch either: it selects and
+        solves the reached guesses, up to the winner, on their runs."""
+        assert not hasattr(solvers, "_sketch_runs")
+        assembled = self.count_calls(monkeypatch, sketch, "_sketch_runs")
+        solved = self.record_runs(monkeypatch)
         hashed = self.count_calls(monkeypatch, solvers, "_selection")
         for case in self.cases():
             inst, lam, eps, delta_dprime = case
             ref, reached = self.reference(case)
-            assembled.clear()
+            assembled.reset_mock()
+            solved.clear()
             hashed.reset_mock()
             sol = set_cover_outliers(inst, lam, eps, delta_dprime, self.SEED,
                                      engine="sketch")
+            assert assembled.call_count == 0
             assert outcome(sol) == outcome(ref)
             assert len(reached) < len(self.ladder(case))
-            self.check_assembled(inst, assembled, reached)
+            self.check_solved(inst, solved, reached)
             # Only the guesses the walk reaches are selected, in walk order.
             assert [(c.args[1], c.args[2].seed)
                     for c in hashed.call_args_list] == [
@@ -685,9 +702,10 @@ def walk_outcomes(inst, guesses, lam, eps):
     """(shortened walk, unshortened walk): ``solvers._walk_ladder`` on the
     per-guess runs, and select_outlier_solution after assembling every
     reached guess; each an outcome, or None when infeasible."""
-    pairs = ((g, distsim._sketch_runs(inst, sel, counts, source, params))
+    pairs = ((g, sketch._sketch_runs(inst, sel, counts, source, params))
              for g, sel, counts, source, params in guesses)
-    return (outcome_or_none(solvers._walk_ladder, inst, guesses, lam, eps),
+    runs = ((g, sel, counts) for g, sel, counts, _, _ in guesses)
+    return (outcome_or_none(solvers._walk_ladder, inst, runs, lam, eps),
             outcome_or_none(select_outlier_solution, pairs, lam, eps))
 
 

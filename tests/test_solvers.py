@@ -27,7 +27,9 @@ from coversketch import (
 )
 from coversketch.instance import FractionalInstance, WeightedInstance, \
     ProbabilisticInstance
-from coversketch.solvers import cover_threshold, guess_ladder
+from coversketch.sketch import SketchParams, _selection, _sketch_runs
+from coversketch.solvers import _greedy_run, _stochastic, cover_threshold, \
+    guess_ladder
 
 from conftest import decimals, random_instance
 
@@ -465,6 +467,67 @@ class TestAgainstReferences:
         sol = set_cover_outliers(inst, lam, eps, engine="direct")
         assert as_tuple(sol) == (chosen, gains, cov)
         assert sol.evaluated_on == "instance"
+
+
+@st.composite
+def sketch_runs(draw):
+    """(instance, selected, counts, sketch): the runs of a theory or
+    practical sketch of a small instance, and the sketch they assemble.
+
+    The instances have empty sets and zero-degree elements.  Caps lie below
+    and above the largest degree; theory cuts keep every element or drop
+    some, by ``n_tilde`` below, at and above the capped mass; practical
+    cuts keep each element at rate ``rho``.  Dropped elements, and
+    zero-degree ones, have limit 0.
+    """
+    inst = draw(small_instances(max_n=10, max_m=16))
+    degrees = inst.elem_degrees
+    cap = draw(st.integers(1, int(degrees.max(initial=0)) + 1))
+    source = HashSource(draw(st.integers(0, 2**64 - 1)))
+    if draw(st.booleans()):
+        mass = int(np.minimum(degrees, cap).sum())
+        params = SketchParams(mode="theory", degree_cap=cap, n_tilde=max(
+            1, draw(st.integers(mass // 3, mass + 1))))
+    else:
+        params = practical_params(draw(st.sampled_from([0.2, 0.5, 1.0])),
+                                  cap)
+    selected, counts = _selection(degrees, params, source)
+    return (inst, selected, counts,
+            _sketch_runs(inst, selected, counts, source, params))
+
+
+class TestGreedyOnRuns:
+    """Greedy over a sketch's runs on the parent instance gives the picks,
+    gain trace and coverage of greedy on the assembled sketch."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sketch_runs(), st.data())
+    def test_fill_zero(self, case, data):
+        inst, selected, counts, sk = case
+        k = data.draw(st.integers(0, inst.n))
+        assert _greedy_run(inst, k, fill_zero=True,
+                           runs=(selected, counts)) == \
+            _greedy_run(sk.instance, k, fill_zero=True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sketch_runs(), st.data())
+    def test_stop_threshold(self, case, data):
+        inst, selected, counts, sk = case
+        picks = data.draw(st.integers(0, inst.n))
+        thresh = data.draw(st.integers(0, len(selected) + 1))
+        assert _greedy_run(inst, picks, stop_threshold=thresh,
+                           runs=(selected, counts)) == \
+            _greedy_run(sk.instance, picks, stop_threshold=thresh)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sketch_runs(), st.data(), st.floats(0.01, 0.99),
+           st.integers(0, 2**32 - 1))
+    def test_stochastic(self, case, data, eps, seed):
+        inst, selected, counts, sk = case
+        k = data.draw(st.integers(1, inst.n))
+        assert _stochastic(inst, "sketch", k, eps, seed,
+                           (selected, counts)) == \
+            stochastic_greedy(sk, k, eps, seed)
 
 
 class TestTracerContract:
