@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -362,7 +363,10 @@ def _cmd_experiment(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: argparse neither
+    keeps nor changes state across ``parse_args`` calls."""
     parser = argparse.ArgumentParser(
         prog="coversketch",
         description="Coverage optimization via adaptive sampling sketches")

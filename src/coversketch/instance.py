@@ -129,12 +129,16 @@ def _transpose(indptr: np.ndarray, minor: np.ndarray, minor_count: int):
     ``(minor_indptr, major_ids, order)``: run ``c`` of the new view lists the
     ascending majors whose runs hold ``c``, and its entries are the input
     entries ``order``.  Either sort orders entries by (minor, major), so the
-    two branches give the same result.
+    two branches give the same result.  With at most 2**16 minor ids, a
+    stable radix sort of the ids takes one byte pass for up to 256 ids
+    (uint8) and two above (uint16); past 2**16, packed (minor, major) keys
+    are sorted.
     """
     major_count = len(indptr) - 1
     if minor_count <= 2**16:
-        # numpy radix-sorts 16-bit keys when asked for a stable sort.
-        order = np.argsort(minor.astype(np.uint16), kind="stable")
+        # numpy radix-sorts 8- and 16-bit keys when asked for a stable sort.
+        width = np.min_scalar_type(max(minor_count - 1, 0))
+        order = np.argsort(minor.astype(width), kind="stable")
     else:
         _check_key_range(minor_count, major_count)
         # The keys are unique, so an unstable sort is exact.
@@ -413,6 +417,8 @@ _MAX_VALUE = 2**31 - 1
 _MAX_DIGITS = 18
 # Rows formatted per block by the writer.
 _WRITE_BLOCK = 1 << 16
+# Bytes of a block first searched for the end of its leading `#` lines.
+_HEADER_SCAN = 1 << 12
 # Bytes per window of the reader; each parsed block ends at a line end.
 _PARSE_BLOCK = 1 << 18
 # The blocks' int32 rows are joined this many values at a time.  A segment
@@ -572,6 +578,28 @@ def _canonical_values(buf: np.ndarray, columns: int | None):
     return values, columns
 
 
+def _header_end(buf: np.ndarray) -> int:
+    """Bytes of the leading lines of ``buf`` that start with `#`, through
+    the LF that ends the last of them; 0 when ``buf`` starts otherwise.
+
+    An LF always ends a line, so the split falls between two lines of the
+    input.  The LFs are found in a window that starts at ``_HEADER_SCAN``
+    bytes and doubles until it holds a line that starts otherwise.
+    """
+    if not buf.size or buf[0] != ord("#"):
+        return 0
+    size = _HEADER_SCAN
+    while True:
+        ends = np.flatnonzero(buf[:size] == ord("\n"))
+        # Line i + 1 starts after the LF that ends line i.
+        data = np.flatnonzero(buf[ends[:-1] + 1] != ord("#"))
+        if data.size:
+            return int(ends[data[0]]) + 1
+        if size >= buf.size:
+            return int(ends[-1]) + 1 if ends.size else 0
+        size *= 2
+
+
 def _parse_block(block, columns: int | None, field: str | None,
                  lines: int):
     """Check and convert one block of whole lines with array operations.
@@ -582,11 +610,31 @@ def _parse_block(block, columns: int | None, field: str | None,
     line), its `#U` header, if any, and ``lines`` plus the block's line
     ends.  A ParseError names the block's first malformed line.
 
-    A block in the writers' form (:func:`_canonical_values`) is converted
-    without the general checks below; any other block, and so every error
-    message, goes through them.
+    The block's leading `#` lines, such as the writers' headers, are parsed
+    first and apart from the body (:func:`_header_end`), so that the body
+    can still take the fast path.  Header lines come before every body
+    line, so the first malformed line is still the one reported.
     """
     buf = np.frombuffer(block, dtype=np.uint8)
+    head = _header_end(buf)
+    if not head:
+        return _parse_lines(buf, columns, field, lines)
+    values, columns, headers, lines = _parse_lines(buf[:head], columns,
+                                                   field, lines)
+    body, columns, found, lines = _parse_lines(buf[head:], columns, field,
+                                               lines)
+    headers.update(found)
+    return np.concatenate((values, body)), columns, headers, lines
+
+
+def _parse_lines(buf: np.ndarray, columns: int | None, field: str | None,
+                 lines: int):
+    """:func:`_parse_block` of whole lines ``buf``, without the header split.
+
+    Lines in the writers' form (:func:`_canonical_values`) are converted
+    without the general checks below; any other lines, and so every error
+    message, go through them.
+    """
     canonical = _canonical_values(buf, columns)
     if canonical is not None:
         values, columns = canonical

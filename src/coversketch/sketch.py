@@ -535,7 +535,9 @@ def _sketch_copies(base: CoverageInstance, first: np.ndarray,
         degrees = base.elem_degrees[v]
         pos = _gather_positions(base.elem_indptr, v, degrees)
         copy = np.repeat(np.arange(len(idx), dtype=np.int64), degrees)
-        hit = edge_filter(flat_ids, j, pos, copy)
+        # About half the edges pass, in no pattern: a gather by index is
+        # several times faster than two boolean masks.
+        hit = np.flatnonzero(edge_filter(flat_ids, j, pos, copy))
         pos, copy = pos[hit], copy[hit]
         counts = np.bincount(copy, minlength=len(idx))
         if over_cap:

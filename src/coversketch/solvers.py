@@ -157,9 +157,11 @@ def _start(inst: CoverageInstance, runs=None):
     element ``e`` (0 outside the runs) and ``cut[e]`` the first set id its
     run leaves out (``n`` when it keeps them all); runs hold ascending set
     ids, so set ``s`` keeps ``e`` iff ``s < cut[e]``.  Without runs, greedy
-    runs on ``inst``: the limit is the degree, and there is no cut.
+    runs on ``inst``: the limit is the degree, and there is no cut.  Runs
+    that carry every edge of ``inst`` are ``inst`` up to element order, so
+    they take that path too.
     """
-    if runs is None:
+    if runs is None or int(runs[1].sum()) == inst.edge_count:
         return inst.set_sizes.astype(np.int64), (inst.elem_degrees, None)
     selected, counts = runs
     limit = np.zeros(inst.m, dtype=np.int64)

@@ -115,6 +115,22 @@ class TestGenerate:
             main(["generate", "planted", "--k", "4"])
         assert err.value.code == 2
 
+    def test_usage_error_after_a_run(self, tmp_path, capsys):
+        # The parser is built once per process; a usage error that follows
+        # a successful command still exits 2 with argparse's message.
+        args = ["generate", "planted", "--k", "2", "--m", "10", "--kprime",
+                "2", "--eps", "0.0", "--no-timestamp", "--out",
+                str(tmp_path / "a.txt")]
+        assert run(args, capsys)[0] == 0
+        with pytest.raises(SystemExit) as err:
+            main(["generate", "planted", "--k", "4"])
+        assert err.value.code == 2
+        message = capsys.readouterr().err
+        assert message.startswith("usage: coversketch generate planted")
+        assert ("error: the following arguments are required: --m, "
+                "--kprime, --eps, --out") in message
+        assert run(args, capsys)[0] == 0
+
     def test_deterministic_without_timestamp(self, tmp_path, capsys):
         a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
         args = ["generate", "planted", "--k", "2", "--m", "10", "--kprime",

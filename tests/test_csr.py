@@ -107,9 +107,10 @@ def csr_arrays(inst):
             inst.elem_set_ids)
 
 
-# Side lengths on both sides of the 2**16 switch between the radix sort of
-# 16-bit ids and the packed-key sort.
-WIDE_SIDES = st.sampled_from((1, 3, 65_535, 65_536, 65_537))
+# Side lengths on both sides of the two switches of the transpose: 256, from
+# the one-pass radix sort of 8-bit ids to the two-pass sort of 16-bit ids,
+# and 2**16, from there to the packed-key sort.
+WIDE_SIDES = st.sampled_from((1, 3, 255, 256, 257, 65_535, 65_536, 65_537))
 
 
 @st.composite
@@ -196,7 +197,7 @@ class TestCoverageFromEdges:
 @st.composite
 def element_runs(draw, max_runs=8):
     """(n, counts, set_ids): runs of distinct ascending set ids, one per
-    sketch element, with n small or on either side of 2**16."""
+    sketch element, with n small or on either side of 256 or of 2**16."""
     n = draw(st.one_of(st.integers(1, 9), WIDE_SIDES))
     runs = draw(st.lists(st.sets(st.integers(0, n - 1), max_size=6),
                          max_size=max_runs))

@@ -478,7 +478,10 @@ class TestCanonicalFastPath:
         with mock.patch.object(instance_mod, "_strip_comments",
                                wraps=instance_mod._strip_comments) as strip:
             rows, headers = _read_table(text.encode(), 2)
-        assert strip.call_count == 1  # the block that holds the header
+        # Only the header lines take the general checks; the rest of their
+        # block takes the fast path.
+        assert strip.call_count == 1
+        assert strip.call_args.args[0].tobytes() == b"#planted\n#seed=1\n"
         assert rows.dtype == np.int32
         assert np.array_equal(rows, want[0]) and headers == want[1] == {}
 
@@ -499,6 +502,65 @@ class TestCanonicalFastPath:
         want = CoverageInstance.from_edges(2**20, 2**20, [2**20 - 1, 0],
                                            [0, 2**20 - 1])
         assert load_edge_list(raw) == want
+
+
+# Leading lines as the writers write them, and malformed `#U` headers.
+_HEADER_LINES = ["#generated planted k=2 seed=1", "#U 5", "#U 7", "#U x",
+                 "#U 2147483648", "#U", "#original_m 40", "#selected 0 3 5",
+                 "#", "#\r0 1", "#\r0 x"]
+
+
+class TestHeaderSplit:
+    """A block's leading `#` lines are parsed apart from its body, which
+    then takes the fast path; rows, `#U` values and every error, with its
+    line, stay those of the whole-file parse."""
+
+    @pytest.mark.parametrize("block", [5, 64, instance_mod._PARSE_BLOCK])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_headers_then_rows_agree(self, block, data):
+        text, columns = data.draw(canonical_file())
+        headers = data.draw(st.lists(
+            st.sampled_from(_HEADER_LINES)
+            | st.text(alphabet="#U 0123456789x", max_size=8).map("#".__add__),
+            max_size=3))
+        lines = text.split("\n")
+        if data.draw(st.booleans()):  # a bad first data line
+            tokens = lines[0].split(" ")
+            if data.draw(st.booleans()):
+                tokens[data.draw(st.integers(0, columns - 1))] = \
+                    data.draw(st.sampled_from(_BAD_TOKENS))
+            else:
+                tokens.pop()
+            lines[0] = " ".join(tokens)
+        raw = "".join(h + "\n" for h in headers).encode() + \
+            "\n".join(lines).encode()
+        width = data.draw(st.sampled_from([columns, None]))
+        with mock.patch.object(instance_mod, "_PARSE_BLOCK", block):
+            got = _message(_read_table, raw, width)
+        assert got == _message(parse_reference.read_table, raw, width)
+
+    @pytest.mark.parametrize("scan", [1, 4, 4096])
+    def test_long_header_lines(self, scan):
+        # The LFs that end the header lines lie past the first window.
+        raw = b"#selected " + b"7 " * 3000 + b"\n#U 4\n0 1\n2 x\n"
+        with mock.patch.object(instance_mod, "_HEADER_SCAN", scan):
+            with pytest.raises(ParseError, match="^line 4: non-integer"):
+                _read_table(raw, 2)
+            assert _read_table(raw[:-4], 2)[1] == {"U": 4}
+
+    def test_rows_inside_header_lines(self):
+        # A CR ends a line, so a leading `#` line may hold rows after it.
+        raw = b"#\r0 1\n#U 3\r\n#\r2 3\n5 6\n7 8\n"
+        rows, headers = _read_table(raw, 2)
+        assert rows.tolist() == [[0, 1], [2, 3], [5, 6], [7, 8]]
+        assert headers == {"U": 3}
+        assert rows.tolist() == parse_reference.read_table(raw, 2)[0].tolist()
+
+    def test_first_data_line_named(self):
+        raw = b"#generated planted\n0 x\n1 2\n"
+        with pytest.raises(ParseError, match="^line 2: non-integer token$"):
+            _read_table(raw, 2)
 
 
 def test_parse_memory_is_rows_plus_a_block(tmp_path):

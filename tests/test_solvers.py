@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,8 +29,9 @@ from coversketch import (
 from coversketch.instance import FractionalInstance, WeightedInstance, \
     ProbabilisticInstance
 from coversketch.sketch import SketchParams, _selection, _sketch_runs
-from coversketch.solvers import _greedy_run, _stochastic, cover_threshold, \
-    guess_ladder
+from coversketch import solvers as solvers_module
+from coversketch.solvers import _greedy_run, _start, _stochastic, \
+    cover_threshold, guess_ladder
 
 from conftest import decimals, random_instance
 
@@ -528,6 +530,58 @@ class TestGreedyOnRuns:
         assert _stochastic(inst, "sketch", k, eps, seed,
                            (selected, counts)) == \
             stochastic_greedy(sk, k, eps, seed)
+
+
+@st.composite
+def full_runs(draw):
+    """(instance, selected, counts): runs that carry every edge of a small
+    instance, in any element order.  Zero-degree elements are left out or
+    kept with count 0."""
+    inst = draw(small_instances(max_n=10, max_m=16))
+    degrees = inst.elem_degrees
+    keep = [e for e in range(inst.m) if degrees[e] or draw(st.booleans())]
+    selected = np.array(draw(st.permutations(keep)), dtype=np.int64)
+    return inst, selected, degrees[selected].astype(np.int64)
+
+
+class TestGreedyOnFullRuns:
+    """Runs that carry every edge are the instance up to element order, so
+    greedy on them takes the instance path."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(full_runs(), st.data())
+    def test_greedy(self, case, data):
+        inst, selected, counts = case
+        k = data.draw(st.integers(0, inst.n))
+        thresh = data.draw(st.none() | st.integers(0, inst.m + 1))
+        got = _greedy_run(inst, k, stop_threshold=thresh,
+                          fill_zero=thresh is None, runs=(selected, counts))
+        assert got == reference_greedy(inst, k, thresh)
+        assert got == _greedy_run(inst, k, stop_threshold=thresh,
+                                  fill_zero=thresh is None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(full_runs(), st.data(), st.floats(0.01, 0.99),
+           st.integers(0, 2**32 - 1))
+    def test_stochastic(self, case, data, eps, seed):
+        inst, selected, counts = case
+        k = data.draw(st.integers(1, inst.n))
+        assert _stochastic(inst, "instance", k, eps, seed,
+                           (selected, counts)) == \
+            stochastic_greedy(inst, k, eps, seed)
+
+    @settings(max_examples=50, deadline=None)
+    @given(full_runs())
+    def test_start_gathers_nothing(self, case):
+        inst, selected, counts = case
+        with mock.patch.object(solvers_module, "_gather_positions",
+                               wraps=solvers_module._gather_positions) as gather:
+            gains, (limit, cut) = _start(inst, (selected, counts))
+        assert gather.call_count == 0
+        want_gains, (want_limit, want_cut) = _start(inst)
+        assert np.array_equal(gains, want_gains)
+        assert np.array_equal(limit, want_limit)
+        assert cut is want_cut is None
 
 
 class TestTracerContract:
