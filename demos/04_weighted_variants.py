@@ -16,12 +16,14 @@ from coversketch import (
     coverage_fractional,
     coverage_probabilistic,
     coverage_weighted,
+    generate_planted,
     greedy_kcover,
     loads_edge_list,
     practical_params,
     sketch_fractional,
     sketch_probabilistic,
     sketch_weighted,
+    theory_params,
 )
 from coversketch.instance import (
     FractionalInstance,
@@ -62,3 +64,18 @@ estimate = coverage(skp, [0, 1]) / zeta
 print(f"\nprobabilistic coverage: exact={exact}  "
       f"estimate over {zeta} copies={estimate:.4f}  "
       f"relative error={(abs(estimate - exact) / exact):.4f} (allowed {eps / 2})")
+
+# --- theory mode on a planted base -----------------------------------------
+# Weights 1-4 on a small planted instance; n_tilde is derived from the
+# expansion's size, and the sketch keeps the smallest-hash copies until
+# their capped edges reach it.
+planted, _ = generate_planted(5, 2000, 20, 0.2, seed=3)
+weights = np.random.default_rng(3).integers(1, 5, size=planted.m)
+wplanted = WeightedInstance(planted, weights, U=4)
+copies = int(weights.sum())
+params = theory_params(planted.n, copies, int(weights @ planted.elem_degrees),
+                       k=2, eps=0.9)
+skt = sketch_weighted(wplanted, params, HashSource(4))
+print(f"\ntheory sketch of {copies} weighted copies: keeps {skt.instance.m} "
+      f"copies, whose edge mass {skt.instance.edge_count} reaches "
+      f"n_tilde={params.n_tilde} (degree cap {params.degree_cap})")

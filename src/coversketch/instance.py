@@ -47,10 +47,18 @@ class ParseError(ValueError):
     """Malformed input; the message carries the 1-based line number."""
 
 
+def _decimal(value: float, name: str) -> Fraction:
+    """``value`` read exactly as the decimal it prints as (0.7 is 7/10, not
+    the nearest binary fraction); ``name`` names it when it is not finite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number")
+    return Fraction(repr(float(value)))
+
+
 def _decoy_size(block: int, eps: float) -> int:
     """``ceil((1 + eps) * block)``, exact for ``eps`` read as the decimal it
     prints as: 1.2 * 100 is 120, not the float 120.00000000000001."""
-    return math.ceil((1 + Fraction(repr(float(eps)))) * block)
+    return math.ceil((1 + _decimal(eps, "eps")) * block)
 
 
 def _check_key_range(*factors: int) -> None:
@@ -999,8 +1007,7 @@ def generate_adversarial(n: int, k: int, beta: float,
         raise ValueError("need 1 <= k <= n/2")
     if beta < 1:
         raise ValueError("beta must be >= 1")
-    # Exact for ``beta`` read as the decimal it prints as, like _decoy_size.
-    group = Fraction(repr(float(beta))) * n / k
+    group = _decimal(beta, "beta") * n / k
     if group.denominator != 1 or group < 1:
         raise ValueError("beta*n/k must be a positive integer")
     group = int(group)

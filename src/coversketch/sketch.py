@@ -452,22 +452,22 @@ def build_sketch_lazy(element_count: int, degree_oracle, edge_oracle,
 # Each transform views the input as an implicit unweighted expansion: element
 # v becomes copies with flat ids offset(v) + j, and copies are hashed exactly
 # as the materialized expansion's elements would be.  The expansion itself is
-# never built.  Practical mode makes one pass per block of _HASH_BLOCK
+# never built.  A sample at a rate makes one pass per block of _HASH_BLOCK
 # candidate copies: it hashes the block's flat ids to uint64 bits, keeps the
-# copies whose bits fall below the integer form of rho (_unit_limit), and
-# expands those at once: their edges are gathered from the base adjacency,
-# filtered per copy (by numerator, or by a seeded coin drawn from per-edge
-# tables) and capped.  A block of 2**15 copies takes 256 KiB of hash words,
-# so at small rho every temporary of a block stays in a core's L2 cache.
-# Theory mode needs the global hash order, so it hashes every block first
-# and expands the walk in chunks (_expand_in_chunks).  Degenerate parameters
-# (all weights one, rho = 1 with no cap) reproduce the plain constructions
-# bit for bit.
+# copies whose bits fall below the integer form of the rate (_unit_limit),
+# and expands those at once: their edges are gathered from the base
+# adjacency, filtered per copy (by numerator, or by a seeded coin drawn from
+# per-edge tables) and capped; unfiltered copies hold capped runs of their
+# elements' edges, which are gathered after the cut.  A block of 2**15 copies
+# takes 256 KiB of hash words, so at a small rate every temporary of a block
+# stays in a core's L2 cache.  Practical mode samples once at rho.  Theory
+# mode samples below a rising rate until the sample's capped mass reaches
+# n_tilde or the rate reaches 1, then makes the shared cut (_select_elements)
+# on the sample.  Degenerate parameters (all weights one, rho = 1 with no
+# cap) reproduce the plain constructions bit for bit.
 # ---------------------------------------------------------------------------
 
 _HASH_BLOCK = 1 << 15  # candidate copies hashed and expanded per block
-_FIRST_CHUNK = 1 << 12  # kept copies expanded in the first theory chunk
-_MAX_CHUNK = 1 << 16  # theory chunks double up to this many copies
 
 
 def _copy_count(copies: np.ndarray) -> int:
@@ -514,8 +514,14 @@ def _sketch_copies(base: CoverageInstance, first: np.ndarray,
     ``flat`` and ``j``.  Copies left without an edge by the filter are
     dropped; with ``edge_filter=None`` every copy keeps all of v's edges and
     edgeless copies stay.  The result equals :func:`build_sketch` over the
-    expansion's copies, but only the copies that the sampling rule reaches
-    gather edges.
+    expansion's copies, but only sampled copies gather edges.
+
+    Practical mode samples once: it keeps the copies hashing below ``rho``.
+    Theory mode samples below a rising rate, then makes the shared cut
+    (:func:`_select_elements`) on the sample.  A sample is a prefix of the
+    hash order, so once its capped mass reaches ``n_tilde`` its cut is the
+    cut over every copy; until then the rate is raised by the shortfall,
+    and at rate 1 the sample is every copy.
     """
     ends = np.cumsum(copies)
     starts = ends - copies
@@ -524,14 +530,14 @@ def _sketch_copies(base: CoverageInstance, first: np.ndarray,
     over_cap = base.m > 0 and int(base.elem_degrees.max()) > cap
 
     def expand(idx):
-        """(flat ids, capped counts, edge positions grouped by copy) of idx."""
+        """(flat ids, capped counts, edge positions grouped by copy) of idx;
+        unfiltered copies give their elements, whose first ``counts`` edges
+        they hold, in place of positions."""
         v = np.searchsorted(ends, idx, side="right")
         j = idx - starts[v]
         flat_ids = first[v] + j
         if edge_filter is None:
-            counts = np.minimum(base.elem_degrees[v], cap)
-            return flat_ids, counts, _gather_positions(base.elem_indptr, v,
-                                                       counts)
+            return flat_ids, np.minimum(base.elem_degrees[v], cap), v
         degrees = base.elem_degrees[v]
         pos = _gather_positions(base.elem_indptr, v, degrees)
         copy = np.repeat(np.arange(len(idx), dtype=np.int64), degrees)
@@ -548,53 +554,38 @@ def _sketch_copies(base: CoverageInstance, first: np.ndarray,
         has_edge = counts > 0
         return flat_ids[has_edge], counts[has_edge], pos
 
-    blocks = _copy_bits(source, first - starts, starts, ends, total)
-    if params.mode == "practical":
-        limit = _unit_limit(params.rho)
-        selected, counts, pos = _concatenate_runs(
+    def sample(rate):
+        """:func:`expand` of the copies hashing below ``rate``, in flat-id
+        order."""
+        limit = _unit_limit(rate)
+        return _concatenate_runs(
             expand(lo + np.flatnonzero(_bits_below(z, limit)))
-            for lo, z in blocks)
+            for lo, z in _copy_bits(source, first - starts, starts, ends,
+                                    total))
+
+    if params.mode == "practical":
+        selected, counts, pos = sample(params.rho)
     else:
-        hashes = np.empty(total, dtype=np.float64)
-        for lo, z in blocks:
-            hashes[lo:lo + len(z)] = _unit_array(z)
-        walk = _hash_order(hashes)  # ties by smaller flat id
-        del hashes
-        selected, counts, pos = _expand_in_chunks(expand, walk,
-                                                  params.n_tilde)
-        del walk
+        n_tilde = params.n_tilde
+        # The capped mass of all copies is at most this bound.
+        bound = int(copies @ np.minimum(base.elem_degrees, cap))
+        rate = min(1.0, 2 * n_tilde / max(bound, 1))
+        selected, counts, pos = sample(rate)
+        while (mass := int(counts.sum())) < n_tilde and rate < 1.0:
+            rate = min(1.0, 2 * rate * n_tilde / max(mass, 1))
+            selected, counts, pos = sample(rate)
+        # Ties break by smaller flat id, as the sample is in flat-id order.
+        keep = _select_elements(element_hash_array(source, selected), counts,
+                                params)
+        pos = pos[keep if edge_filter is None else _gather_positions(
+            np.cumsum(counts) - counts, keep, counts[keep])]
+        selected, counts = selected[keep], counts[keep]
+    if edge_filter is None:  # pos holds the copies' elements (see expand)
+        pos = _gather_positions(base.elem_indptr, pos, counts)
     set_ids = base.elem_set_ids[pos]
     del pos
     return _assemble(base.n, selected, counts, set_ids, source.seed, params,
                      original_m)
-
-
-def _expand_in_chunks(expand, walk: np.ndarray, n_tilde: int):
-    """(flat ids, capped counts, edge positions) of the theory cut of the
-    candidates ``walk``, which come in hash order.
-
-    Expands ``walk`` in order, in chunks of doubling size, and stops at the
-    first copy whose cumulative capped mass reaches ``n_tilde``, the cut
-    :func:`_select_elements` makes over every copy at once; when the mass
-    never gets there, every copy is kept.
-    """
-    parts = []
-    mass = lo = 0
-    size = _FIRST_CHUNK
-    while lo < len(walk):
-        flat_ids, counts, pos = expand(walk[lo:lo + size])
-        lo, size = lo + size, min(2 * size, _MAX_CHUNK)
-        cum = mass + np.cumsum(counts)
-        done = cum.size and cum[-1] >= n_tilde
-        if done:
-            cut = int(np.searchsorted(cum, n_tilde)) + 1
-            flat_ids, counts = flat_ids[:cut], counts[:cut]
-            pos = pos[:int(cum[cut - 1]) - mass]
-        parts.append((flat_ids, counts, pos))
-        if done:
-            break
-        mass = int(cum[-1]) if cum.size else mass
-    return _concatenate_runs(parts)
 
 
 def sketch_weighted(winst: WeightedInstance, params: SketchParams,

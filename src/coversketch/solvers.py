@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .instance import (
     FractionalInstance,
     ProbabilisticInstance,
     WeightedInstance,
+    _decimal,
     _gather_positions,
 )
 from .sketch import (
@@ -320,7 +320,7 @@ def cover_threshold(m: int, lam: float) -> int:
     ``lam`` is read as the decimal it prints as, so the ceiling is exact:
     0.7 of 56,000,000 leaves 16,800,000, not 16,800,001.
     """
-    return math.ceil((1 - Fraction(repr(float(lam)))) * m)
+    return math.ceil((1 - _decimal(lam, "lam")) * m)
 
 
 # Longest guess ladder built; eps = 0.05 needs fewer than 500 steps.

@@ -147,6 +147,18 @@ class TestGenerate:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("args,name", [
+        (["planted", "--k", "2", "--m", "4", "--kprime", "1", "--eps"], "eps"),
+        (["adversarial", "--n", "4", "--k", "1", "--beta"], "beta"),
+    ])
+    def test_non_finite_decimal_exits_one(self, tmp_path, capsys, args, name,
+                                          value):
+        code, _, err = run(["generate", *args, value, "--out",
+                            str(tmp_path / "x.txt")], capsys)
+        assert code == 1 and "Traceback" not in err
+        assert err == f"error: {name} must be a finite number\n"
+
 
 class TestSketchCommand:
     def test_ratio_one_with_no_pruning(self, tmp_path, capsys):

@@ -395,6 +395,11 @@ class TestGeneratePlanted:
         with pytest.raises(ValueError):
             generate_planted(3, 10, 5, 0.2, seed=0)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_rejects_non_finite_eps(self, eps):
+        with pytest.raises(ValueError, match="^eps must be a finite number$"):
+            generate_planted(2, 4, 1, eps, seed=0)
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 6),
            st.one_of(st.sampled_from([0.0, 1.0, 2.0, 3.0, 5.0]),
@@ -454,6 +459,11 @@ class TestGenerateAdversarial:
             generate_adversarial(10, 6, 2.0)  # k > n/2
         with pytest.raises(ValueError):
             generate_adversarial(10, 2, 1.3)  # beta*n/k not integral
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    def test_rejects_non_finite_beta(self, beta):
+        with pytest.raises(ValueError, match="^beta must be a finite number$"):
+            generate_adversarial(10, 2, beta)
 
     @pytest.mark.parametrize("n,edges", [(10**9, 10**18 + 10**9),
                                          (30_000, 900_030_000)])

@@ -630,11 +630,9 @@ class TestVariantsMatchReference:
 
     @settings(max_examples=300, deadline=None)
     @given(variant_cases(), sketch_params(), st.integers(0, 2**32),
-           st.booleans(), st.integers(1, 3), st.integers(1, 8),
-           st.integers(1, 16), st.sampled_from([0.8, 1.0]))
+           st.booleans(), st.integers(1, 16), st.sampled_from([0.8, 1.0]))
     def test_all_variants_match_reference(self, case, params, seed, tied,
-                                          first_chunk, max_chunk, hash_block,
-                                          eps):
+                                          hash_block, eps):
         finst, weights = case
         base, U = finst.base, finst.U
         winst = WeightedInstance(base, weights, U)
@@ -642,14 +640,15 @@ class TestVariantsMatchReference:
                                       finst.numer_elem_order, U)
         source = HashSource(seed)
         bits = _coarse_bits if tied else sketch_module._element_bits
-        # Small chunks and hash blocks walk the chunked paths on tiny inputs;
-        # blocks of 1-16 copies split an element's copies.  A base with more
-        # than 256 sets has thousands of probabilistic copies per element,
-        # so its chunks and blocks are 1,024 times larger.
+        # Small hash blocks walk the block loop of every sample on tiny
+        # inputs; blocks of 1-16 copies split an element's copies.  A base
+        # with more than 256 sets has thousands of probabilistic copies per
+        # element, so its blocks are 1,024 times larger.  Tied hashes check
+        # the cut's tie-break by smaller flat id, and n_tilde within and
+        # beyond the mass makes theory mode stop at its first rate, raise
+        # it, or take every copy.
         scale = 1 if base.n <= 256 else 1024
         with mock.patch.multiple(sketch_module, _element_bits=bits,
-                                 _FIRST_CHUNK=first_chunk * scale,
-                                 _MAX_CHUNK=max_chunk * scale,
                                  _HASH_BLOCK=hash_block * scale):
             assert_same_sketch(sketch_weighted(winst, params, source),
                                reference_weighted(winst, params, source))
@@ -680,6 +679,76 @@ class TestVariantsMatchReference:
         assert_same_sketch(frac, without_empty(heavy))
         if U == 1:
             assert_same_sketch(frac, without_empty(plain))
+
+
+def _theory(n_tilde, cap=3):
+    return SketchParams(mode="theory", n_tilde=n_tilde, degree_cap=cap)
+
+
+class TestTheoryCopySamples:
+    """Theory-mode copy sketches sample below a rising rate, then cut."""
+
+    def _passes(self, build):
+        with mock.patch.object(sketch_module, "_copy_bits",
+                               wraps=sketch_module._copy_bits) as spy:
+            sk = build()
+        return sk, spy.call_count
+
+    def test_short_first_sample_samples_again(self):
+        # One coin in four succeeds, so the bound on the capped mass is
+        # about four times the mass and a first sample at twice n_tilde
+        # over the bound falls short.
+        base = random_instance(5, max_n=6, max_m=10)
+        numer = np.ones(base.edge_count, dtype=np.int64)
+        pinst = ProbabilisticInstance(base, numer, numer.copy(), 4)
+        params, source = _theory(60), HashSource(7)
+        sk, passes = self._passes(
+            lambda: sketch_probabilistic(pinst, 0.8, params, source))
+        assert passes == 2
+        assert sk.instance.edge_count >= 60
+        assert_same_sketch(sk, reference_probabilistic(pinst, 0.8, params,
+                                                       source))
+
+    def test_bound_at_half_n_tilde_starts_at_rate_one(self):
+        # Every copy's capped mass is at most the bound, which is no more
+        # than twice n_tilde: one sample at rate 1 keeps every copy.
+        winst = _random_weighted(8)
+        w, degrees = winst.element_weight, winst.base.elem_degrees
+        params = _theory(int(w @ np.minimum(degrees, 3)) // 2 + 1)
+        source = HashSource(2)
+        sk, passes = self._passes(
+            lambda: sketch_weighted(winst, params, source))
+        assert passes == 1
+        assert_same_sketch(sk, reference_weighted(winst, params, source))
+
+    def test_zero_candidate_copies(self):
+        finst = FractionalInstance.from_edges(2, 2, [0, 1], [0, 1], [0, 0], 3)
+        params, source = _theory(5), HashSource(1)
+        sk, passes = self._passes(
+            lambda: sketch_fractional(finst, params, source))
+        assert passes == 1 and sk.instance.m == 0
+        assert_same_sketch(sk, reference_fractional(finst, params, source))
+
+    def test_probabilistic_peak_stays_small(self):
+        # The probabilistic input of the weighted_variants benchmark: about
+        # 2.1M candidate copies, of which the cut keeps a few thousand.
+        small, _ = generate_planted(10, 200, 40, 0.2, 1)
+        set_ids, elem_ids = small.edges()
+        numer = np.random.default_rng(1).integers(1, 5, size=len(set_ids))
+        pinst = ProbabilisticInstance.from_edges(small.n, small.m, set_ids,
+                                                 elem_ids, numer, 4)
+        zeta = probabilistic_copy_count(small.n, 4, 0.5)
+        params = theory_params(small.n, small.m * zeta,
+                               small.edge_count * zeta, k=10, eps=0.9)
+        tracemalloc.start()
+        try:
+            sk = sketch_probabilistic(pinst, 0.5, params, HashSource(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert small.m * zeta > 2 * 10**6
+        assert sk.instance.edge_count >= params.n_tilde
+        assert peak < 8 * 2**20
 
 
 class TestExpansionBudget:

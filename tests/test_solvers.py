@@ -235,6 +235,11 @@ class TestCoverThreshold:
     def test_matches_fraction_reference(self, lam, m):
         assert cover_threshold(m, float(lam)) == math.ceil((1 - lam) * m)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_lam(self, lam):
+        with pytest.raises(ValueError, match="^lam must be a finite number$"):
+            cover_threshold(10, lam)
+
 
 class TestSetCoverOutliers:
     def test_single_dominating_set(self):
