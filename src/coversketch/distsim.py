@@ -11,8 +11,9 @@ rounds, which every hash family (one per set-cover guess) shares:
    ``2 n_tilde / m >= 1`` on every element reports and the simulation
    computes a hash only when a later step needs it,
 2. coordinator reduce: over the reported records only, make the cut of
-   :func:`~coversketch.sketch.build_sketch` (``sketch._selection``, which
-   hashes the reported ids again): keep the smallest-hash prefix whose capped
+   :func:`~coversketch.sketch.build_sketch` through the shared
+   ``sketch._select_elements`` (by way of ``sketch._selection``, which hashes
+   the reported ids again): keep the smallest-hash prefix whose capped
    degree mass reaches ``n_tilde`` and send each kept id to its owner.  When
    the reports' capped mass stays below ``n_tilde``, or meets it with no
    zero-degree report, the cut keeps every report and nothing is hashed or

@@ -319,39 +319,14 @@ def _assemble(n: int, selected: np.ndarray, counts: np.ndarray,
                   original_m=int(original_m), oracle_lookups=lookups)
 
 
-def _in_selection_order(selected: np.ndarray, counts: np.ndarray,
-                        source: HashSource, params: SketchParams):
-    """The runs ``(selected, counts)`` in selection order.
-
-    Theory-mode runs come in selection order, or in ascending id order when
-    the cut kept every element (:func:`_keeps_every_element`).  Ascending
-    runs are sorted by hash, then smaller id; a run in both orders sorts to
-    itself.  Practical-mode selection order is id order.
-    """
-    if params.mode == "theory" and (selected[1:] > selected[:-1]).all():
-        order = _hash_order(element_hash_array(source, selected))
-        return selected[order], counts[order]
-    return selected, counts
-
-
-def _sketch_runs(instance: CoverageInstance, selected: np.ndarray,
-                 counts: np.ndarray, source: HashSource,
-                 params: SketchParams) -> Sketch:
-    """Sketch whose element ``i`` is element ``selected[i]`` of ``instance``
-    with its first ``counts[i]`` sets, after :func:`_in_selection_order`."""
-    selected, counts = _in_selection_order(selected, counts, source, params)
-    set_ids = instance.elem_set_ids[_gather_positions(instance.elem_indptr,
-                                                      selected, counts)]
-    return _assemble(instance.n, selected, counts, set_ids, source.seed,
-                     params, instance.m)
-
-
 def _selection(degrees: np.ndarray, params: SketchParams,
                source: HashSource, ids: np.ndarray | None = None
                ) -> tuple[np.ndarray, np.ndarray]:
     """The candidates ``ids`` (ascending; every element by default) that the
     cut of :func:`build_sketch` keeps given their ``degrees``, and their
-    capped degrees: the runs :func:`_sketch_runs` assembles.
+    capped degrees.  Simulator round 2 (``distsim._run_sketch_rounds``) and
+    the sketch engine of ``solvers.set_cover_outliers`` call it; both solve
+    on the runs without building a sketch.
 
     A theory cut that keeps every candidate hashes and sorts nothing and
     returns them in id order; other cuts return selection order, ties
@@ -392,10 +367,17 @@ def build_sketch(instance: CoverageInstance, params: SketchParams,
     loaded one, keeps it unbuilt when the cut drops an element: the runs
     are gathered from an element view of the kept elements' edges only.
     """
-    selected, counts = _selection(instance.elem_degrees, params, source)
+    capped = np.minimum(instance.elem_degrees, params.cap)
+    selected = _select_elements(
+        element_hash_array(source, np.arange(instance.m, dtype=np.int64)),
+        capped, params)
+    counts = capped[selected]
     if isinstance(instance, _SetView) and len(selected) < instance.m:
         instance = _kept_set_view(instance, selected)
-    return _sketch_runs(instance, selected, counts, source, params)
+    set_ids = instance.elem_set_ids[_gather_positions(instance.elem_indptr,
+                                                      selected, counts)]
+    return _assemble(instance.n, selected, counts, set_ids, source.seed,
+                     params, instance.m)
 
 
 def build_sketch_lazy(element_count: int, degree_oracle, edge_oracle,

@@ -7,12 +7,16 @@ inside the loop over families.  The tests hold
 ``distsim._run_sketch_rounds`` equal to it: the unit array, the message
 count, the divergence flag, and each family's runs once put into selection
 order.
+
+:func:`assemble_runs` is the sketch that a family's runs stand for, built
+through ``CoverageInstance.from_edges`` rather than the library's assembly.
 """
 
 import numpy as np
 
-from coversketch import sketch
+from coversketch import CoverageInstance, sketch
 from coversketch.distsim import COORDINATOR
+from coversketch.instance import _gather_positions
 
 IN, OUT, PEAK = range(3)
 
@@ -74,3 +78,26 @@ def run_sketch_rounds(instance, placement, families):
     units[COORDINATOR, 2, PEAK] = sel_units
     units[COORDINATOR, 3, PEAK] = sel_units + sketch_units
     return runs, divergence, units, messages
+
+
+def assemble_runs(instance, selected, counts, source, params):
+    """The sketch of ``instance`` whose elements are the runs ``(selected,
+    counts)``: each selected element with its first ``counts`` sets.
+
+    Theory-mode runs, in any order, are put into selection order: by hash,
+    ties by smaller id.  Practical-mode runs are in selection order, which
+    is id order.
+    """
+    if params.mode == "theory":
+        order = np.lexsort((selected,
+                            sketch.element_hash_array(source, selected)))
+        selected, counts = selected[order], counts[order]
+    set_ids = instance.elem_set_ids[_gather_positions(instance.elem_indptr,
+                                                      selected, counts)]
+    elem_ids = np.repeat(np.arange(len(selected), dtype=np.int64), counts)
+    inst = CoverageInstance.from_edges(instance.n, len(selected), set_ids,
+                                       elem_ids)
+    return sketch.Sketch(instance=inst, hash_seed=source.seed, params=params,
+                         selected_elements=np.asarray(selected,
+                                                      dtype=np.int64),
+                         original_m=instance.m)

@@ -147,6 +147,19 @@ class TestGenerate:
         assert code == 1
         assert "error" in err
 
+    def test_allocation_past_the_address_space_exits_one(self, tmp_path,
+                                                         capsys):
+        # 2**58 elements need 2 EiB of int64 rows, more than a 64-bit
+        # address space holds, so the allocation fails before touching
+        # memory.
+        out = tmp_path / "x.txt"
+        code, stdout, err = run(
+            ["generate", "planted", "--k", "1", "--m", str(2**58),
+             "--kprime", "0", "--eps", "0", "--out", str(out)], capsys)
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("args,name", [
         (["planted", "--k", "2", "--m", "4", "--kprime", "1", "--eps"], "eps"),

@@ -22,8 +22,8 @@ from coversketch import sketch, solvers
 from coversketch.solvers import InfeasibleError, greedy_kcover, \
     guess_families, guess_ladder, select_outlier_solution, \
     set_cover_outliers, stochastic_greedy
-from coversketch.sketch import SketchParams, _in_selection_order, \
-    _select_elements, _selection, derive_seed, element_hash_array
+from coversketch.sketch import SketchParams, _select_elements, \
+    _selection, derive_seed, element_hash_array
 
 import distsim_reference
 from conftest import random_instance
@@ -285,7 +285,7 @@ def simulated_sketches(inst, machines, families):
     simulated run."""
     runs, divergence, _, _ = distsim._run_sketch_rounds(
         inst, partition_input(inst, machines), families)
-    return [sketch._sketch_runs(inst, *run, *family)
+    return [distsim_reference.assemble_runs(inst, *run, *family)
             for run, family in zip(runs, families)], divergence
 
 
@@ -466,8 +466,8 @@ class TestLazyRound4:
                      if not flag]
         assert len(solved) == len(unclamped)
         for runs, sk in zip(solved, unclamped):
-            assert sketch._sketch_runs(inst, *runs, HashSource(sk.hash_seed),
-                                       sk.params) == sk
+            assert distsim_reference.assemble_runs(
+                inst, *runs, HashSource(sk.hash_seed), sk.params) == sk
 
     def test_accounting_covers_every_guess(self):
         for case in self.cases():
@@ -484,8 +484,8 @@ class TestLazyRound4:
     def test_simulation_assembles_up_to_the_winner(self, monkeypatch):
         """Round 4 assembles no sketch: it solves the reached guesses, up
         to the winner, on their runs."""
-        assert not hasattr(distsim, "_sketch_runs")
-        assembled = self.count_calls(monkeypatch, sketch, "_sketch_runs")
+        assert not hasattr(distsim, "_assemble")
+        assembled = self.count_calls(monkeypatch, sketch, "_assemble")
         solved = self.record_runs(monkeypatch)
         for case in self.cases():
             ref, reached = self.reference(case)
@@ -504,7 +504,7 @@ class TestLazyRound4:
         Every element of these fixtures has an edge and reports."""
         sorts = self.count_calls(monkeypatch, sketch, "_hash_order")
         hashes = self.count_calls(monkeypatch, sketch, "element_hash_array")
-        assembled = self.count_calls(monkeypatch, sketch, "_sketch_runs")
+        assembled = self.count_calls(monkeypatch, sketch, "_assemble")
         # Per walk: sorts in (rounds 1-3, round 4, the sketch engine).  UU
         # sorts its first seven guesses (caps 8 to 2, capped mass above
         # n_tilde) once each, in round 2, and the sketch engine sorts its
@@ -541,8 +541,8 @@ class TestLazyRound4:
     def test_sketch_engine_builds_up_to_the_winner(self, monkeypatch):
         """The sketch engine assembles no sketch either: it selects and
         solves the reached guesses, up to the winner, on their runs."""
-        assert not hasattr(solvers, "_sketch_runs")
-        assembled = self.count_calls(monkeypatch, sketch, "_sketch_runs")
+        assert not hasattr(solvers, "_assemble")
+        assembled = self.count_calls(monkeypatch, sketch, "_assemble")
         solved = self.record_runs(monkeypatch)
         hashed = self.count_calls(monkeypatch, solvers, "_selection")
         for case in self.cases():
@@ -617,9 +617,10 @@ def check_rounds_match_reference(inst, machines, families):
     assert messages == want_messages
     assert len(runs) == len(want_runs) == len(families)
     for run, want_run, (source, params) in zip(runs, want_runs, families):
-        for have, expect in zip(_in_selection_order(*run, source, params),
-                                want_run):
-            np.testing.assert_array_equal(have, expect)
+        have = distsim_reference.assemble_runs(inst, *run, source, params)
+        np.testing.assert_array_equal(have.selected_elements, want_run[0])
+        np.testing.assert_array_equal(have.instance.elem_degrees,
+                                      want_run[1])
     return divergence
 
 
@@ -702,7 +703,8 @@ def walk_outcomes(inst, guesses, lam, eps):
     """(shortened walk, unshortened walk): ``solvers._walk_ladder`` on the
     per-guess runs, and select_outlier_solution after assembling every
     reached guess; each an outcome, or None when infeasible."""
-    pairs = ((g, sketch._sketch_runs(inst, sel, counts, source, params))
+    pairs = ((g, distsim_reference.assemble_runs(inst, sel, counts, source,
+                                                 params))
              for g, sel, counts, source, params in guesses)
     runs = ((g, sel, counts) for g, sel, counts, _, _ in guesses)
     return (outcome_or_none(solvers._walk_ladder, inst, runs, lam, eps),

@@ -33,6 +33,7 @@ from coversketch.instance import (
     FractionalInstance,
     ProbabilisticInstance,
     WeightedInstance,
+    _SetView,
     load_fractional_edge_list,
 )
 from coversketch.sketch import (
@@ -55,6 +56,7 @@ from expansion_reference import (
     reference_fractional,
     reference_probabilistic,
     reference_weighted,
+    sketch_over_copies,
     sketch_params,
 )
 
@@ -183,7 +185,45 @@ class TestTheoryParams:
             HashSource(0)).instance
 
 
+@st.composite
+def element_rows(draw, max_n=6, max_m=12):
+    """(n, rows): per element of a small instance, its set ids; rows may
+    be empty, so that elements of degree 0 take part in the cut."""
+    n = draw(st.integers(1, max_n))
+    return n, draw(st.lists(st.sets(st.integers(0, n - 1), max_size=n),
+                            max_size=max_m))
+
+
 class TestBuildSketch:
+    @settings(max_examples=300, deadline=None)
+    @given(element_rows(), sketch_params(), st.integers(0, 2**64 - 1),
+           st.booleans(), st.data())
+    def test_matches_reference_cut(self, case, params, seed, tied, data):
+        """``build_sketch`` is the reference sketch over its elements, one
+        copy each, on a fresh set view and on an instance whose element
+        view was read first.  ``n_tilde`` may be pinned to the capped mass,
+        the tie that keeps every element only when none has degree 0."""
+        n, rows = case
+        m = len(rows)
+        set_ids = [s for row in rows for s in sorted(row)]
+        elem_ids = [v for v, row in enumerate(rows) for _ in row]
+        ref = CoverageInstance.from_edges(n, m, set_ids, elem_ids)
+        mass = int(np.minimum(ref.elem_degrees, params.cap).sum())
+        if params.mode == "theory" and data.draw(st.booleans()):
+            params = dataclasses.replace(params, n_tilde=max(1, mass))
+        source = HashSource(seed)
+        bits = _coarse_bits if tied else sketch_module._element_bits
+        with mock.patch.object(sketch_module, "_element_bits", bits):
+            want = sketch_over_copies(n, np.arange(m, dtype=np.int64),
+                                      ref.elem_indptr, ref.elem_set_ids,
+                                      params, source, m)
+            for read_first in (False, True):
+                inst = CoverageInstance.from_edges(n, m, set_ids, elem_ids)
+                if read_first:
+                    inst.elem_indptr
+                assert isinstance(inst, _SetView) != read_first
+                assert_same_sketch(build_sketch(inst, params, source), want)
+
     def test_practical_identity(self):
         inst = random_instance(0)
         sk = build_sketch(inst, practical_params(1.0, inst.n + 1), HashSource(3))

@@ -28,11 +28,12 @@ from coversketch import (
 )
 from coversketch.instance import FractionalInstance, WeightedInstance, \
     ProbabilisticInstance
-from coversketch.sketch import SketchParams, _selection, _sketch_runs
+from coversketch.sketch import SketchParams, _selection
 from coversketch import solvers as solvers_module
 from coversketch.solvers import _greedy_run, _start, _stochastic, \
     cover_threshold, guess_ladder
 
+import distsim_reference
 from conftest import decimals, random_instance
 
 # S0 = {a,b,c}, S1 = {c,d}, S2 = {d,e} with elements a..e as 0..4.
@@ -500,7 +501,8 @@ def sketch_runs(draw):
                                   cap)
     selected, counts = _selection(degrees, params, source)
     return (inst, selected, counts,
-            _sketch_runs(inst, selected, counts, source, params))
+            distsim_reference.assemble_runs(inst, selected, counts, source,
+                                            params))
 
 
 class TestGreedyOnRuns:
