@@ -421,7 +421,9 @@ def stats(instance: CoverageInstance) -> InstanceStats:
 # ---------------------------------------------------------------------------
 
 _MAX_VALUE = 2**31 - 1
-# np.fromstring saturates silently past int64; 18 digits always fit.
+# Longest token converted.  Longer tokens are rejected unread, so a token's
+# place-by-place sum in int64 stays below 10**18 < 2**63 and cannot wrap
+# before the range check.
 _MAX_DIGITS = 18
 # Rows formatted per block by the writer.
 _WRITE_BLOCK = 1 << 16
@@ -554,6 +556,35 @@ def _line_error(buf: np.ndarray, bounds: np.ndarray, pos: int,
     return ParseError(f"{where}: integer out of range (max {_MAX_VALUE})")
 
 
+def _token_values(buf: np.ndarray, ends: np.ndarray, lengths: np.ndarray):
+    """The integers of the digit runs of ``buf`` that end before ``ends``
+    and are ``lengths`` digits long, 1 to ``_MAX_DIGITS`` each.
+
+    One byte gather per digit place: place ``p`` reads ``buf[ends - p]``
+    and adds its digit times ``10**(p - 1)`` where the token has ``p``
+    digits or more.  The sum is int32 when no token is longer than 9 digits,
+    else int64; either way it is exact.
+    """
+    if not ends.size:
+        return np.empty(0, dtype=np.int32)
+    longest, shortest = int(lengths.max()), int(lengths.min())
+    dtype = np.int32 if longest <= 9 else np.int64
+    pos = ends - 1
+    values = buf[pos].astype(dtype)
+    values -= ord("0")
+    lengths = lengths.astype(np.uint8)
+    term = np.empty_like(values)
+    for place in range(2, longest + 1):
+        pos -= 1  # a shorter token's byte, or a wrapped one, is zeroed
+        digit = buf[pos]
+        digit -= np.uint8(ord("0"))
+        if place > shortest:
+            digit *= lengths >= place
+        np.multiply(digit, dtype(10 ** (place - 1)), out=term)
+        values += term
+    return values
+
+
 def _canonical_values(buf: np.ndarray, columns: int | None):
     """``(values, columns)`` of a block in the form the writers produce,
     else None.
@@ -580,7 +611,7 @@ def _canonical_values(buf: np.ndarray, columns: int | None):
     if not ((marks[:, -1] == ord("\n")).all()
             and (marks[:, :-1] == ord(" ")).all()):
         return None
-    values = np.fromstring(buf.tobytes(), dtype=np.int64, sep=" ")
+    values = _token_values(buf, seps, gaps - 1)
     if values.max() > _MAX_VALUE:
         return None
     return values, columns
@@ -669,8 +700,7 @@ def _parse_lines(buf: np.ndarray, columns: int | None, field: str | None,
         first = int(bad.min())
         stop = int(bounds[np.searchsorted(bounds, first) - 1]) + 1
     ntok = int(np.searchsorted(starts, stop))
-    values = (np.fromstring(buf[:stop].tobytes(), dtype=np.int64, sep=" ")
-              if ntok else np.empty(0, dtype=np.int64))
+    values = _token_values(buf, ends[:ntok], ends[:ntok] - starts[:ntok])
     big = np.flatnonzero(values > _MAX_VALUE)
     if big.size:
         first = int(starts[big[0]])
@@ -689,9 +719,10 @@ def _read_table(source, columns: int | None, field: str | None = None):
     """Parse rows of ``columns`` integers; returns (rows, headers).
 
     ``rows`` is an ``(r, columns)`` int32 array in file order: the parser
-    admits no value above ``_MAX_VALUE``, so the cast from the int64 parse
-    is exact.  ``headers`` holds the value of the last `#U <int>` comment,
-    if any.  With ``columns=None`` the first data line sets the width.
+    admits no value above ``_MAX_VALUE``, so the cast of a block's values,
+    int64 when a token is longer than 9 digits, is exact.  ``headers``
+    holds the value of the last `#U <int>` comment, if any.  With
+    ``columns=None`` the first data line sets the width.
     ``field`` names every column in error messages; by default the columns
     are an edge list's two ids and its values.  The input is parsed one
     block of whole lines at a time (see :func:`_blocks`), and a block of
@@ -711,7 +742,7 @@ def _read_table(source, columns: int | None, field: str | None = None):
                                                      lines)
         headers.update(found)
         if values.size:
-            parts.append(values.astype(np.int32))
+            parts.append(values.astype(np.int32, copy=False))
             held += values.size
             if held >= _JOIN_SEGMENT:
                 segments.append(np.concatenate(parts))

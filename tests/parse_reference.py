@@ -4,7 +4,9 @@
 arrays and comment-blanked copy over all of it at once, and converts every
 row with one ``np.fromstring``.  The library parses the same format one
 block of whole lines at a time; the tests hold its rows, headers and
-``ParseError`` messages equal to these.
+``ParseError`` messages equal to these.  The library converts tokens place
+by place from their ends; this parse keeps ``np.fromstring`` on purpose, so
+that the two conversions stay independent and one checks the other.
 """
 
 from pathlib import Path

@@ -135,7 +135,65 @@ _BAD_TOKENS = ["x", "-1", "+5", "1.5", "1_0", "\u0663", "0x1", "9" * 19,
                "1\u20282", "1#", "1 2"]
 
 
-class TestAgainstReference:
+# Values on both sides of the 9-digit limit of int32 conversion, and the
+# largest id.
+_WIDE_IN_RANGE = st.one_of(st.integers(0, 40), st.integers(0, _MAX_VALUE),
+                           st.sampled_from([999_999_999, 1_000_000_000,
+                                            _MAX_VALUE]))
+_WIDE_OUT_OF_RANGE = st.one_of(st.just(_MAX_VALUE + 1),
+                               st.integers(_MAX_VALUE + 1, 10**18 - 1))
+
+
+@st.composite
+def wide_token_file(draw, columns):
+    """Rows of tokens of 1 to 18 digits, in the writers' form or with tabs
+    and CRLF ends, and at most one value out of range."""
+    rows = draw(st.integers(1, 12))
+    values = draw(st.lists(_WIDE_IN_RANGE, min_size=rows * columns,
+                           max_size=rows * columns))
+    if draw(st.booleans()):
+        values[draw(st.integers(0, len(values) - 1))] = \
+            draw(_WIDE_OUT_OF_RANGE)
+    # Leading zeros up to 0, 1 or 9 places, at most 18 digits in all, so
+    # that files both with and without tokens past 9 digits are drawn.
+    pad = draw(st.sampled_from([0, 1, 9]))
+    tokens = [str(v).rjust(min(18, len(str(v)) + draw(st.integers(0, pad))),
+                           "0") for v in values]
+    general = draw(st.booleans())
+    seps = draw(st.lists(st.sampled_from([" ", "\t"] if general else [" "]),
+                         min_size=rows, max_size=rows))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"] if general
+                                         else ["\n"]),
+                         min_size=rows, max_size=rows))
+    lines = [sep.join(tokens[i * columns:(i + 1) * columns]) + end
+             for i, (sep, end) in enumerate(zip(seps, ends))]
+    return "".join(lines).encode()
+
+
+class _WideTokens:
+    """Digit runs of every length the parser converts, across the switch
+    between int32 and int64 conversion within and between blocks, on both
+    the writers'-form path and the general one."""
+
+    @pytest.mark.parametrize("columns", [2, 3])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_wide_tokens_agree(self, columns, data):
+        raw = data.draw(wide_token_file(columns))
+        width = data.draw(st.sampled_from([columns, None]))
+        try:
+            want, _ = parse_reference.read_table(raw, width)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                _read_table(raw, width)
+            assert str(got.value) == str(exc)
+            return
+        rows, _ = _read_table(raw, width)
+        assert rows.dtype == np.int32
+        assert np.array_equal(rows, want)
+
+
+class TestAgainstReference(_WideTokens):
     @pytest.mark.parametrize("columns", [2, 3])
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -276,7 +334,7 @@ class TestAgainstReferenceSmallBlocks(TestAgainstReference):
 
 
 @pytest.mark.usefixtures("small_block")
-class TestIngestContractSmallBlocks(TestIngestContract):
+class TestIngestContractSmallBlocks(TestIngestContract, _WideTokens):
     """The ingest contract with windows of 1 to 64 bytes."""
 
     def test_many_comment_lines(self):
@@ -288,7 +346,7 @@ class TestIngestContractSmallBlocks(TestIngestContract):
 
 
 @pytest.mark.usefixtures("small_block")
-class TestBlockCuts:
+class TestBlockCuts(_WideTokens):
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_blocks_are_whole_lines(self, data):
