@@ -580,7 +580,9 @@ def _token_values(buf: np.ndarray, ends: np.ndarray, lengths: np.ndarray):
         digit -= np.uint8(ord("0"))
         if place > shortest:
             digit *= lengths >= place
-        np.multiply(digit, dtype(10 ** (place - 1)), out=term)
+        # The loop type is named, so no numpy version picks a uint8 or
+        # uint16 loop for the scalar and wraps the product.
+        np.multiply(digit, 10 ** (place - 1), out=term, dtype=dtype)
         values += term
     return values
 

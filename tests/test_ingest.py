@@ -334,7 +334,7 @@ class TestAgainstReferenceSmallBlocks(TestAgainstReference):
 
 
 @pytest.mark.usefixtures("small_block")
-class TestIngestContractSmallBlocks(TestIngestContract, _WideTokens):
+class TestIngestContractSmallBlocks(TestIngestContract):
     """The ingest contract with windows of 1 to 64 bytes."""
 
     def test_many_comment_lines(self):
@@ -346,7 +346,7 @@ class TestIngestContractSmallBlocks(TestIngestContract, _WideTokens):
 
 
 @pytest.mark.usefixtures("small_block")
-class TestBlockCuts(_WideTokens):
+class TestBlockCuts:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_blocks_are_whole_lines(self, data):
