@@ -5,7 +5,9 @@ copies: weight-w elements become w copies, fractional coverage connects the
 first alpha*U of U copies, and probabilistic coverage flips a seeded coin per
 (copy, set).  The sketch constructors hash the flat id of every candidate
 copy, then gather edges (and draw coins) only for the copies that the
-sampling rule keeps; no copy graph of the whole expansion is built.
+sampling rule keeps; no copy graph of the whole expansion is built.  Kept
+copies of one element that hold the same edges are one sketch element,
+weighted by their number, and every solver reads the weights.
 """
 
 import numpy as np
@@ -76,6 +78,10 @@ copies = int(weights.sum())
 params = theory_params(planted.n, copies, int(weights @ planted.elem_degrees),
                        k=2, eps=0.9)
 skt = sketch_weighted(wplanted, params, HashSource(4))
-print(f"\ntheory sketch of {copies} weighted copies: keeps {skt.instance.m} "
-      f"copies, whose edge mass {skt.instance.edge_count} reaches "
-      f"n_tilde={params.n_tilde} (degree cap {params.degree_cap})")
+weight = skt.element_weight
+kept = int(weight.sum())
+print(f"\ntheory sketch of {copies} weighted copies: {skt.instance.m} "
+      f"distinct copies of weight sum {kept}, whose capped edge mass "
+      f"{int(weight @ skt.instance.elem_degrees)} reaches "
+      f"n_tilde={params.n_tilde} (degree cap {params.degree_cap}) with "
+      f"{skt.instance.edge_count} sketch edges")

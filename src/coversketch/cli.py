@@ -211,6 +211,13 @@ class ExperimentSpec:
             raise ValueError("at least one seed required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be non-negative, got "
+                             f"{min(self.seeds)}")
+        seed = self.instance_args.get("seed")
+        if seed is not None and int(seed) < 0:
+            raise ValueError(f"{self.instance_kind}.seed must be "
+                             f"non-negative, got {seed}")
         if self.solver not in ("stochastic", "greedy", "lazy"):
             raise ValueError("solver must be stochastic, greedy, or lazy")
         if self.baseline not in ("stochastic", "lazy"):
@@ -363,6 +370,20 @@ def _cmd_experiment(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """The ``--seed`` value: a non-negative integer, which every hash and
+    random generator seeded from it accepts."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {value}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: argparse neither
@@ -389,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gf = gensub.add_parser("feature-pairs")
     gf.add_argument("--matrix", required=True)
     for p in (gp, ga, gk, gf):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--out", required=True)
         p.add_argument("--no-timestamp", action="store_true")
         p.set_defaults(func=_cmd_generate)
@@ -403,7 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sk.add_argument("--k", type=int)
     sk.add_argument("--eps", type=float, default=0.5)
     sk.add_argument("--delta-dprime", type=float, default=0.5)
-    sk.add_argument("--seed", type=int, default=0)
+    sk.add_argument("--seed", type=_seed, default=0)
     sk.set_defaults(func=_cmd_sketch)
 
     so = sub.add_parser("solve", help="solve k-cover or set cover with outliers")
@@ -418,7 +439,7 @@ def _build_parser() -> argparse.ArgumentParser:
     so.add_argument("--lambda", dest="lam", type=float, default=0.01)
     so.add_argument("--delta-dprime", type=float, default=0.5)
     so.add_argument("--engine", choices=["direct", "sketch"], default="direct")
-    so.add_argument("--seed", type=int, default=0)
+    so.add_argument("--seed", type=_seed, default=0)
     so.add_argument("--out")
     so.set_defaults(func=_cmd_solve)
 
@@ -433,7 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
     si.add_argument("--eps", type=float, default=0.5)
     si.add_argument("--lambda", dest="lam", type=float, default=0.01)
     si.add_argument("--delta-dprime", type=float, default=0.5)
-    si.add_argument("--seed", type=int, default=0)
+    si.add_argument("--seed", type=_seed, default=0)
     si.add_argument("--out-solution")
     si.add_argument("--out-report")
     si.set_defaults(func=_cmd_simulate)

@@ -246,7 +246,11 @@ class Sketch:
 
     ``selected_elements`` holds original element ids (flat copy ids for the
     weighted transforms) in selection order; sketch element ``i`` is
-    ``selected_elements[i]``.
+    ``selected_elements[i]``.  A weighted transform keeps one element per
+    distinct (element, capped run) among its kept copies: the first such
+    copy in selection order, standing for ``element_weight[i]`` copies.
+    ``element_weight`` is None when every element stands for one copy, as
+    in :func:`build_sketch` and :func:`build_sketch_lazy`.
     """
 
     instance: CoverageInstance
@@ -255,16 +259,20 @@ class Sketch:
     selected_elements: np.ndarray
     original_m: int
     oracle_lookups: int | None = None
+    element_weight: np.ndarray | None = None
 
     def __eq__(self, other):
         if not isinstance(other, Sketch):
             return NotImplemented
+        weights = (self.element_weight, other.element_weight)
         return (self.instance == other.instance
                 and self.hash_seed == other.hash_seed
                 and self.params == other.params
                 and self.original_m == other.original_m
                 and np.array_equal(self.selected_elements,
-                                   other.selected_elements))
+                                   other.selected_elements)
+                and (weights[0] is None) == (weights[1] is None)
+                and (weights[0] is None or np.array_equal(*weights)))
 
 
 def _hash_order(hashes: np.ndarray) -> np.ndarray:
@@ -305,9 +313,11 @@ def _select_elements(hashes: np.ndarray, capped: np.ndarray,
 
 def _assemble(n: int, selected: np.ndarray, counts: np.ndarray,
               set_ids: np.ndarray, seed: int, params: SketchParams,
-              original_m: int, lookups: int | None = None) -> Sketch:
+              original_m: int, lookups: int | None = None,
+              weight: np.ndarray | None = None) -> Sketch:
     """Sketch whose element ``i`` is ``selected[i]`` with the next
-    ``counts[i]`` entries of ``set_ids``, distinct and ascending, as its sets.
+    ``counts[i]`` entries of ``set_ids``, distinct and ascending, as its sets,
+    and weight ``weight[i]`` (None: every weight is 1).
     """
     elem_indptr = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=elem_indptr[1:])
@@ -316,7 +326,8 @@ def _assemble(n: int, selected: np.ndarray, counts: np.ndarray,
                             elem_indptr, set_ids)
     return Sketch(instance=inst, hash_seed=seed, params=params,
                   selected_elements=np.asarray(selected, dtype=np.int64),
-                  original_m=int(original_m), oracle_lookups=lookups)
+                  original_m=int(original_m), oracle_lookups=lookups,
+                  element_weight=weight)
 
 
 def _selection(degrees: np.ndarray, params: SketchParams,
@@ -435,21 +446,26 @@ def build_sketch_lazy(element_count: int, degree_oracle, edge_oracle,
 # v becomes copies with flat ids offset(v) + j, and copies are hashed exactly
 # as the materialized expansion's elements would be.  The expansion itself is
 # never built.  A sample at a rate makes one pass per block of _HASH_BLOCK
-# candidate copies: it hashes the block's flat ids to uint64 bits, keeps the
-# copies whose bits fall below the integer form of the rate (_unit_limit),
-# and expands those at once: their edges are gathered from the base
-# adjacency, filtered per copy (by numerator, or by a seeded coin drawn from
-# per-edge tables) and capped; unfiltered copies hold capped runs of their
-# elements' edges, which are gathered after the cut.  A block of 2**15 copies
-# takes 256 KiB of hash words, so at a small rate every temporary of a block
-# stays in a core's L2 cache.  Practical mode samples once at rho.  Theory
-# mode samples below a rising rate until the sample's capped mass reaches
-# n_tilde or the rate reaches 1, then makes the shared cut (_select_elements)
-# on the sample.  Degenerate parameters (all weights one, rho = 1 with no
-# cap) reproduce the plain constructions bit for bit.
+# candidate copies: it hashes the block's flat ids to uint64 bits and keeps
+# the copies whose bits fall below the integer form of the rate
+# (_unit_limit).  The kept copies are expanded in batches of whole elements,
+# of about 2 * _HASH_BLOCK edges at the mean degree: their edges are gathered
+# from the base adjacency, filtered per copy (by numerator, or by a seeded
+# coin drawn from per-edge tables) and capped; unfiltered copies hold capped
+# runs of their elements' edges, which are gathered after the cut.  Each
+# batch groups the copies of one element that hold the same capped run (a
+# sum of one word per edge names a run, see _run_keys).  A block of 2**15
+# copies takes 256 KiB of hash words, and a batch's temporaries stay in a
+# core's cache.  Practical mode samples once at rho and keeps each group's
+# first copy, weighted by the group's size.  Theory mode samples below a
+# rising rate until the sample's capped mass reaches n_tilde or the rate
+# reaches 1, makes the shared cut (_select_elements) on the sample's copies,
+# and then merges the kept copies of each group.  Degenerate parameters (all
+# weights one, rho = 1 with no cap) reproduce the plain constructions bit
+# for bit.
 # ---------------------------------------------------------------------------
 
-_HASH_BLOCK = 1 << 15  # candidate copies hashed and expanded per block
+_HASH_BLOCK = 1 << 15  # candidate copies hashed per block
 
 
 def _copy_count(copies: np.ndarray) -> int:
@@ -478,25 +494,128 @@ def _copy_bits(source: HashSource, shift: np.ndarray, starts: np.ndarray,
         yield lo, _element_bits(source, flat)
 
 
-def _concatenate_runs(parts):
-    """(flat ids, counts, positions) of the ``parts`` laid end to end."""
+def _concatenate_runs(parts, width: int):
+    """The int64 arrays of the ``parts`` (tuples of ``width``) laid end to
+    end."""
     empty = np.empty(0, dtype=np.int64)
-    return tuple(map(np.concatenate, zip((empty, empty, empty), *parts)))
+    return tuple(map(np.concatenate, zip((empty,) * width, *parts)))
+
+
+# Runs of elements with at most this many edges get exact keys.
+_EXACT_DEGREE = 53
+
+
+def _key_words(max_degree: int) -> np.ndarray:
+    """Word per edge offset that :func:`_run_keys` adds up.
+
+    Offset ``o`` in an element of degree at most ``_EXACT_DEGREE`` adds
+    ``2.0**o``; a sum of distinct such powers is exact in float64, so it
+    names the run.  In a wider element, offset ``o`` adds entry
+    ``_EXACT_DEGREE + o``, a seeded float in [1, 2).
+    """
+    words = np.ldexp(1.0, np.arange(_EXACT_DEGREE))
+    if max_degree <= _EXACT_DEGREE:
+        return words
+    bits = np.arange(max_degree, dtype=_U) + _U(_GOLDEN)
+    return np.concatenate((words, 1.0 + _unit_array(_mix_inplace(bits))))
+
+
+def _run_keys(base: CoverageInstance, words: np.ndarray, v: np.ndarray,
+              pos: np.ndarray, copy: np.ndarray) -> np.ndarray:
+    """An int64 key for each copy ``c`` of element ``v[c]`` holding the
+    edge positions ``pos[copy == c]``, in ascending order.
+
+    Two copies of one element of degree at most ``_EXACT_DEGREE`` have
+    equal keys exactly when they hold the same run; copies of other
+    elements with equal keys need their runs compared.
+    """
+    offset = pos - base.elem_indptr[v][copy]
+    degrees = base.elem_degrees[v]
+    if len(v) and int(degrees.max()) > _EXACT_DEGREE:
+        offset += np.where(degrees > _EXACT_DEGREE, _EXACT_DEGREE, 0)[copy]
+    sums = np.bincount(copy, weights=words[offset], minlength=len(v))
+    return sums.view(np.int64) ^ (v * np.int64(_GOLDEN - 2**64))
+
+
+def _run_matcher(base: CoverageInstance, elems: np.ndarray,
+                 counts: np.ndarray, pos: np.ndarray, index=None):
+    """``same_runs`` for :func:`_group_copies` over copies ``index`` (all
+    by default) of the copies whose runs are the next ``counts`` entries of
+    ``pos``; only copies of elements wider than ``_EXACT_DEGREE`` need
+    their runs compared."""
+    offsets = np.cumsum(counts) - counts
+
+    def same_runs(i, j):
+        if index is not None:
+            i, j = index[i], index[j]
+        same = counts[i] == counts[j]
+        wide = np.flatnonzero(same & (base.elem_degrees[elems[i]]
+                                      > _EXACT_DEGREE))
+        if len(wide):
+            c = counts[i[wide]]
+            differ = (pos[_gather_positions(offsets, i[wide], c)]
+                      != pos[_gather_positions(offsets, j[wide], c)])
+            same[wide] = np.add.reduceat(differ, np.cumsum(c) - c) == 0
+        return same
+
+    return same_runs
+
+
+def _bucket(values: np.ndarray, salt: int, bits: int) -> np.ndarray:
+    """One of ``2**bits`` buckets for each int64 value, by a seeded
+    multiplicative hash."""
+    bucket = np.multiply(values.view(_U) ^ _U(salt), _U(_MIX1))
+    bucket >>= _U(64 - bits)
+    return bucket
+
+
+def _group_copies(keys: np.ndarray, elems: np.ndarray,
+                  same_runs=None) -> np.ndarray:
+    """For each copy, the first copy with its key and element: the group
+    that copy starts.
+
+    ``same_runs(i, j)``, given copies with equal keys and elements, tells
+    for each pair whether the runs are equal too; copies that differ from
+    the first copy of their key form groups of their own.
+
+    Each round hashes the keys of the ungrouped copies to buckets, takes
+    the smallest copy of each bucket, and groups with it the copies that
+    match it; the others try again with a new hash.
+    """
+    size = len(keys)
+    rep = np.empty(size, dtype=np.int64)
+    todo = np.arange(size)
+    salt = _GOLDEN
+    while len(todo):
+        # Eight buckets per copy leave most keys alone in their bucket.
+        bits = len(todo).bit_length() + 3
+        bucket = _bucket(keys[todo], salt, bits)
+        smallest = np.full(1 << bits, size, dtype=np.int64)
+        np.minimum.at(smallest, bucket, todo)
+        cand = smallest[bucket]
+        match = (keys[cand] == keys[todo]) & (elems[cand] == elems[todo])
+        if same_runs is not None:
+            match[match] = same_runs(todo[match], cand[match])
+        rep[todo[match]] = cand[match]
+        todo = todo[~match]
+        salt = _mix_scalar(salt)
+    return rep
 
 
 def _sketch_copies(base: CoverageInstance, first: np.ndarray,
                    copies: np.ndarray, total: int, edge_filter,
                    params: SketchParams, source: HashSource,
                    original_m: int) -> Sketch:
-    """Sketch of the expansion where element v has copies ``j < copies[v]``.
+    """Sketch of the expansion where element v has copies ``j < copies[v]``,
+    with one weighted element per distinct (element, capped run).
 
     Copy (v, j) has flat id ``first[v] + j``; flat ids ascend with (v, j).  It
     holds the edges of v that ``edge_filter(flat, j, pos, copy)`` accepts,
     where ``pos`` are element-order positions in ``base`` and ``copy`` indexes
     ``flat`` and ``j``.  Copies left without an edge by the filter are
     dropped; with ``edge_filter=None`` every copy keeps all of v's edges and
-    edgeless copies stay.  The result equals :func:`build_sketch` over the
-    expansion's copies, but only sampled copies gather edges.
+    edgeless copies stay.  The kept copies are those of :func:`build_sketch`
+    over the expansion's copies, but only sampled copies gather edges.
 
     Practical mode samples once: it keeps the copies hashing below ``rho``.
     Theory mode samples below a rising rate, then makes the shared cut
@@ -504,70 +623,185 @@ def _sketch_copies(base: CoverageInstance, first: np.ndarray,
     hash order, so once its capped mass reaches ``n_tilde`` its cut is the
     cut over every copy; until then the rate is raised by the shortfall,
     and at rate 1 the sample is every copy.
+
+    The kept copies of one element that hold the same capped run become one
+    sketch element: the first of them in selection order, whose weight is
+    their number.  Greedy cannot tell such copies apart, so every solver
+    that reads the weights gives the result it gives on the copies.  The
+    copies are grouped as they are expanded, all copies of an element at
+    once.  Practical mode keeps every sampled copy in flat-id order, so it
+    keeps only each group's first copy; theory mode keeps every copy for
+    its cut, then merges the copies that the cut keeps.
     """
     ends = np.cumsum(copies)
     starts = ends - copies
     cap = params.cap
+    max_degree = int(base.elem_degrees.max()) if base.m else 0
     # When no degree exceeds the cap, no filtered copy needs cutting.
-    over_cap = base.m > 0 and int(base.elem_degrees.max()) > cap
+    over_cap = max_degree > cap
+    words = _key_words(max_degree)
+    # Whether some copies' keys can be equal with different runs.
+    wide = max_degree > _EXACT_DEGREE
+    practical = params.mode == "practical"
+    unfiltered = np.empty(0, dtype=np.int64)
+    # Copies per expansion, about 2 * _HASH_BLOCK edges at the mean degree:
+    # enough that the cost per call does not dominate when elements have
+    # few edges, few enough that the temporaries stay in cache.
+    batch = 2 * _HASH_BLOCK * base.m // max(base.edge_count, 1)
 
-    def expand(idx):
-        """(flat ids, capped counts, edge positions grouped by copy) of idx;
-        unfiltered copies give their elements, whose first ``counts`` edges
-        they hold, in place of positions."""
+    def group(v_all, has_edge, counts, pos, copy):
+        """For the copies ``has_edge`` of elements ``v_all[has_edge]``
+        (ascending), with ``counts`` edges, the first copy with the same
+        element and run.  ``pos`` holds the edges of these copies and
+        ``copy``, when not None, numbers their copies in ``v_all``."""
+        v = v_all[has_edge]
+        if edge_filter is None:
+            # Every copy of an element holds the same run.
+            new = np.flatnonzero(np.diff(v, prepend=-1))
+            return np.repeat(new, np.diff(np.append(new, len(v))))
+        if not len(v):
+            return v
+        # A copy whose (element, count) pair no other copy has holds a run
+        # no other copy holds; equal pairs share a bucket.  When there are
+        # fewer than half as many pairs as copies, most copies share.
+        width = max_degree + 1
+        shared = None
+        if 2 * (int(v[-1]) - int(v[0]) + 1) * width > len(v):
+            size = len(v).bit_length() + 3
+            bucket = _bucket(v * width + counts, _GOLDEN, size)
+            shared = np.bincount(bucket, minlength=1 << size)[bucket] > 1
+        if shared is None or shared.all():
+            if copy is None:
+                keys = _run_keys(base, words, v, pos,
+                                 np.repeat(np.arange(len(v)), counts))
+            else:
+                keys = _run_keys(base, words, v_all, pos, copy)[has_edge]
+            return _group_copies(keys, v, _run_matcher(
+                base, v, counts, pos) if wide else None)
+        rep = np.arange(len(v))
+        if shared.any():
+            some = np.flatnonzero(shared)
+            c = counts[some]
+            offsets = np.cumsum(counts) - counts
+            some_pos = pos[_gather_positions(offsets, some, c)]
+            keys = _run_keys(base, words, v[some], some_pos,
+                             np.repeat(np.arange(len(some)), c))
+            rep[some] = some[_group_copies(keys, v[some], _run_matcher(
+                base, v, counts, pos, some) if wide else None)]
+        return rep
+
+    def expand(idx, bits):
+        """(flat ids, capped counts, groups, elements, set ids grouped by
+        copy, hash bits) of the copies of idx, all of one element in one
+        call, whose hash bits are ``bits``; an unfiltered copy holds the
+        first ``counts`` edges of its element and gives no set ids.  A
+        copy's group is the first copy with its element and run.  In
+        practical mode only the groups' first copies are given, in place of
+        groups with their group sizes, and no hash bits."""
         v = np.searchsorted(ends, idx, side="right")
         j = idx - starts[v]
         flat_ids = first[v] + j
         if edge_filter is None:
-            return flat_ids, np.minimum(base.elem_degrees[v], cap), v
-        degrees = base.elem_degrees[v]
-        pos = _gather_positions(base.elem_indptr, v, degrees)
-        copy = np.repeat(np.arange(len(idx), dtype=np.int64), degrees)
-        # About half the edges pass, in no pattern: a gather by index is
-        # several times faster than two boolean masks.
-        hit = np.flatnonzero(edge_filter(flat_ids, j, pos, copy))
-        pos, copy = pos[hit], copy[hit]
-        counts = np.bincount(copy, minlength=len(idx))
-        if over_cap:
-            rank = np.arange(len(copy)) - np.repeat(np.cumsum(counts) - counts,
-                                                    counts)
-            pos = pos[rank < cap]
-            np.minimum(counts, cap, out=counts)
-        has_edge = counts > 0
-        return flat_ids[has_edge], counts[has_edge], pos
+            counts = np.minimum(base.elem_degrees[v], cap)
+            pos = copy = unfiltered
+            has_edge = slice(None)
+        else:
+            degrees = base.elem_degrees[v]
+            pos = _gather_positions(base.elem_indptr, v, degrees)
+            copy = np.repeat(np.arange(len(idx), dtype=np.int64), degrees)
+            # About half the edges pass, in no pattern: a gather by index is
+            # several times faster than two boolean masks.
+            hit = np.flatnonzero(edge_filter(flat_ids, j, pos, copy))
+            pos, copy = pos[hit], copy[hit]
+            counts = np.bincount(copy, minlength=len(idx))
+            if over_cap:
+                rank = np.arange(len(copy)) - np.repeat(
+                    np.cumsum(counts) - counts, counts)
+                pos = pos[rank < cap]
+                np.minimum(counts, cap, out=counts)
+                copy = None  # group numbers the copies again if it must
+            has_edge = np.flatnonzero(counts)
+            flat_ids, counts = flat_ids[has_edge], counts[has_edge]
+        rep = group(v, has_edge, counts, pos, copy)
+        v = v[has_edge]
+        if not practical:
+            return (flat_ids, counts, rep, v, base.elem_set_ids[pos],
+                    bits[has_edge])
+        firsts = np.flatnonzero(rep == np.arange(len(rep)))
+        sizes = np.bincount(rep, minlength=len(rep))[firsts]
+        if len(firsts) < len(rep) and edge_filter is not None:
+            is_first = np.zeros(len(rep), dtype=bool)
+            is_first[firsts] = True
+            pos = pos[np.repeat(is_first, counts)]
+        return (flat_ids[firsts], counts[firsts], sizes, v[firsts],
+                base.elem_set_ids[pos])
 
     def sample(rate):
         """:func:`expand` of the copies hashing below ``rate``, in flat-id
-        order."""
+        order, with groups as indices into the sample.  Copies wait until
+        a call gets ``batch`` of them, and the copies of an element go to
+        one call: those of the last element of a block wait for the next
+        block."""
         limit = _unit_limit(rate)
-        return _concatenate_runs(
-            expand(lo + np.flatnonzero(_bits_below(z, limit)))
-            for lo, z in _copy_bits(source, first - starts, starts, ends,
-                                    total))
+        parts, held, held_bits, size = [], unfiltered, unfiltered, 0
+        for lo, z in _copy_bits(source, first - starts, starts, ends, total):
+            sampled = np.flatnonzero(_bits_below(z, limit))
+            idx = np.concatenate((held, lo + sampled))
+            # The top 53 bits of each hash, which the theory cut sorts.
+            bits = held_bits if practical else np.concatenate(
+                (held_bits, z[sampled].view(np.int64)))
+            hi = lo + len(z)
+            if len(idx) < batch and hi < total:
+                held, held_bits = idx, bits
+                continue
+            # Hold the copies of an element that goes on past this block.
+            last = np.searchsorted(ends, hi - 1, side="right")
+            split = len(idx)
+            if ends[last] > hi:
+                split = int(np.searchsorted(idx, starts[last]))
+            held, held_bits = idx[split:], bits[split:]
+            if not split:
+                continue
+            part = expand(idx[:split], bits[:split])
+            if not practical:
+                part[2][:] += size
+            size += len(part[0])
+            parts.append(part)
+        return _concatenate_runs(parts, 5 if practical else 6)
 
-    if params.mode == "practical":
-        selected, counts, pos = sample(params.rho)
+    if practical:
+        flat, counts, sizes, elems, set_ids = sample(params.rho)
+        picks = np.arange(len(flat))
     else:
         n_tilde = params.n_tilde
         # The capped mass of all copies is at most this bound.
         bound = int(copies @ np.minimum(base.elem_degrees, cap))
         rate = min(1.0, 2 * n_tilde / max(bound, 1))
-        selected, counts, pos = sample(rate)
+        flat, counts, rep, elems, set_ids, bits = sample(rate)
         while (mass := int(counts.sum())) < n_tilde and rate < 1.0:
             rate = min(1.0, 2 * rate * n_tilde / max(mass, 1))
-            selected, counts, pos = sample(rate)
-        # Ties break by smaller flat id, as the sample is in flat-id order.
-        keep = _select_elements(element_hash_array(source, selected), counts,
+            flat, counts, rep, elems, set_ids, bits = sample(rate)
+        # The hashes of element_hash_array; ties break by smaller flat id,
+        # as the sample is in flat-id order.
+        kept = _select_elements(bits.astype(np.float64) * _INV53, counts,
                                 params)
-        pos = pos[keep if edge_filter is None else _gather_positions(
-            np.cumsum(counts) - counts, keep, counts[keep])]
-        selected, counts = selected[keep], counts[keep]
-    if edge_filter is None:  # pos holds the copies' elements (see expand)
-        pos = _gather_positions(base.elem_indptr, pos, counts)
-    set_ids = base.elem_set_ids[pos]
-    del pos
-    return _assemble(base.n, selected, counts, set_ids, source.seed, params,
-                     original_m)
+        # The first kept copy of each group, in selection order.
+        group = rep[kept]
+        order = np.arange(len(kept))
+        first_kept = np.full(len(flat), len(kept), dtype=np.int64)
+        np.minimum.at(first_kept, group, order)
+        firsts = np.flatnonzero(first_kept[group] == order)
+        sizes = np.bincount(group, minlength=len(flat))[group[firsts]]
+        picks = kept[firsts]
+        if edge_filter is not None:
+            set_ids = set_ids[_gather_positions(np.cumsum(counts) - counts,
+                                                picks, counts[picks])]
+    if edge_filter is None:
+        set_ids = base.elem_set_ids[_gather_positions(
+            base.elem_indptr, elems[picks], counts[picks])]
+    weight = None if (sizes == 1).all() else sizes
+    return _assemble(base.n, flat[picks], counts[picks], set_ids, source.seed,
+                     params, original_m, weight=weight)
 
 
 def sketch_weighted(winst: WeightedInstance, params: SketchParams,
@@ -576,7 +810,11 @@ def sketch_weighted(winst: WeightedInstance, params: SketchParams,
 
     Copy (v, j) keeps v's edge list; its flat id is ``sum(w_u, u < v) + j``.
     With all weights one this is exactly :func:`build_sketch` on the base.
-    The ``sum(w)`` copies are hashed; only the kept ones gather edges.
+    The ``sum(w)`` copies are hashed; only the kept ones gather edges.  The
+    sketch holds distinct copies with weights: one element per base
+    element with a kept copy, the first such copy in selection order,
+    weighted by the number kept (see :func:`_sketch_copies`).
+    ``original_m`` counts the copies.
     """
     w = winst.element_weight
     total = _copy_count(w)
@@ -593,6 +831,9 @@ def sketch_fractional(finst: FractionalInstance, params: SketchParams,
     coverage of any solution is exactly ``U`` times its fractional coverage.
     Flat ids are ``v * U + j``.  Only the copies with an edge, ``j`` below
     v's largest numerator, are hashed; copies with no edge are left out.
+    The sketch holds distinct copies with weights: kept copies of one
+    element with the same capped run are one element, weighted by their
+    number.  ``original_m`` counts the copies, ``m * U``.
     """
     base, U = finst.base, finst.U
     copies = np.zeros(base.m, dtype=np.int64)
@@ -629,7 +870,11 @@ def sketch_probabilistic(pinst: ProbabilisticInstance, eps: float,
     estimates probabilistic coverage within a relative ``eps/2`` for all
     solutions simultaneously, with high probability.  Coins are drawn only
     for the edges of copies that the sampling rule reaches; copies whose
-    coins all fail are left out.
+    coins all fail are left out.  The sketch holds distinct copies with
+    weights: kept copies of one element whose coins give the same capped
+    run are one element, weighted by their number, so weighted coverage
+    divided by ``zeta`` is the estimate.  ``original_m`` counts the copies,
+    ``m * zeta``.
     """
     base = pinst.base
     zeta = probabilistic_copy_count(base.n, pinst.U, eps)
@@ -663,7 +908,9 @@ def serialize_sketch(sk: Sketch, sink=None) -> str | None:
 
     The header records mode, seed, and parameters; `#selected` lists the
     original element ids in selection order.  The body re-loads as a plain
-    instance since `#` lines are comments.
+    instance since `#` lines are comments.  A sketch with element weights
+    writes a third column, the weight of each edge's element, and
+    :func:`~coversketch.instance.load_weighted_edge_list` reads it back.
     """
     p = sk.params
     if p.mode == "practical":
@@ -677,4 +924,7 @@ def serialize_sketch(sk: Sketch, sink=None) -> str | None:
     selected = _format_rows([sk.selected_elements], end=b" ")[:-1]
     parts = [head, f"#original_m {sk.original_m}",
              "#selected " + selected.decode("ascii")]
-    return _write_rows(sink, parts, *sk.instance.edges())
+    columns = sk.instance.edges()
+    if sk.element_weight is not None:
+        columns += (sk.element_weight[columns[1]],)
+    return _write_rows(sink, parts, *columns)

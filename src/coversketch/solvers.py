@@ -4,7 +4,10 @@ All solvers run uniformly on a :class:`~coversketch.instance.CoverageInstance`
 or a :class:`~coversketch.sketch.Sketch`.  Tie-breaking is globally "smallest
 set id" so sketch-vs-instance comparisons are bit-exact.  Every greedy-family
 solver reads marginal gains from one maintained array, updated by
-:func:`_take` after each pick.  The same engine also runs on a sketch given
+:func:`_take` after each pick.  On a sketch with element weights (a variant
+sketch, whose elements stand for several copies) every solver counts an
+element by its weight, so gains, coverage and picks equal those on the
+sketch of the unit copies.  The same engine also runs on a sketch given
 as runs over its parent instance, (element, capped degree) pairs, without
 building the sketch: the simulator's round 4 and the outlier ladder's sketch
 engine solve that way, with picks, gains and coverage equal to greedy on the
@@ -84,12 +87,18 @@ class Solution:
     evaluations: int | None = None
 
 
-def _unwrap(target) -> tuple[CoverageInstance, str]:
+def _unwrap(target) -> tuple[CoverageInstance, str, np.ndarray | None]:
+    """The instance, its tag, and the element weights (None: all 1)."""
     if isinstance(target, Sketch):
-        return target.instance, "sketch"
+        return target.instance, "sketch", target.element_weight
     if isinstance(target, CoverageInstance):
-        return target, "instance"
+        return target, "instance", None
     raise TypeError("target must be a CoverageInstance or a Sketch")
+
+
+def _mass(inst: CoverageInstance, weight) -> int:
+    """Total element weight: what covering every element is worth."""
+    return inst.m if weight is None else int(weight.sum())
 
 
 def _check_ids(n: int, chosen) -> list[int]:
@@ -101,13 +110,14 @@ def _check_ids(n: int, chosen) -> list[int]:
 
 
 def coverage(target, chosen) -> int:
-    """Exact union size of the chosen sets, via marking."""
-    inst, _ = _unwrap(target)
+    """Exact union size of the chosen sets, via marking; on a sketch with
+    element weights, the total weight of the union."""
+    inst, _, weight = _unwrap(target)
     ids = _check_ids(inst.n, chosen)
     covered = np.zeros(inst.m, dtype=bool)
     for s in ids:
         covered[inst.set_elements(s)] = True
-    return int(covered.sum())
+    return int(covered.sum() if weight is None else weight[covered].sum())
 
 
 def coverage_weighted(winst: WeightedInstance, chosen) -> int:
@@ -147,9 +157,9 @@ def coverage_probabilistic(pinst: ProbabilisticInstance, chosen) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _start(inst: CoverageInstance, runs=None):
-    """Initial marginal gains of greedy, and the ``(limit, cut)`` that
-    :func:`_take` reads.
+def _start(inst: CoverageInstance, runs=None, weight=None):
+    """Initial marginal gains of greedy, and the ``(limit, cut,
+    edge_weight)`` that :func:`_take` reads.
 
     With ``runs = (selected, counts)``, greedy runs on the sketch whose
     elements are ``selected`` of ``inst``, each with its first ``counts``
@@ -160,9 +170,22 @@ def _start(inst: CoverageInstance, runs=None):
     runs on ``inst``: the limit is the degree, and there is no cut.  Runs
     that carry every edge of ``inst`` are ``inst`` up to element order, so
     they take that path too.
+
+    With element ``weight`` (and no runs), a set's gain is the total weight
+    of its elements, and ``edge_weight`` holds the weight of each edge's
+    element in element order; it is None without weights.  Both are
+    floats: sums of integers below 2**53 are exact in float64, so gains
+    stay exact integers.
     """
+    if weight is not None:
+        if _mass(inst, weight) >= 2**53:
+            raise ValueError("element weights must sum to less than 2**53")
+        edge_weight = np.repeat(weight.astype(np.float64), inst.elem_degrees)
+        gains = np.bincount(inst.elem_set_ids, weights=edge_weight,
+                            minlength=inst.n)
+        return gains, (inst.elem_degrees, None, edge_weight)
     if runs is None or int(runs[1].sum()) == inst.edge_count:
-        return inst.set_sizes.astype(np.int64), (inst.elem_degrees, None)
+        return inst.set_sizes.astype(np.int64), (inst.elem_degrees, None, None)
     selected, counts = runs
     limit = np.zeros(inst.m, dtype=np.int64)
     limit[selected] = counts
@@ -171,21 +194,22 @@ def _start(inst: CoverageInstance, runs=None):
     cut[short] = inst.elem_set_ids[inst.elem_indptr[short] + limit[short]]
     kept = inst.elem_set_ids[_gather_positions(inst.elem_indptr, selected,
                                                counts)]
-    return np.bincount(kept, minlength=inst.n).astype(np.int64), (limit, cut)
+    return (np.bincount(kept, minlength=inst.n).astype(np.int64),
+            (limit, cut, None))
 
 
 def _greedy_run(inst: CoverageInstance, max_picks: int,
                 stop_threshold: int | None = None, fill_zero: bool = False,
-                runs=None):
-    """Shared greedy loop, on ``inst`` or on the sketch ``runs`` over it
-    (see :func:`_start`).
+                runs=None, weight=None):
+    """Shared greedy loop, on ``inst`` (with element ``weight``) or on the
+    sketch ``runs`` over it (see :func:`_start`).
 
     Picks the set with the largest marginal coverage, smallest id on ties.
     With ``fill_zero`` the loop keeps picking (zero-gain, id order) until
     ``max_picks`` sets are chosen; otherwise it stops at zero gain or once
-    ``stop_threshold`` covered elements are reached.
+    ``stop_threshold`` of covered weight is reached.
     """
-    gains, view = _start(inst, runs)
+    gains, view = _start(inst, runs, weight)
     covered = np.zeros(inst.m, dtype=bool)
     chosen: list[int] = []
     trace: list[int] = []
@@ -214,13 +238,17 @@ def _greedy_run(inst: CoverageInstance, max_picks: int,
 def _take(inst: CoverageInstance, view, gains: np.ndarray,
           covered: np.ndarray, s: int) -> int:
     """Pick set ``s``: mark its fresh elements covered and subtract them from
-    the gain of every set holding them.  ``view`` is the ``(limit, cut)`` of
-    :func:`_start`: set ``s`` holds the elements ``e`` of ``inst`` with
-    ``s < cut[e]``, and element ``e`` the first ``limit[e]`` of its sets.
-    Chosen sets keep gain -1 (their elements are covered, so no later pick
-    touches them).  Returns the number of newly covered elements.
+    the gain of every set holding them.  ``view`` is the ``(limit, cut,
+    edge_weight)`` of :func:`_start`: set ``s`` holds the elements ``e`` of
+    ``inst`` with ``s < cut[e]``, and element ``e`` the first ``limit[e]``
+    of its sets.  Chosen sets keep gain -1 (their elements are covered, so
+    no later pick touches them).  Returns the number of newly covered
+    elements, or with ``edge_weight`` their weight, which is the gain of
+    ``s``.
     """
-    limit, cut = view
+    limit, cut, edge_weight = view
+    if edge_weight is not None:
+        gain = int(gains[s])
     elems = inst.set_elements(s)
     fresh = ~covered[elems]
     if cut is not None:
@@ -229,19 +257,26 @@ def _take(inst: CoverageInstance, view, gains: np.ndarray,
     covered[fresh] = True
     if len(fresh):
         # The kept sets of every fresh element in one gather.
-        touched = inst.elem_set_ids[_gather_positions(
-            inst.elem_indptr, fresh, limit[fresh])]
-        gains -= np.bincount(touched, minlength=inst.n)
+        pos = _gather_positions(inst.elem_indptr, fresh, limit[fresh])
+        touched = inst.elem_set_ids[pos]
+        if edge_weight is None:
+            gains -= np.bincount(touched, minlength=inst.n)
+        else:
+            gains -= np.bincount(touched, weights=edge_weight[pos],
+                                 minlength=inst.n)
     gains[s] = -1
-    return len(fresh)
+    return len(fresh) if edge_weight is None else gain
 
 
-def _kcover(inst: CoverageInstance, tag: str, k: int, runs=None) -> Solution:
-    """:func:`greedy_kcover` on ``inst``, or on the sketch ``runs`` over it
-    (see :func:`_start`); ``tag`` is what the solution was evaluated on."""
+def _kcover(inst: CoverageInstance, tag: str, k: int, runs=None,
+            weight=None) -> Solution:
+    """:func:`greedy_kcover` on ``inst`` with element ``weight``, or on the
+    sketch ``runs`` over it (see :func:`_start`); ``tag`` is what the
+    solution was evaluated on."""
     if not 0 <= k <= inst.n:
         raise ValueError("need 0 <= k <= n")
-    chosen, trace, cov = _greedy_run(inst, k, fill_zero=True, runs=runs)
+    chosen, trace, cov = _greedy_run(inst, k, fill_zero=True, runs=runs,
+                                     weight=weight)
     return Solution(chosen=chosen, coverage_value=cov, evaluated_on=tag,
                     gains=trace, evaluations=inst.n)
 
@@ -252,7 +287,8 @@ def greedy_kcover(target, k: int) -> Solution:
     Runs ``k`` picks; once marginal gains hit zero the remaining slots are
     filled with the smallest-id unchosen sets.
     """
-    return _kcover(*_unwrap(target), k)
+    inst, tag, weight = _unwrap(target)
+    return _kcover(inst, tag, k, weight=weight)
 
 
 def lazy_greedy(target, k: int) -> Solution:
@@ -263,22 +299,23 @@ def lazy_greedy(target, k: int) -> Solution:
     already keeps every marginal gain exact with one vectorised update per
     pick.
     """
-    return _kcover(*_unwrap(target), k)
+    inst, tag, weight = _unwrap(target)
+    return _kcover(inst, tag, k, weight=weight)
 
 
 def _stochastic(inst: CoverageInstance, tag: str, k: int, eps: float,
-                seed: int, runs=None) -> Solution:
-    """:func:`stochastic_greedy` on ``inst``, or on the sketch ``runs`` over
-    it (see :func:`_start`)."""
+                seed: int, runs=None, weight=None) -> Solution:
+    """:func:`stochastic_greedy` on ``inst`` with element ``weight``, or on
+    the sketch ``runs`` over it (see :func:`_start`)."""
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     if not 1 <= k <= inst.n:
         raise ValueError("need 1 <= k <= n")
     sample = math.ceil((inst.n / k) * math.log(1.0 / eps))
     if sample >= inst.n:
-        return _kcover(inst, tag, k, runs)
+        return _kcover(inst, tag, k, runs, weight)
     rng = np.random.default_rng(seed)
-    gains, view = _start(inst, runs)
+    gains, view = _start(inst, runs, weight)
     covered = np.zeros(inst.m, dtype=bool)
     chosen: list[int] = []
     trace: list[int] = []
@@ -306,7 +343,8 @@ def stochastic_greedy(target, k: int, eps: float, seed: int) -> Solution:
     sampling degrades to a full scan and the result equals
     :func:`greedy_kcover`.  Deterministic in ``seed``.
     """
-    return _stochastic(*_unwrap(target), k, eps, seed)
+    inst, tag, weight = _unwrap(target)
+    return _stochastic(inst, tag, k, eps, seed, weight=weight)
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +421,11 @@ def select_outlier_solution(sketches, lam: float, eps: float) -> Solution:
     sketch when the walk reaches it.
     """
     for guess, sk in sketches:
-        thresh = cover_threshold(sk.instance.m, lam)
+        inst, _, weight = _unwrap(sk)
+        thresh = cover_threshold(_mass(inst, weight), lam)
         budget = _guess_budget(guess, eps, lam)
-        chosen, trace, cov = _greedy_run(sk.instance, budget,
-                                         stop_threshold=thresh)
+        chosen, trace, cov = _greedy_run(inst, budget, stop_threshold=thresh,
+                                         weight=weight)
         if cov >= thresh:
             return Solution(chosen=chosen, coverage_value=cov,
                             evaluated_on="sketch", gains=trace)
@@ -483,12 +522,21 @@ def set_cover_outliers(instance: CoverageInstance, lam: float, eps: float,
 # ---------------------------------------------------------------------------
 
 
-def _set_bitmasks(inst: CoverageInstance) -> list[int]:
+def _set_bitmasks(inst: CoverageInstance, weight) -> list[int]:
+    """One int per set with ``weight[e]`` bits for each of its elements
+    ``e`` (one bit when ``weight`` is None), each element on its own bits:
+    the bit count of a union of masks is its weighted coverage."""
+    if weight is None:
+        bits = [1 << e for e in range(inst.m)]
+    else:
+        ends = np.cumsum(weight).tolist()
+        bits = [((1 << w) - 1) << (end - w)
+                for w, end in zip(weight.tolist(), ends)]
     masks = []
     for s in range(inst.n):
         mask = 0
         for e in inst.set_elements(s).tolist():
-            mask |= 1 << e
+            mask |= bits[e]
         masks.append(mask)
     return masks
 
@@ -499,13 +547,13 @@ def brute_force_kcover(target, k: int, budget: int = 10_000_000) -> Solution:
     Returns the lexicographically smallest optimal choice.  Raises
     :class:`BudgetExceededError` when C(n, k) exceeds ``budget``.
     """
-    inst, tag = _unwrap(target)
+    inst, tag, weight = _unwrap(target)
     if not 0 <= k <= inst.n:
         raise ValueError("need 0 <= k <= n")
     if math.comb(inst.n, k) > budget:
         raise BudgetExceededError(
             f"C({inst.n},{k}) combinations exceed the budget of {budget}")
-    masks = _set_bitmasks(inst)
+    masks = _set_bitmasks(inst, weight)
     best_value = -1
     best: tuple[int, ...] = ()
     for combo in itertools.combinations(range(inst.n), k):
@@ -527,11 +575,11 @@ def brute_force_set_cover(target, lam: float,
     Searches subsets in increasing size (lexicographic within a size), so the
     result is the lexicographically smallest minimum solution.
     """
-    inst, tag = _unwrap(target)
+    inst, tag, weight = _unwrap(target)
     if not 0.0 <= lam < 1.0:
         raise ValueError("lam must lie in [0, 1)")
-    thresh = cover_threshold(inst.m, lam)
-    masks = _set_bitmasks(inst)
+    thresh = cover_threshold(_mass(inst, weight), lam)
+    masks = _set_bitmasks(inst, weight)
     full = 0
     for mask in masks:
         full |= mask

@@ -1,10 +1,12 @@
 """Materialized unit-copy expansions: the reference for the variant sketches.
 
 ``sketch_weighted``, ``sketch_fractional`` and ``sketch_probabilistic`` expand
-only the copies that their sampling rule keeps.  This module builds the whole
-copy graph first (every copy's edge list, and for the probabilistic variant
-every coin) and then samples it, the way the library did before.  The tests
-hold the library sketches equal to the ``reference_*`` sketches here.
+only the copies that their sampling rule keeps, and keep one weighted element
+per distinct (element, capped run).  This module builds the whole copy graph
+first (every copy's edge list, and for the probabilistic variant every coin)
+and then samples it, the way the library did before; ``merge_copies`` then
+groups the copies of such a sketch in a plain loop.  The tests hold the
+library sketches equal to the merged ``reference_*`` sketches here.
 
 Hashes are looked up on the sketch module at call time, and both sides
 take them from ``coversketch.sketch._element_bits``, so a test that patches
@@ -150,22 +152,64 @@ def sketch_over_copies(n, flat_ids, copy_indptr, copy_sets, params, source,
                   original_m=int(original_m))
 
 
-def reference_weighted(winst, params, source):
-    graph = weighted_copy_graph(winst)
-    return sketch_over_copies(winst.base.n, *graph, params, source,
-                              int(winst.element_weight.sum()))
+def merge_copies(sk, owners):
+    """``sk``, a sketch of unit copies, with one weighted element per
+    distinct (element, run): ``owners[i]`` is the base element of sketch
+    element ``i``.  The first copy of a group in selection order stands for
+    it, groups keep the order of those copies, and each weight counts its
+    group's copies (None when every weight is 1).
+    """
+    indptr = sk.instance.elem_indptr.tolist()
+    set_ids = sk.instance.elem_set_ids.tolist()
+    groups = {}  # (element, run) -> [first copy, copy count]
+    for i, owner in enumerate(np.asarray(owners).tolist()):
+        key = (owner, tuple(set_ids[indptr[i]:indptr[i + 1]]))
+        if key in groups:
+            groups[key][1] += 1
+        else:
+            groups[key] = [i, 1]
+    rows, weights, sets, elems = [], [], [], []
+    for (_, run), (i, count) in groups.items():
+        sets += run
+        elems += [len(rows)] * len(run)
+        rows.append(i)
+        weights.append(count)
+    inst = CoverageInstance.from_edges(sk.instance.n, len(rows), sets, elems)
+    weight = np.asarray(weights, dtype=np.int64)
+    return Sketch(instance=inst, hash_seed=sk.hash_seed, params=sk.params,
+                  selected_elements=sk.selected_elements[rows],
+                  original_m=sk.original_m,
+                  element_weight=None if (weight == 1).all() else weight)
 
 
-def reference_fractional(finst, params, source):
-    return sketch_over_copies(finst.base.n, *fractional_copy_graph(finst),
-                              params, source, finst.base.m * finst.U)
+def weighted_owners(winst, flat_ids):
+    """Base element of each flat copy id of the weighted expansion."""
+    return np.searchsorted(np.cumsum(winst.element_weight), flat_ids,
+                           side="right")
 
 
-def reference_probabilistic(pinst, eps, params, source):
+def reference_weighted(winst, params, source, merge=True):
+    """The library's ``sketch_weighted``; with ``merge=False`` the sketch of
+    the unit copies it merges."""
+    sk = sketch_over_copies(winst.base.n, *weighted_copy_graph(winst), params,
+                            source, int(winst.element_weight.sum()))
+    if not merge:
+        return sk
+    return merge_copies(sk, weighted_owners(winst, sk.selected_elements))
+
+
+def reference_fractional(finst, params, source, merge=True):
+    sk = sketch_over_copies(finst.base.n, *fractional_copy_graph(finst),
+                            params, source, finst.base.m * finst.U)
+    return merge_copies(sk, sk.selected_elements // finst.U) if merge else sk
+
+
+def reference_probabilistic(pinst, eps, params, source, merge=True):
     zeta = probabilistic_copy_count(pinst.base.n, pinst.U, eps)
     graph = probabilistic_copy_graph(pinst, zeta, source)
-    return sketch_over_copies(pinst.base.n, *graph, params, source,
-                              pinst.base.m * zeta)
+    sk = sketch_over_copies(pinst.base.n, *graph, params, source,
+                            pinst.base.m * zeta)
+    return merge_copies(sk, sk.selected_elements // zeta) if merge else sk
 
 
 def materialize_weighted(winst):

@@ -282,7 +282,8 @@ def test_criterion_8_probabilistic_estimator():
             for s in sk.instance.element_sets(e).tolist():
                 mask |= 1 << s
             masks[e] = mask
-        hist = np.bincount(masks, minlength=1 << n)
+        # Each sketch element counts for the copies it stands for.
+        hist = np.bincount(masks, weights=sk.element_weight, minlength=1 << n)
         idx = np.arange(1 << n)
         all_within = True
         for smask in range(1 << n):

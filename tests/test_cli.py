@@ -593,6 +593,44 @@ class TestExtremeArguments:
         assert peak < 2**20
 
 
+class TestNegativeSeed:
+    """A negative ``--seed`` is a usage error that names the option."""
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "planted", "--k", "2", "--m", "20", "--kprime", "3",
+         "--eps", "0.2", "--out", "OUT"],
+        ["sketch", "--in", "IN", "--out", "OUT", "--rho", "0.5", "--sigma",
+         "2"],
+        ["solve", "--in", "IN", "--problem", "kcover", "--solver",
+         "stochastic", "--k", "1"],
+        ["simulate", "--in", "IN", "--problem", "kcover", "--k", "1",
+         "--machines", "2"]], ids=lambda argv: argv[0])
+    def test_exits_two_naming_seed(self, tmp_path, capsys, argv):
+        inp = tmp_path / "inst.txt"
+        inp.write_text("0 0\n1 1\n2 2\n")
+        argv = [str(inp) if a == "IN" else str(tmp_path / "out.txt")
+                if a == "OUT" else a for a in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--seed", "-1"])
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 2
+        assert "argument --seed: must be a non-negative integer, got -1" \
+            in err
+        assert not (tmp_path / "out.txt").exists()
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("seeds", "1,-2", "seeds must be non-negative, got -2"),
+        ("planted.seed", "-3", "planted.seed must be non-negative, got -3")])
+    def test_experiment_spec_rejects_negative_seed(self, tmp_path, capsys,
+                                                   key, value, message):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("instance planted\nplanted.k 2\nplanted.m 20\n"
+                        "planted.kprime 3\nplanted.eps 0.2\nrho 0.5\n"
+                        f"sigma 2\nk 1\nseeds 1\n{key} {value}\n")
+        code, _, err = run(["experiment", "--spec", str(spec)], capsys)
+        assert code == 1 and err == f"error: {message}\n"
+
+
 class TestClampWarning:
     """One stderr line when theory mode clamps n_tilde to the edge count;
     stdout and the files written are what they are without it."""

@@ -20,7 +20,14 @@ from coversketch.sketch import HashSource, _assemble, _hash_order, \
     sketch_fractional, sketch_probabilistic, SketchParams
 
 from expansion_reference import edge_coin_array, fractional_copy_graph, \
-    probabilistic_copy_graph, sketch_over_copies, sketch_params
+    merge_copies, probabilistic_copy_graph, sketch_over_copies, sketch_params
+
+
+def merged_copies(n, graph, params, source, original_m, per_element):
+    """The sketch over the copy ``graph`` with its copies merged; copy
+    ``c`` belongs to element ``c // per_element``."""
+    sk = sketch_over_copies(n, *graph, params, source, original_m)
+    return merge_copies(sk, sk.selected_elements // per_element)
 
 
 def _indptr(ids, size):
@@ -298,8 +305,9 @@ class TestCopyGraphs:
         want = reference_fractional_copies(finst)
         assert_arrays_equal(fractional_copy_graph(finst), want)
         source = HashSource(seed)
-        assert sketch_fractional(finst, params, source) == sketch_over_copies(
-            finst.base.n, *want, params, source, finst.base.m * finst.U)
+        assert sketch_fractional(finst, params, source) == merged_copies(
+            finst.base.n, want, params, source, finst.base.m * finst.U,
+            finst.U)
 
     @settings(max_examples=60, deadline=None)
     @given(fractional_lists(max_side=5, max_u=4), st.integers(1, 24),
@@ -315,8 +323,8 @@ class TestCopyGraphs:
         zeta = probabilistic_copy_count(pinst.base.n, pinst.U, eps)
         want = reference_probabilistic_copies(pinst, zeta, source)
         assert sketch_probabilistic(pinst, eps, params, source) == \
-            sketch_over_copies(pinst.base.n, *want, params, source,
-                               pinst.base.m * zeta)
+            merged_copies(pinst.base.n, want, params, source,
+                          pinst.base.m * zeta, zeta)
 
     def test_fractional_largest_file_u(self):
         U = 2**31 - 1
@@ -328,11 +336,14 @@ class TestCopyGraphs:
         for params in (practical_params(1.0, 3),
                        SketchParams(mode="theory", n_tilde=5, degree_cap=1)):
             sk = sketch_fractional(finst, params, HashSource(1))
-            assert sk == sketch_over_copies(3, *want, params, HashSource(1),
-                                            4 * U)
+            assert sk == merged_copies(3, want, params, HashSource(1), 4 * U,
+                                       U)
         sk = sketch_fractional(finst, practical_params(1.0, 3), HashSource(1))
-        assert sk.instance.edge_count == len(want[2])
-        assert sk.selected_elements[-1] == 3 * U + 4
+        # Element 3 has numerators 2 and 5: copies 0-1 hold both sets and
+        # copies 2-4 one, so its last group starts at copy 2.
+        assert sk.element_weight @ sk.instance.elem_degrees == len(want[2])
+        assert sk.selected_elements[-2:].tolist() == [3 * U, 3 * U + 2]
+        assert sk.element_weight[-2:].tolist() == [2, 3]
 
     def test_fractional_key_overflow_is_value_error(self):
         # Three elements of 2**62 copies: flat ids reach 3 * 2**62 > 2**63.
@@ -349,7 +360,10 @@ class TestCopyGraphs:
         finst = FractionalInstance.from_edges(2, 2, [0, 1, 1], [1, 0, 1],
                                               [1, 2, 3], U)
         sk = sketch_fractional(finst, practical_params(1.0, 2), HashSource(0))
-        assert sk.selected_elements.tolist() == [0, 1, U, U + 1, U + 2]
+        # Copies 0-1 of element 0 hold set 1; of element 1, copy 0 holds
+        # sets 0 and 1 and copies 1-2 set 1.
+        assert sk.selected_elements.tolist() == [0, U, U + 1]
+        assert sk.element_weight.tolist() == [2, 1, 2]
         assert sk.original_m == 2 * U
 
 

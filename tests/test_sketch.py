@@ -35,6 +35,7 @@ from coversketch.instance import (
     WeightedInstance,
     _SetView,
     load_fractional_edge_list,
+    load_weighted_edge_list,
 )
 from coversketch.sketch import (
     Sketch,
@@ -46,19 +47,34 @@ from coversketch.sketch import (
     probabilistic_copy_count,
     serialize_sketch,
 )
-from coversketch.solvers import brute_force_kcover
+from coversketch.solvers import (
+    InfeasibleError,
+    brute_force_kcover,
+    brute_force_set_cover,
+    lazy_greedy,
+    stochastic_greedy,
+)
 
 from conftest import random_instance
 from expansion_reference import (
     materialize_fractional,
     materialize_probabilistic,
     materialize_weighted,
+    merge_copies,
     reference_fractional,
     reference_probabilistic,
     reference_weighted,
     sketch_over_copies,
     sketch_params,
+    weighted_owners,
 )
+
+
+def copy_mass(sk):
+    """Edges of the unit copies that the sketch's elements stand for."""
+    degrees = sk.instance.elem_degrees
+    weight = sk.element_weight
+    return int(degrees.sum() if weight is None else weight @ degrees)
 
 
 class TestElementHash:
@@ -500,9 +516,9 @@ class TestSketchWeighted:
         inst = loads_edge_list("0 0\n1 0\n")
         winst = WeightedInstance(inst, np.array([5]), 5)
         sk = sketch_weighted(winst, practical_params(1.0, 10), HashSource(1))
-        assert sk.instance.m == 5
-        for e in range(5):
-            assert sk.instance.element_sets(e).tolist() == [0, 1]
+        # Five copies with the same run: one element of weight 5.
+        assert sk.instance.m == 1 and sk.element_weight.tolist() == [5]
+        assert sk.instance.element_sets(0).tolist() == [0, 1]
 
     def test_greedy_prefers_heavy_element(self):
         # Set 0 covers only the weight-3 element, set 1 only the weight-1.
@@ -520,7 +536,9 @@ class TestSketchWeighted:
             params = practical_params(0.7, 3)
             sk = sketch_weighted(winst, params, HashSource(seed))
             ref = build_sketch(expanded, params, HashSource(seed))
-            assert sk == ref  # flat-id hashing makes this exact
+            # Flat-id hashing makes this exact.
+            assert sk == merge_copies(
+                ref, weighted_owners(winst, ref.selected_elements))
 
     def test_weighted_file_expansion_bound(self):
         winst = _random_weighted(33)
@@ -533,11 +551,13 @@ class TestSketchFractional:
         # One element, U=4, alpha0=0.5, alpha1=0.75.
         finst = FractionalInstance.from_edges(2, 1, [0, 1], [0, 0], [2, 3], 4)
         sk = sketch_fractional(finst, practical_params(1.0, 5), HashSource(2))
-        assert sk.instance.m == 3  # copy 3 is isolated and excluded
+        # Copy 3 is isolated and excluded; copies 0 and 1 hold one run.
+        assert sk.instance.m == 2
         by_flat = {int(sk.selected_elements[e]):
-                   sk.instance.element_sets(e).tolist()
+                   (sk.instance.element_sets(e).tolist(),
+                    int(sk.element_weight[e]))
                    for e in range(sk.instance.m)}
-        assert by_flat == {0: [0, 1], 1: [0, 1], 2: [1]}
+        assert by_flat == {0: ([0, 1], 2), 2: ([1], 1)}
 
     def test_zero_alpha_contributes_no_copies(self):
         finst = FractionalInstance.from_edges(2, 2, [0, 1], [0, 1], [2, 0], 2)
@@ -619,11 +639,14 @@ class TestSketchProbabilistic:
 
 
 @st.composite
-def variant_cases(draw, max_n=4, max_m=6, max_u=3):
+def variant_cases(draw, max_n=4, max_m=6, max_u=3, wide=True):
     """(fractional instance, weights) with empty elements, zero numerators
-    and weights up to U.  Some bases have more than 256 sets, so that the
-    sketch's transpose sorts set ids in 16 bits rather than 8."""
-    n = draw(st.one_of(st.integers(1, max_n), st.integers(257, 300)))
+    and weights up to U.  With ``wide``, some bases have more than 256
+    sets, so that the sketch's transpose sorts set ids in 16 bits rather
+    than 8."""
+    n = draw(st.integers(1, max_n))
+    if wide:
+        n = draw(st.one_of(st.just(n), st.integers(257, 300)))
     m = draw(st.integers(1, max_m))
     U = draw(st.integers(1, max_u))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
@@ -644,25 +667,35 @@ def _coarse_bits(src, ids, exact=sketch_module._element_bits):
 
 
 def assert_same_sketch(got, want):
-    """``==`` plus the dtypes that ``Sketch.__eq__`` does not compare."""
+    """``==`` plus the dtypes that ``Sketch.__eq__`` does not compare, and
+    weights that are None unless some weight exceeds 1."""
     assert got == want
     for sk in (got, want):
         inst = sk.instance
         assert sk.selected_elements.dtype == np.int64
         assert type(sk.original_m) is int
+        if sk.element_weight is not None:
+            assert sk.element_weight.dtype == np.int64
+            assert len(sk.element_weight) == inst.m
+            assert (sk.element_weight >= 1).all()
+            assert (sk.element_weight > 1).any()
         for arr in (inst.set_indptr, inst.set_elems, inst.elem_indptr,
                     inst.elem_set_ids):
             assert arr.dtype == np.int64
 
 
 def without_empty(sk):
-    """``sk`` with its edgeless elements dropped, selection order kept."""
+    """``sk`` with its edgeless elements dropped, selection order and the
+    weights of the others kept."""
     keep = sk.instance.elem_degrees > 0
     set_ids, elems = sk.instance.edges()
     inst = CoverageInstance.from_edges(sk.instance.n, int(keep.sum()),
                                        set_ids, (np.cumsum(keep) - 1)[elems])
+    weight = sk.element_weight
+    if weight is not None:
+        weight = weight[keep] if (weight[keep] > 1).any() else None
     return Sketch(inst, sk.hash_seed, sk.params, sk.selected_elements[keep],
-                  sk.original_m)
+                  sk.original_m, element_weight=weight)
 
 
 class TestVariantsMatchReference:
@@ -721,6 +754,107 @@ class TestVariantsMatchReference:
             assert_same_sketch(frac, without_empty(plain))
 
 
+def _variant_sketches(case, params, seed, eps):
+    """(merged, unmerged, owners) of the three variant sketches of
+    ``case``: the library's sketch, the reference sketch of the unit
+    copies, and the base element of each of its copies."""
+    finst, weights = case
+    base, U = finst.base, finst.U
+    winst = WeightedInstance(base, weights, U)
+    pinst = ProbabilisticInstance(base, finst.numer_set_order,
+                                  finst.numer_elem_order, U)
+    source = HashSource(seed)
+    zeta = probabilistic_copy_count(base.n, U, eps)
+    heavy = reference_weighted(winst, params, source, merge=False)
+    frac = reference_fractional(finst, params, source, merge=False)
+    coins = reference_probabilistic(pinst, eps, params, source, merge=False)
+    return [(sketch_weighted(winst, params, source), heavy,
+             weighted_owners(winst, heavy.selected_elements)),
+            (sketch_fractional(finst, params, source), frac,
+             frac.selected_elements // U),
+            (sketch_probabilistic(pinst, eps, params, source), coins,
+             coins.selected_elements // zeta)]
+
+
+def _same_outcome(solve, merged, copies):
+    """``solve`` gives equal solutions on both sketches, or raises the same
+    error on both."""
+    try:
+        want = solve(copies)
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            solve(merged)
+        return
+    assert solve(merged) == want
+
+
+class TestSolversOnMergedSketches:
+    """Every solver gives on a merged sketch what it gives on the copies."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(variant_cases(wide=False), sketch_params(), st.integers(0, 2**32),
+           st.sampled_from([0.8, 1.0]), st.integers(0, 2**32), st.data())
+    def test_solutions_equal_on_copies(self, case, params, seed, eps,
+                                       solver_seed, data):
+        n = case[0].base.n
+        for merged, copies, _ in _variant_sketches(case, params, seed, eps):
+            for k in range(1, n + 1):
+                for solve in (lambda sk: greedy_kcover(sk, k),
+                              lambda sk: lazy_greedy(sk, k),
+                              lambda sk: stochastic_greedy(sk, k, 0.9,
+                                                           solver_seed),
+                              lambda sk: brute_force_kcover(sk, k)):
+                    _same_outcome(solve, merged, copies)
+            lam = data.draw(st.sampled_from([0.0, 0.3, 0.7]))
+            _same_outcome(lambda sk: brute_force_set_cover(sk, lam), merged,
+                          copies)
+            chosen = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
+            assert coverage(merged, chosen) == coverage(copies, chosen)
+
+
+class TestRunKeys:
+    """Copies with equal run keys and different runs are kept apart."""
+
+    def _wide_case(self):
+        # Element 0 lies in all 70 sets, past the degrees whose runs get
+        # exact keys, with numerator U but in sets 5 and 60, so that its
+        # copies hold a few runs many times over; element 1 lies in three.
+        n, U = 70, 3
+        sets = list(range(n)) + [0, 1, 2]
+        elems = [0] * n + [1] * 3
+        numer = [1 if s in (5, 60) else U for s in range(n)] + [3, 1, 2]
+        finst = FractionalInstance.from_edges(n, 2, sets, elems, numer, U)
+        return finst, np.array([3, 2], dtype=np.int64)
+
+    @pytest.mark.parametrize("params", [
+        practical_params(1.0, 80), practical_params(0.6, 40),
+        SketchParams(mode="theory", n_tilde=200, degree_cap=65)])
+    def test_wide_elements_match_reference(self, params):
+        finst, weights = self._wide_case()
+        assert finst.base.elem_degrees.max() > sketch_module._EXACT_DEGREE
+        sketches = _variant_sketches((finst, weights), params, seed=5,
+                                     eps=1.0)
+        for merged, copies, owners in sketches:
+            assert_same_sketch(merged, merge_copies(copies, owners))
+        # Element 0 has thousands of probabilistic copies over a few runs.
+        merged = sketches[2][0]
+        zeta = probabilistic_copy_count(finst.base.n, finst.U, 1.0)
+        of_wide = merged.selected_elements // zeta == 0
+        assert merged.element_weight[of_wide].max() > 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(variant_cases(wide=False), sketch_params(), st.integers(0, 2**32))
+    def test_colliding_keys_split_by_runs(self, case, params, seed):
+        # Every element compares runs, and every run key is its edge count,
+        # so copies of one element with equal counts always collide.
+        with mock.patch.multiple(
+                sketch_module, _EXACT_DEGREE=0,
+                _key_words=lambda degree: np.ones(max(degree, 1))):
+            for merged, copies, owners in _variant_sketches(
+                    case, params, seed, eps=1.0):
+                assert_same_sketch(merged, merge_copies(copies, owners))
+
+
 def _theory(n_tilde, cap=3):
     return SketchParams(mode="theory", n_tilde=n_tilde, degree_cap=cap)
 
@@ -745,7 +879,7 @@ class TestTheoryCopySamples:
         sk, passes = self._passes(
             lambda: sketch_probabilistic(pinst, 0.8, params, source))
         assert passes == 2
-        assert sk.instance.edge_count >= 60
+        assert copy_mass(sk) >= 60
         assert_same_sketch(sk, reference_probabilistic(pinst, 0.8, params,
                                                        source))
 
@@ -787,7 +921,7 @@ class TestTheoryCopySamples:
         finally:
             tracemalloc.stop()
         assert small.m * zeta > 2 * 10**6
-        assert sk.instance.edge_count >= params.n_tilde
+        assert copy_mass(sk) >= params.n_tilde
         assert peak < 8 * 2**20
 
 
@@ -827,7 +961,7 @@ class TestExpansionBudget:
             sketch_weighted(winst, practical_params(1.0, 1), HashSource(0))
         monkeypatch.setattr(instance_module, "_EXPANSION_BUDGET", 4)
         sk = sketch_weighted(winst, practical_params(1.0, 1), HashSource(0))
-        assert sk.instance.m == 4
+        assert sk.element_weight.tolist() == [4]
         finst = FractionalInstance.from_edges(1, 2, [0, 0], [0, 1], [2, 0], 2)
         monkeypatch.setattr(instance_module, "_EXPANSION_BUDGET", 1)
         with pytest.raises(ValueError, match="needs 2 copies"):
@@ -850,6 +984,22 @@ class TestSerializeSketch:
         again = load_edge_list(io.BytesIO(text.encode()))
         if sk.instance.edge_count:
             assert again.edge_count == sk.instance.edge_count
+
+    def test_weighted_sketch_writes_weights(self):
+        finst = _random_fractional(9)
+        sk = sketch_fractional(finst, practical_params(1.0, finst.base.n),
+                               HashSource(3))
+        assert sk.element_weight is not None
+        text = serialize_sketch(sk)
+        rows = [line.split() for line in text.splitlines()
+                if not line.startswith("#")]
+        assert {len(row) for row in rows} == {3}
+        again = load_weighted_edge_list(io.BytesIO(text.encode()))
+        set_ids, elem_ids = sk.instance.edges()
+        assert np.array_equal(again.base.edges()[0], set_ids)
+        assert np.array_equal(again.base.edges()[1], elem_ids)
+        # Fractional copies all hold an edge, so every element is read back.
+        assert np.array_equal(again.element_weight, sk.element_weight)
 
     def test_theory_header_fields(self):
         inst = random_instance(41)

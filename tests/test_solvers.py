@@ -583,12 +583,12 @@ class TestGreedyOnFullRuns:
         inst, selected, counts = case
         with mock.patch.object(solvers_module, "_gather_positions",
                                wraps=solvers_module._gather_positions) as gather:
-            gains, (limit, cut) = _start(inst, (selected, counts))
+            gains, (limit, cut, weight) = _start(inst, (selected, counts))
         assert gather.call_count == 0
-        want_gains, (want_limit, want_cut) = _start(inst)
+        want_gains, (want_limit, want_cut, _) = _start(inst)
         assert np.array_equal(gains, want_gains)
         assert np.array_equal(limit, want_limit)
-        assert cut is want_cut is None
+        assert cut is want_cut is None and weight is None
 
 
 class TestTracerContract:
