@@ -78,7 +78,10 @@ copies = int(weights.sum())
 params = theory_params(planted.n, copies, int(weights @ planted.elem_degrees),
                        k=2, eps=0.9)
 skt = sketch_weighted(wplanted, params, HashSource(4))
+# Weights are None when no kept copies merge: every weight is one.
 weight = skt.element_weight
+if weight is None:
+    weight = np.ones(skt.instance.m, dtype=np.int64)
 kept = int(weight.sum())
 print(f"\ntheory sketch of {copies} weighted copies: {skt.instance.m} "
       f"distinct copies of weight sum {kept}, whose capped edge mass "

@@ -448,15 +448,17 @@ def build_sketch_lazy(element_count: int, degree_oracle, edge_oracle,
 # never built.  A sample at a rate makes one pass per block of _HASH_BLOCK
 # candidate copies: it hashes the block's flat ids to uint64 bits and keeps
 # the copies whose bits fall below the integer form of the rate
-# (_unit_limit).  The kept copies are expanded in batches of whole elements,
-# of about 2 * _HASH_BLOCK edges at the mean degree: their edges are gathered
-# from the base adjacency, filtered per copy (by numerator, or by a seeded
-# coin drawn from per-edge tables) and capped; unfiltered copies hold capped
-# runs of their elements' edges, which are gathered after the cut.  Each
-# batch groups the copies of one element that hold the same capped run (a
-# sum of one word per edge names a run, see _run_keys).  A block of 2**15
-# copies takes 256 KiB of hash words, and a batch's temporaries stay in a
-# core's cache.  Practical mode samples once at rho and keeps each group's
+# (_unit_limit).  The kept copies are expanded in batches of about
+# 2 * _HASH_BLOCK edges at the mean degree: their edges are gathered from
+# the base adjacency, filtered per copy (by numerator, or by a seeded coin
+# drawn from per-edge tables) and capped; unfiltered copies hold capped runs
+# of their elements' edges, which are gathered after the cut.  Each batch
+# groups the copies of one element that hold the same capped run (by the
+# run's length and last position when each copy's edges include the next
+# copy's, else by a sum of one word per edge, see _run_keys), and the groups
+# of an element whose copies fall in two batches are joined.  A block of
+# 2**15 copies takes 256 KiB of hash words, and a batch's temporaries stay
+# in a core's cache.  Practical mode samples once at rho and keeps each group's
 # first copy, weighted by the group's size.  Theory mode samples below a
 # rising rate until the sample's capped mass reaches n_tilde or the rate
 # reaches 1, makes the shared cut (_select_elements) on the sample's copies,
@@ -538,35 +540,25 @@ def _run_keys(base: CoverageInstance, words: np.ndarray, v: np.ndarray,
 
 
 def _run_matcher(base: CoverageInstance, elems: np.ndarray,
-                 counts: np.ndarray, pos: np.ndarray, index=None):
-    """``same_runs`` for :func:`_group_copies` over copies ``index`` (all
-    by default) of the copies whose runs are the next ``counts`` entries of
-    ``pos``; only copies of elements wider than ``_EXACT_DEGREE`` need
-    their runs compared."""
+                 counts: np.ndarray, runs: np.ndarray):
+    """``same_runs`` for :func:`_group_copies` over the copies of
+    ``elems`` whose runs are the next ``counts`` entries of ``runs`` (edge
+    positions or set ids); only copies of elements wider than
+    ``_EXACT_DEGREE`` need their runs compared."""
     offsets = np.cumsum(counts) - counts
 
     def same_runs(i, j):
-        if index is not None:
-            i, j = index[i], index[j]
         same = counts[i] == counts[j]
         wide = np.flatnonzero(same & (base.elem_degrees[elems[i]]
                                       > _EXACT_DEGREE))
         if len(wide):
             c = counts[i[wide]]
-            differ = (pos[_gather_positions(offsets, i[wide], c)]
-                      != pos[_gather_positions(offsets, j[wide], c)])
+            differ = (runs[_gather_positions(offsets, i[wide], c)]
+                      != runs[_gather_positions(offsets, j[wide], c)])
             same[wide] = np.add.reduceat(differ, np.cumsum(c) - c) == 0
         return same
 
     return same_runs
-
-
-def _bucket(values: np.ndarray, salt: int, bits: int) -> np.ndarray:
-    """One of ``2**bits`` buckets for each int64 value, by a seeded
-    multiplicative hash."""
-    bucket = np.multiply(values.view(_U) ^ _U(salt), _U(_MIX1))
-    bucket >>= _U(64 - bits)
-    return bucket
 
 
 def _group_copies(keys: np.ndarray, elems: np.ndarray,
@@ -578,18 +570,22 @@ def _group_copies(keys: np.ndarray, elems: np.ndarray,
     for each pair whether the runs are equal too; copies that differ from
     the first copy of their key form groups of their own.
 
-    Each round hashes the keys of the ungrouped copies to buckets, takes
-    the smallest copy of each bucket, and groups with it the copies that
-    match it; the others try again with a new hash.
+    Each round hashes the keys of the ungrouped copies to buckets by a
+    seeded multiplicative hash, takes the smallest copy of each bucket, and
+    groups with it the copies that match it; the others try again with a
+    new hash.
     """
     size = len(keys)
     rep = np.empty(size, dtype=np.int64)
     todo = np.arange(size)
     salt = _GOLDEN
     while len(todo):
-        # Eight buckets per copy leave most keys alone in their bucket.
-        bits = len(todo).bit_length() + 3
-        bucket = _bucket(keys[todo], salt, bits)
+        # Eight buckets per copy leave most keys alone in their bucket; the
+        # table stays within 8 MiB, and each round still groups at least
+        # one copy per bucket.
+        bits = min(len(todo).bit_length() + 3, 20)
+        bucket = np.multiply(keys[todo].view(_U) ^ _U(salt), _U(_MIX1))
+        bucket >>= _U(64 - bits)
         smallest = np.full(1 << bits, size, dtype=np.int64)
         np.minimum.at(smallest, bucket, todo)
         cand = smallest[bucket]
@@ -602,10 +598,18 @@ def _group_copies(keys: np.ndarray, elems: np.ndarray,
     return rep
 
 
+def _group_stretches(keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """For each copy, the first copy of its stretch of consecutive copies
+    with equal key and count."""
+    new = np.flatnonzero((np.diff(keys, prepend=-1) != 0)
+                         | (np.diff(counts, prepend=-1) != 0))
+    return np.repeat(new, np.diff(np.append(new, len(keys))))
+
+
 def _sketch_copies(base: CoverageInstance, first: np.ndarray,
                    copies: np.ndarray, total: int, edge_filter,
                    params: SketchParams, source: HashSource,
-                   original_m: int) -> Sketch:
+                   original_m: int, nested: bool = False) -> Sketch:
     """Sketch of the expansion where element v has copies ``j < copies[v]``,
     with one weighted element per distinct (element, capped run).
 
@@ -616,6 +620,8 @@ def _sketch_copies(base: CoverageInstance, first: np.ndarray,
     dropped; with ``edge_filter=None`` every copy keeps all of v's edges and
     edgeless copies stay.  The kept copies are those of :func:`build_sketch`
     over the expansion's copies, but only sampled copies gather edges.
+    ``nested`` says that copy ``j + 1`` of an element holds a subset of the
+    edges of copy ``j``, as it does with ``edge_filter=None``.
 
     Practical mode samples once: it keeps the copies hashing below ``rho``.
     Theory mode samples below a rising rate, then makes the shared cut
@@ -627,11 +633,16 @@ def _sketch_copies(base: CoverageInstance, first: np.ndarray,
     The kept copies of one element that hold the same capped run become one
     sketch element: the first of them in selection order, whose weight is
     their number.  Greedy cannot tell such copies apart, so every solver
-    that reads the weights gives the result it gives on the copies.  The
-    copies are grouped as they are expanded, all copies of an element at
-    once.  Practical mode keeps every sampled copy in flat-id order, so it
-    keeps only each group's first copy; theory mode keeps every copy for
-    its cut, then merges the copies that the cut keeps.
+    that reads the weights gives the result it gives on the copies.  A
+    nested copy's capped run is its edges up to its last kept position, so
+    that position and the run's length name it, and the copies of an
+    element that hold it follow one another (:func:`_group_stretches`);
+    other runs are grouped by their :func:`_run_keys`.  The copies are
+    grouped as they are expanded, ``batch`` sampled copies at a time, and
+    the groups of an element whose copies span two expansions
+    are joined afterwards.  Practical mode keeps every sampled copy in
+    flat-id order, so it keeps only each group's first copy; theory mode
+    keeps every copy for its cut, then merges the copies that the cut keeps.
     """
     ends = np.cumsum(copies)
     starts = ends - copies
@@ -640,8 +651,9 @@ def _sketch_copies(base: CoverageInstance, first: np.ndarray,
     # When no degree exceeds the cap, no filtered copy needs cutting.
     over_cap = max_degree > cap
     words = _key_words(max_degree)
+    nested = nested or edge_filter is None
     # Whether some copies' keys can be equal with different runs.
-    wide = max_degree > _EXACT_DEGREE
+    wide = max_degree > _EXACT_DEGREE and not nested
     practical = params.mode == "practical"
     unfiltered = np.empty(0, dtype=np.int64)
     # Copies per expansion, about 2 * _HASH_BLOCK edges at the mean degree:
@@ -649,62 +661,22 @@ def _sketch_copies(base: CoverageInstance, first: np.ndarray,
     # few edges, few enough that the temporaries stay in cache.
     batch = 2 * _HASH_BLOCK * base.m // max(base.edge_count, 1)
 
-    def group(v_all, has_edge, counts, pos, copy):
-        """For the copies ``has_edge`` of elements ``v_all[has_edge]``
-        (ascending), with ``counts`` edges, the first copy with the same
-        element and run.  ``pos`` holds the edges of these copies and
-        ``copy``, when not None, numbers their copies in ``v_all``."""
-        v = v_all[has_edge]
-        if edge_filter is None:
-            # Every copy of an element holds the same run.
-            new = np.flatnonzero(np.diff(v, prepend=-1))
-            return np.repeat(new, np.diff(np.append(new, len(v))))
-        if not len(v):
-            return v
-        # A copy whose (element, count) pair no other copy has holds a run
-        # no other copy holds; equal pairs share a bucket.  When there are
-        # fewer than half as many pairs as copies, most copies share.
-        width = max_degree + 1
-        shared = None
-        if 2 * (int(v[-1]) - int(v[0]) + 1) * width > len(v):
-            size = len(v).bit_length() + 3
-            bucket = _bucket(v * width + counts, _GOLDEN, size)
-            shared = np.bincount(bucket, minlength=1 << size)[bucket] > 1
-        if shared is None or shared.all():
-            if copy is None:
-                keys = _run_keys(base, words, v, pos,
-                                 np.repeat(np.arange(len(v)), counts))
-            else:
-                keys = _run_keys(base, words, v_all, pos, copy)[has_edge]
-            return _group_copies(keys, v, _run_matcher(
-                base, v, counts, pos) if wide else None)
-        rep = np.arange(len(v))
-        if shared.any():
-            some = np.flatnonzero(shared)
-            c = counts[some]
-            offsets = np.cumsum(counts) - counts
-            some_pos = pos[_gather_positions(offsets, some, c)]
-            keys = _run_keys(base, words, v[some], some_pos,
-                             np.repeat(np.arange(len(some)), c))
-            rep[some] = some[_group_copies(keys, v[some], _run_matcher(
-                base, v, counts, pos, some) if wide else None)]
-        return rep
-
     def expand(idx, bits):
-        """(flat ids, capped counts, groups, elements, set ids grouped by
-        copy, hash bits) of the copies of idx, all of one element in one
-        call, whose hash bits are ``bits``; an unfiltered copy holds the
-        first ``counts`` edges of its element and gives no set ids.  A
-        copy's group is the first copy with its element and run.  In
-        practical mode only the groups' first copies are given, in place of
-        groups with their group sizes, and no hash bits."""
+        """(flat ids, capped counts, groups, elements, keys, set ids grouped
+        by copy, hash bits) of the copies of idx, whose hash bits are
+        ``bits``; an unfiltered copy holds the first ``counts`` edges of its
+        element and gives no set ids.  A copy's group is the first copy with
+        its element and run; a nested run is keyed by its last position,
+        which no other element has, and an unfiltered one by its element.
+        In practical mode only the groups' first copies are given, in place
+        of groups with their group sizes, and no hash bits."""
         v = np.searchsorted(ends, idx, side="right")
         j = idx - starts[v]
         flat_ids = first[v] + j
         if edge_filter is None:
             counts = np.minimum(base.elem_degrees[v], cap)
-            pos = copy = unfiltered
-            has_edge = slice(None)
+            # Every copy of an element holds the same run.
+            pos, has_edge, keys = unfiltered, slice(None), v
         else:
             degrees = base.elem_degrees[v]
             pos = _gather_positions(base.elem_indptr, v, degrees)
@@ -717,15 +689,25 @@ def _sketch_copies(base: CoverageInstance, first: np.ndarray,
             if over_cap:
                 rank = np.arange(len(copy)) - np.repeat(
                     np.cumsum(counts) - counts, counts)
-                pos = pos[rank < cap]
+                below = rank < cap
+                pos = pos[below]
+                if not nested:
+                    copy = copy[below]
                 np.minimum(counts, cap, out=counts)
-                copy = None  # group numbers the copies again if it must
             has_edge = np.flatnonzero(counts)
-            flat_ids, counts = flat_ids[has_edge], counts[has_edge]
-        rep = group(v, has_edge, counts, pos, copy)
-        v = v[has_edge]
+            if nested:
+                keys = pos[np.cumsum(counts)[has_edge] - 1]
+            else:
+                keys = _run_keys(base, words, v, pos, copy)[has_edge]
+            flat_ids, counts, v = (flat_ids[has_edge], counts[has_edge],
+                                   v[has_edge])
+        if nested:
+            rep = _group_stretches(keys, counts)
+        else:
+            rep = _group_copies(keys, v, _run_matcher(
+                base, v, counts, pos) if wide else None)
         if not practical:
-            return (flat_ids, counts, rep, v, base.elem_set_ids[pos],
+            return (flat_ids, counts, rep, v, keys, base.elem_set_ids[pos],
                     bits[has_edge])
         firsts = np.flatnonzero(rep == np.arange(len(rep)))
         sizes = np.bincount(rep, minlength=len(rep))[firsts]
@@ -734,14 +716,49 @@ def _sketch_copies(base: CoverageInstance, first: np.ndarray,
             is_first[firsts] = True
             pos = pos[np.repeat(is_first, counts)]
         return (flat_ids[firsts], counts[firsts], sizes, v[firsts],
-                base.elem_set_ids[pos])
+                keys[firsts], base.elem_set_ids[pos])
+
+    def join(parts):
+        """The :func:`expand` parts laid end to end, with the groups of
+        each element whose copies span two parts joined."""
+        out = _concatenate_runs(parts, 6 if practical else 7)
+        flat, counts, groups, elems, keys, set_ids = out[:6]
+        bounds = np.cumsum([len(part[0]) for part in parts], dtype=np.int64)
+        bounds = bounds[(bounds > 0) & (bounds < len(flat))]
+        span = elems[bounds][elems[bounds - 1] == elems[bounds]]
+        if not len(span):
+            return out
+        rows = np.flatnonzero(np.isin(elems, span))
+        if not practical:
+            rows = rows[groups[rows] == rows]
+        if nested:
+            rep = rows[_group_stretches(keys[rows], counts[rows])]
+        else:
+            same_runs = None
+            if wide:
+                c = counts[rows]
+                same_runs = _run_matcher(base, elems[rows], c, set_ids[
+                    _gather_positions(np.cumsum(counts) - counts, rows, c)])
+            rep = rows[_group_copies(keys[rows], elems[rows], same_runs)]
+        if not practical:
+            relabel = np.arange(len(flat))
+            relabel[rows] = rep
+            return out[:2] + (relabel[groups],) + out[3:]
+        merged = rep != rows
+        if not merged.any():
+            return out
+        np.add.at(groups, rep[merged], groups[rows[merged]])
+        keep = np.ones(len(flat), dtype=bool)
+        keep[rows[merged]] = False
+        if edge_filter is not None:
+            set_ids = set_ids[np.repeat(keep, counts)]
+        return tuple(col[keep] for col in out[:5]) + (set_ids,)
 
     def sample(rate):
-        """:func:`expand` of the copies hashing below ``rate``, in flat-id
-        order, with groups as indices into the sample.  Copies wait until
-        a call gets ``batch`` of them, and the copies of an element go to
-        one call: those of the last element of a block wait for the next
-        block."""
+        """:func:`join` of the :func:`expand` of the copies hashing below
+        ``rate``, in flat-id order, with groups as indices into the sample.
+        Copies wait until an expansion gets ``batch`` of them, so one gets
+        fewer than ``batch`` plus a block's."""
         limit = _unit_limit(rate)
         parts, held, held_bits, size = [], unfiltered, unfiltered, 0
         for lo, z in _copy_bits(source, first - starts, starts, ends, total):
@@ -750,37 +767,29 @@ def _sketch_copies(base: CoverageInstance, first: np.ndarray,
             # The top 53 bits of each hash, which the theory cut sorts.
             bits = held_bits if practical else np.concatenate(
                 (held_bits, z[sampled].view(np.int64)))
-            hi = lo + len(z)
-            if len(idx) < batch and hi < total:
+            if len(idx) < batch and lo + len(z) < total:
                 held, held_bits = idx, bits
                 continue
-            # Hold the copies of an element that goes on past this block.
-            last = np.searchsorted(ends, hi - 1, side="right")
-            split = len(idx)
-            if ends[last] > hi:
-                split = int(np.searchsorted(idx, starts[last]))
-            held, held_bits = idx[split:], bits[split:]
-            if not split:
-                continue
-            part = expand(idx[:split], bits[:split])
+            held = held_bits = unfiltered
+            part = expand(idx, bits)
             if not practical:
                 part[2][:] += size
             size += len(part[0])
             parts.append(part)
-        return _concatenate_runs(parts, 5 if practical else 6)
+        return join(parts)
 
     if practical:
-        flat, counts, sizes, elems, set_ids = sample(params.rho)
+        flat, counts, sizes, elems, _, set_ids = sample(params.rho)
         picks = np.arange(len(flat))
     else:
         n_tilde = params.n_tilde
         # The capped mass of all copies is at most this bound.
         bound = int(copies @ np.minimum(base.elem_degrees, cap))
         rate = min(1.0, 2 * n_tilde / max(bound, 1))
-        flat, counts, rep, elems, set_ids, bits = sample(rate)
+        flat, counts, rep, elems, _, set_ids, bits = sample(rate)
         while (mass := int(counts.sum())) < n_tilde and rate < 1.0:
             rate = min(1.0, 2 * rate * n_tilde / max(mass, 1))
-            flat, counts, rep, elems, set_ids, bits = sample(rate)
+            flat, counts, rep, elems, _, set_ids, bits = sample(rate)
         # The hashes of element_hash_array; ties break by smaller flat id,
         # as the sample is in flat-id order.
         kept = _select_elements(bits.astype(np.float64) * _INV53, counts,
@@ -850,7 +859,7 @@ def sketch_fractional(finst: FractionalInstance, params: SketchParams,
 
     first = np.arange(base.m, dtype=np.int64) * U
     return _sketch_copies(base, first, copies, total, numer_hit, params,
-                          source, base.m * U)
+                          source, base.m * U, nested=True)
 
 
 def probabilistic_copy_count(n: int, U: int, eps: float) -> int:

@@ -843,12 +843,17 @@ class TestRunKeys:
         assert merged.element_weight[of_wide].max() > 1
 
     @settings(max_examples=100, deadline=None)
-    @given(variant_cases(wide=False), sketch_params(), st.integers(0, 2**32))
-    def test_colliding_keys_split_by_runs(self, case, params, seed):
+    @given(variant_cases(wide=False), sketch_params(), st.integers(0, 2**32),
+           st.sampled_from([1, 4, 2**15]))
+    def test_colliding_keys_split_by_runs(self, case, params, seed,
+                                          hash_block):
         # Every element compares runs, and every run key is its edge count,
-        # so copies of one element with equal counts always collide.
+        # so keyed (probabilistic) copies of one element with equal counts
+        # always collide.  Small
+        # hash blocks split an element's copies between expansions, whose
+        # groups are then joined by comparing runs too.
         with mock.patch.multiple(
-                sketch_module, _EXACT_DEGREE=0,
+                sketch_module, _EXACT_DEGREE=0, _HASH_BLOCK=hash_block,
                 _key_words=lambda degree: np.ones(max(degree, 1))):
             for merged, copies, owners in _variant_sketches(
                     case, params, seed, eps=1.0):
@@ -923,6 +928,42 @@ class TestTheoryCopySamples:
         assert small.m * zeta > 2 * 10**6
         assert copy_mass(sk) >= params.n_tilde
         assert peak < 8 * 2**20
+
+
+class TestManyCopiesOfOneElement:
+    """An element with a million sampled copies is expanded a batch at a
+    time, and its groups are joined across batches."""
+
+    def _peak(self, build):
+        tracemalloc.start()
+        try:
+            sk = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return sk, peak
+
+    def test_fractional_at_rate_one(self):
+        # Copies j < U/4 hold sets {0, 1, 2}, copies j < U/2 hold {0, 1}
+        # and the rest hold {0}: three groups, each led by its first copy.
+        U = 2**20
+        finst = FractionalInstance.from_edges(3, 1, [0, 1, 2], [0, 0, 0],
+                                              [U, U // 2, U // 4], U)
+        sk, peak = self._peak(lambda: sketch_fractional(
+            finst, practical_params(1.0, 3), HashSource(1)))
+        assert sk.selected_elements.tolist() == [0, U // 4, U // 2]
+        assert sk.element_weight.tolist() == [U // 4, U // 4, U // 2]
+        assert sk.instance.elem_degrees.tolist() == [3, 2, 1]
+        assert peak < 16 * 2**20
+
+    def test_weighted_at_rate_one(self):
+        base = loads_edge_list("0 0\n1 0\n")
+        winst = WeightedInstance(base, np.array([2**20]), 2**20)
+        sk, peak = self._peak(lambda: sketch_weighted(
+            winst, practical_params(1.0, 2), HashSource(1)))
+        assert sk.selected_elements.tolist() == [0]
+        assert sk.element_weight.tolist() == [2**20]
+        assert peak < 16 * 2**20
 
 
 class TestExpansionBudget:
