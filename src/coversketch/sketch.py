@@ -452,19 +452,20 @@ def build_sketch_lazy(element_count: int, degree_oracle, edge_oracle,
 # 2 * _HASH_BLOCK edges at the mean degree: their edges are gathered from
 # the base adjacency, filtered per copy (by numerator, or by a seeded coin
 # drawn from per-edge tables) and capped; unfiltered copies hold capped runs
-# of their elements' edges, which are gathered after the cut.  Each batch
-# groups the copies of one element that hold the same capped run (by the
-# run's length and last position when each copy's edges include the next
-# copy's, else by a sum of one word per edge, see _run_keys), and the groups
-# of an element whose copies fall in two batches are joined.  A block of
+# of their elements' edges, which are gathered at the end.  A block of
 # 2**15 copies takes 256 KiB of hash words, and a batch's temporaries stay
-# in a core's cache.  Practical mode samples once at rho and keeps each group's
-# first copy, weighted by the group's size.  Theory mode samples below a
+# in a core's cache.  One merge step makes one weighted row of the copies
+# of an element that hold the same capped run: it groups rows by a key and
+# a tag (_group_copies) and keeps each group's first row.  A copy whose
+# edges include the next copy's is keyed by its run's last position and
+# tagged by the run's length; other copies are tagged by their element and
+# keyed by a sum of one word per edge (_run_keys), or by their element when
+# unfiltered.  Practical mode samples once at rho, merges each batch as it
+# is expanded and then the batches' survivors.  Theory mode samples below a
 # rising rate until the sample's capped mass reaches n_tilde or the rate
-# reaches 1, makes the shared cut (_select_elements) on the sample's copies,
-# and then merges the kept copies of each group.  Degenerate parameters (all
-# weights one, rho = 1 with no cap) reproduce the plain constructions bit
-# for bit.
+# reaches 1, makes the shared cut (_select_elements) on the sample's
+# copies, and merges the kept ones.  Degenerate parameters (all weights
+# one, rho = 1 with no cap) reproduce the plain constructions bit for bit.
 # ---------------------------------------------------------------------------
 
 _HASH_BLOCK = 1 << 15  # candidate copies hashed per block
@@ -540,12 +541,11 @@ def _run_keys(base: CoverageInstance, words: np.ndarray, v: np.ndarray,
 
 
 def _run_matcher(base: CoverageInstance, elems: np.ndarray,
-                 counts: np.ndarray, runs: np.ndarray):
+                 counts: np.ndarray, offsets: np.ndarray, runs: np.ndarray):
     """``same_runs`` for :func:`_group_copies` over the copies of
-    ``elems`` whose runs are the next ``counts`` entries of ``runs`` (edge
-    positions or set ids); only copies of elements wider than
-    ``_EXACT_DEGREE`` need their runs compared."""
-    offsets = np.cumsum(counts) - counts
+    ``elems`` whose runs are the ``counts`` set ids of ``runs`` from
+    ``offsets`` on; only copies of elements wider than ``_EXACT_DEGREE``
+    need their runs compared."""
 
     def same_runs(i, j):
         same = counts[i] == counts[j]
@@ -561,49 +561,47 @@ def _run_matcher(base: CoverageInstance, elems: np.ndarray,
     return same_runs
 
 
-def _group_copies(keys: np.ndarray, elems: np.ndarray,
+# Bits of the largest bucket table of _group_copies: 8 MiB.
+_TABLE_BITS = 20
+
+
+def _group_copies(keys: np.ndarray, tags: np.ndarray,
                   same_runs=None) -> np.ndarray:
-    """For each copy, the first copy with its key and element: the group
-    that copy starts.
+    """For each copy, the first copy with its key and tag: the group that
+    copy starts.
 
-    ``same_runs(i, j)``, given copies with equal keys and elements, tells
-    for each pair whether the runs are equal too; copies that differ from
-    the first copy of their key form groups of their own.
+    ``same_runs(i, j)``, given copies with equal keys and tags, tells for
+    each pair whether the runs are equal too; copies that differ from the
+    first copy of their key form groups of their own.
 
-    Each round hashes the keys of the ungrouped copies to buckets by a
-    seeded multiplicative hash, takes the smallest copy of each bucket, and
-    groups with it the copies that match it; the others try again with a
-    new hash.
+    Each round hashes the keys and tags of the ungrouped copies to buckets
+    by a seeded multiplicative hash, takes the smallest copy of each bucket,
+    and groups with it the copies that match it; the others try again with
+    a new hash.
     """
     size = len(keys)
     rep = np.empty(size, dtype=np.int64)
     todo = np.arange(size)
     salt = _GOLDEN
     while len(todo):
-        # Eight buckets per copy leave most keys alone in their bucket; the
-        # table stays within 8 MiB, and each round still groups at least
-        # one copy per bucket.
-        bits = min(len(todo).bit_length() + 3, 20)
+        # Two buckets per copy group about four in five copies a round; a
+        # table capped at _TABLE_BITS still groups at least one copy per
+        # bucket each round.
+        bits = min(len(todo).bit_length() + 1, _TABLE_BITS)
         bucket = np.multiply(keys[todo].view(_U) ^ _U(salt), _U(_MIX1))
+        bucket ^= tags[todo].view(_U)
+        bucket *= _U(_MIX2)
         bucket >>= _U(64 - bits)
         smallest = np.full(1 << bits, size, dtype=np.int64)
         np.minimum.at(smallest, bucket, todo)
         cand = smallest[bucket]
-        match = (keys[cand] == keys[todo]) & (elems[cand] == elems[todo])
+        match = (keys[cand] == keys[todo]) & (tags[cand] == tags[todo])
         if same_runs is not None:
             match[match] = same_runs(todo[match], cand[match])
         rep[todo[match]] = cand[match]
         todo = todo[~match]
         salt = _mix_scalar(salt)
     return rep
-
-
-def _group_stretches(keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """For each copy, the first copy of its stretch of consecutive copies
-    with equal key and count."""
-    new = np.flatnonzero((np.diff(keys, prepend=-1) != 0)
-                         | (np.diff(counts, prepend=-1) != 0))
-    return np.repeat(new, np.diff(np.append(new, len(keys))))
 
 
 def _sketch_copies(base: CoverageInstance, first: np.ndarray,
@@ -621,7 +619,7 @@ def _sketch_copies(base: CoverageInstance, first: np.ndarray,
     edgeless copies stay.  The kept copies are those of :func:`build_sketch`
     over the expansion's copies, but only sampled copies gather edges.
     ``nested`` says that copy ``j + 1`` of an element holds a subset of the
-    edges of copy ``j``, as it does with ``edge_filter=None``.
+    edges of copy ``j``.
 
     Practical mode samples once: it keeps the copies hashing below ``rho``.
     Theory mode samples below a rising rate, then makes the shared cut
@@ -633,16 +631,19 @@ def _sketch_copies(base: CoverageInstance, first: np.ndarray,
     The kept copies of one element that hold the same capped run become one
     sketch element: the first of them in selection order, whose weight is
     their number.  Greedy cannot tell such copies apart, so every solver
-    that reads the weights gives the result it gives on the copies.  A
-    nested copy's capped run is its edges up to its last kept position, so
-    that position and the run's length name it, and the copies of an
-    element that hold it follow one another (:func:`_group_stretches`);
-    other runs are grouped by their :func:`_run_keys`.  The copies are
-    grouped as they are expanded, ``batch`` sampled copies at a time, and
-    the groups of an element whose copies span two expansions
-    are joined afterwards.  Practical mode keeps every sampled copy in
-    flat-id order, so it keeps only each group's first copy; theory mode
-    keeps every copy for its cut, then merges the copies that the cut keeps.
+    that reads the weights gives the result it gives on the copies.  The
+    inner ``merge`` finds them.  It groups rows by a key and a tag with
+    :func:`_group_copies`, keeps each group's first row in row order, and
+    sums the group's sizes.  A nested copy's capped run is its edges up to
+    its last kept position, so that position (the key) and the run's
+    length (the tag) name it.  Other copies are keyed by their
+    :func:`_run_keys` and tagged by their element; unfiltered ones, whose
+    runs an element fixes, are keyed by their element.  Practical mode's
+    rows are in flat-id order, which is its selection order: it merges
+    each ``batch`` of sampled copies as it expands them, which keeps one
+    element's million copies to a few rows, and then the batches'
+    survivors.  Theory mode expands without merging, makes its cut, and
+    merges the kept copies in selection order.
     """
     ends = np.cumsum(copies)
     starts = ends - copies
@@ -651,9 +652,9 @@ def _sketch_copies(base: CoverageInstance, first: np.ndarray,
     # When no degree exceeds the cap, no filtered copy needs cutting.
     over_cap = max_degree > cap
     words = _key_words(max_degree)
-    nested = nested or edge_filter is None
     # Whether some copies' keys can be equal with different runs.
-    wide = max_degree > _EXACT_DEGREE and not nested
+    wide = (max_degree > _EXACT_DEGREE and edge_filter is not None
+            and not nested)
     practical = params.mode == "practical"
     unfiltered = np.empty(0, dtype=np.int64)
     # Copies per expansion, about 2 * _HASH_BLOCK edges at the mean degree:
@@ -662,155 +663,106 @@ def _sketch_copies(base: CoverageInstance, first: np.ndarray,
     batch = 2 * _HASH_BLOCK * base.m // max(base.edge_count, 1)
 
     def expand(idx, bits):
-        """(flat ids, capped counts, groups, elements, keys, set ids grouped
-        by copy, hash bits) of the copies of idx, whose hash bits are
-        ``bits``; an unfiltered copy holds the first ``counts`` edges of its
-        element and gives no set ids.  A copy's group is the first copy with
-        its element and run; a nested run is keyed by its last position,
-        which no other element has, and an unfiltered one by its element.
-        In practical mode only the groups' first copies are given, in place
-        of groups with their group sizes, and no hash bits."""
+        """Rows (flat ids, capped counts, sizes, keys, tags, hash bits, set
+        ids grouped by row) of the copies of idx, whose hash bits are
+        ``bits``, each row of size 1.  An unfiltered copy holds the first
+        ``counts`` edges of its element and gives no set ids."""
         v = np.searchsorted(ends, idx, side="right")
         j = idx - starts[v]
         flat_ids = first[v] + j
+        sizes = np.ones(len(idx), dtype=np.int64)
         if edge_filter is None:
             counts = np.minimum(base.elem_degrees[v], cap)
-            # Every copy of an element holds the same run.
-            pos, has_edge, keys = unfiltered, slice(None), v
-        else:
-            degrees = base.elem_degrees[v]
-            pos = _gather_positions(base.elem_indptr, v, degrees)
-            copy = np.repeat(np.arange(len(idx), dtype=np.int64), degrees)
-            # About half the edges pass, in no pattern: a gather by index is
-            # several times faster than two boolean masks.
-            hit = np.flatnonzero(edge_filter(flat_ids, j, pos, copy))
-            pos, copy = pos[hit], copy[hit]
-            counts = np.bincount(copy, minlength=len(idx))
-            if over_cap:
-                rank = np.arange(len(copy)) - np.repeat(
-                    np.cumsum(counts) - counts, counts)
-                below = rank < cap
-                pos = pos[below]
-                if not nested:
-                    copy = copy[below]
-                np.minimum(counts, cap, out=counts)
-            has_edge = np.flatnonzero(counts)
-            if nested:
-                keys = pos[np.cumsum(counts)[has_edge] - 1]
-            else:
-                keys = _run_keys(base, words, v, pos, copy)[has_edge]
-            flat_ids, counts, v = (flat_ids[has_edge], counts[has_edge],
-                                   v[has_edge])
+            return flat_ids, counts, sizes, v, v, bits, unfiltered
+        degrees = base.elem_degrees[v]
+        pos = _gather_positions(base.elem_indptr, v, degrees)
+        copy = np.repeat(np.arange(len(idx), dtype=np.int64), degrees)
+        # About half the edges pass, in no pattern: a gather by index is
+        # several times faster than two boolean masks.
+        hit = np.flatnonzero(edge_filter(flat_ids, j, pos, copy))
+        pos, copy = pos[hit], copy[hit]
+        counts = np.bincount(copy, minlength=len(idx))
+        if over_cap:
+            rank = np.arange(len(copy)) - np.repeat(
+                np.cumsum(counts) - counts, counts)
+            below = rank < cap
+            pos = pos[below]
+            if not nested:
+                copy = copy[below]
+            np.minimum(counts, cap, out=counts)
+        has_edge = np.flatnonzero(counts)
+        counts = counts[has_edge]
         if nested:
-            rep = _group_stretches(keys, counts)
+            keys, tags = pos[np.cumsum(counts) - 1], counts
         else:
-            rep = _group_copies(keys, v, _run_matcher(
-                base, v, counts, pos) if wide else None)
-        if not practical:
-            return (flat_ids, counts, rep, v, keys, base.elem_set_ids[pos],
-                    bits[has_edge])
-        firsts = np.flatnonzero(rep == np.arange(len(rep)))
-        sizes = np.bincount(rep, minlength=len(rep))[firsts]
-        if len(firsts) < len(rep) and edge_filter is not None:
-            is_first = np.zeros(len(rep), dtype=bool)
-            is_first[firsts] = True
-            pos = pos[np.repeat(is_first, counts)]
-        return (flat_ids[firsts], counts[firsts], sizes, v[firsts],
-                keys[firsts], base.elem_set_ids[pos])
+            keys = _run_keys(base, words, v, pos, copy)[has_edge]
+            tags = v[has_edge]
+        return (flat_ids[has_edge], counts, sizes[has_edge], keys, tags,
+                bits[has_edge], base.elem_set_ids[pos])
 
-    def join(parts):
-        """The :func:`expand` parts laid end to end, with the groups of
-        each element whose copies span two parts joined."""
-        out = _concatenate_runs(parts, 6 if practical else 7)
-        flat, counts, groups, elems, keys, set_ids = out[:6]
-        bounds = np.cumsum([len(part[0]) for part in parts], dtype=np.int64)
-        bounds = bounds[(bounds > 0) & (bounds < len(flat))]
-        span = elems[bounds][elems[bounds - 1] == elems[bounds]]
-        if not len(span):
-            return out
-        rows = np.flatnonzero(np.isin(elems, span))
-        if not practical:
-            rows = rows[groups[rows] == rows]
-        if nested:
-            rep = rows[_group_stretches(keys[rows], counts[rows])]
-        else:
-            same_runs = None
-            if wide:
-                c = counts[rows]
-                same_runs = _run_matcher(base, elems[rows], c, set_ids[
-                    _gather_positions(np.cumsum(counts) - counts, rows, c)])
-            rep = rows[_group_copies(keys[rows], elems[rows], same_runs)]
-        if not practical:
-            relabel = np.arange(len(flat))
-            relabel[rows] = rep
-            return out[:2] + (relabel[groups],) + out[3:]
-        merged = rep != rows
-        if not merged.any():
-            return out
-        np.add.at(groups, rep[merged], groups[rows[merged]])
-        keep = np.ones(len(flat), dtype=bool)
-        keep[rows[merged]] = False
+    def merge(part, rows=None):
+        """The rows of ``part`` (its ``rows``, in that order, when given)
+        with equal key, tag and run merged: the first row of each group,
+        in row order, whose size is the sum of the group's sizes."""
+        flat_ids, counts, sizes, keys, tags, bits, set_ids = part
+        order = np.arange(len(counts)) if rows is None else rows
+        offsets = np.cumsum(counts) - counts
+        same_runs = _run_matcher(base, tags[order], counts[order],
+                                 offsets[order], set_ids) if wide else None
+        rep = _group_copies(keys[order], tags[order], same_runs)
+        firsts = np.flatnonzero(rep == np.arange(len(order)))
+        if rows is None and len(firsts) == len(counts):
+            return part
+        merged = np.bincount(rep, sizes[order])[firsts].astype(np.int64)
+        order = order[firsts]
         if edge_filter is not None:
-            set_ids = set_ids[np.repeat(keep, counts)]
-        return tuple(col[keep] for col in out[:5]) + (set_ids,)
+            set_ids = set_ids[_gather_positions(offsets, order,
+                                                counts[order])]
+        return (flat_ids[order], counts[order], merged, keys[order],
+                tags[order], bits[order], set_ids)
 
     def sample(rate):
-        """:func:`join` of the :func:`expand` of the copies hashing below
-        ``rate``, in flat-id order, with groups as indices into the sample.
-        Copies wait until an expansion gets ``batch`` of them, so one gets
-        fewer than ``batch`` plus a block's."""
+        """The rows of the copies hashing below ``rate``, in flat-id order;
+        practical mode merges each expansion.  Copies wait until an
+        expansion gets ``batch`` of them, so one gets fewer than ``batch``
+        plus a block's."""
         limit = _unit_limit(rate)
-        parts, held, held_bits, size = [], unfiltered, unfiltered, 0
+        parts, held, held_bits = [], unfiltered, unfiltered
         for lo, z in _copy_bits(source, first - starts, starts, ends, total):
             sampled = np.flatnonzero(_bits_below(z, limit))
             idx = np.concatenate((held, lo + sampled))
             # The top 53 bits of each hash, which the theory cut sorts.
-            bits = held_bits if practical else np.concatenate(
-                (held_bits, z[sampled].view(np.int64)))
+            bits = np.concatenate((held_bits, z[sampled].view(np.int64)))
             if len(idx) < batch and lo + len(z) < total:
                 held, held_bits = idx, bits
                 continue
             held = held_bits = unfiltered
             part = expand(idx, bits)
-            if not practical:
-                part[2][:] += size
-            size += len(part[0])
-            parts.append(part)
-        return join(parts)
+            parts.append(merge(part) if practical else part)
+        return _concatenate_runs(parts, 7)
 
     if practical:
-        flat, counts, sizes, elems, _, set_ids = sample(params.rho)
-        picks = np.arange(len(flat))
+        part = merge(sample(params.rho))
     else:
         n_tilde = params.n_tilde
         # The capped mass of all copies is at most this bound.
         bound = int(copies @ np.minimum(base.elem_degrees, cap))
         rate = min(1.0, 2 * n_tilde / max(bound, 1))
-        flat, counts, rep, elems, _, set_ids, bits = sample(rate)
-        while (mass := int(counts.sum())) < n_tilde and rate < 1.0:
+        part = sample(rate)
+        while (mass := int(part[1].sum())) < n_tilde and rate < 1.0:
             rate = min(1.0, 2 * rate * n_tilde / max(mass, 1))
-            flat, counts, rep, elems, _, set_ids, bits = sample(rate)
+            part = sample(rate)
         # The hashes of element_hash_array; ties break by smaller flat id,
         # as the sample is in flat-id order.
-        kept = _select_elements(bits.astype(np.float64) * _INV53, counts,
-                                params)
-        # The first kept copy of each group, in selection order.
-        group = rep[kept]
-        order = np.arange(len(kept))
-        first_kept = np.full(len(flat), len(kept), dtype=np.int64)
-        np.minimum.at(first_kept, group, order)
-        firsts = np.flatnonzero(first_kept[group] == order)
-        sizes = np.bincount(group, minlength=len(flat))[group[firsts]]
-        picks = kept[firsts]
-        if edge_filter is not None:
-            set_ids = set_ids[_gather_positions(np.cumsum(counts) - counts,
-                                                picks, counts[picks])]
+        part = merge(part, _select_elements(
+            part[5].astype(np.float64) * _INV53, part[1], params))
+    flat_ids, counts, sizes, _, tags, _, set_ids = part
     if edge_filter is None:
-        set_ids = base.elem_set_ids[_gather_positions(
-            base.elem_indptr, elems[picks], counts[picks])]
+        set_ids = base.elem_set_ids[_gather_positions(base.elem_indptr, tags,
+                                                      counts)]
     weight = None if (sizes == 1).all() else sizes
-    return _assemble(base.n, flat[picks], counts[picks], set_ids, source.seed,
-                     params, original_m, weight=weight)
+    return _assemble(base.n, flat_ids, counts, set_ids, source.seed, params,
+                     original_m, weight=weight)
 
 
 def sketch_weighted(winst: WeightedInstance, params: SketchParams,

@@ -109,24 +109,25 @@ def _check_ids(n: int, chosen) -> list[int]:
     return ids
 
 
+def _covered(inst: CoverageInstance, chosen) -> np.ndarray:
+    """Mask of the elements of ``inst`` that the chosen sets cover."""
+    covered = np.zeros(inst.m, dtype=bool)
+    for s in _check_ids(inst.n, chosen):
+        covered[inst.set_elements(s)] = True
+    return covered
+
+
 def coverage(target, chosen) -> int:
     """Exact union size of the chosen sets, via marking; on a sketch with
     element weights, the total weight of the union."""
     inst, _, weight = _unwrap(target)
-    ids = _check_ids(inst.n, chosen)
-    covered = np.zeros(inst.m, dtype=bool)
-    for s in ids:
-        covered[inst.set_elements(s)] = True
+    covered = _covered(inst, chosen)
     return int(covered.sum() if weight is None else weight[covered].sum())
 
 
 def coverage_weighted(winst: WeightedInstance, chosen) -> int:
     """Total weight of covered elements."""
-    ids = _check_ids(winst.base.n, chosen)
-    covered = np.zeros(winst.base.m, dtype=bool)
-    for s in ids:
-        covered[winst.base.set_elements(s)] = True
-    return int(winst.element_weight[covered].sum())
+    return int(winst.element_weight[_covered(winst.base, chosen)].sum())
 
 
 def coverage_fractional(finst: FractionalInstance, chosen) -> float:

@@ -27,13 +27,14 @@ from coversketch import CoverageInstance, ParseError, generate_planted, \
     load_edge_list, loads_edge_list
 from coversketch import instance as instance_mod
 from coversketch.cli import _load_graph_edges, main
-from coversketch.instance import FractionalInstance, WeightedInstance, \
-    _khop_from_edges, _read_table, load_fractional_edge_list, \
-    load_probabilistic_edge_list, load_weighted_edge_list, \
-    serialize_edge_list, serialize_fractional_edge_list, \
-    serialize_weighted_edge_list
+from coversketch.instance import FractionalInstance, \
+    ProbabilisticInstance, WeightedInstance, _khop_from_edges, _read_table, \
+    load_fractional_edge_list, load_probabilistic_edge_list, \
+    load_weighted_edge_list, serialize_edge_list, \
+    serialize_fractional_edge_list, serialize_weighted_edge_list
 from coversketch.sketch import HashSource, build_sketch, practical_params, \
-    serialize_sketch, theory_params
+    probabilistic_copy_count, serialize_sketch, sketch_fractional, \
+    sketch_probabilistic, sketch_weighted, theory_params
 
 import parse_reference
 
@@ -848,7 +849,8 @@ class TestWriterGolden:
     The texts span 8 write blocks, 5-digit element ids and, for the clamped
     theory sketch, a `#selected` line of all 20,000 element ids.  The digests
     were taken from the row-at-a-time writer that the digit-matrix writer
-    replaced.
+    replaced; those of the variant sketches, from the copy sketches before
+    their grouping became one merge step.
     """
 
     @pytest.fixture(scope="class")
@@ -862,7 +864,8 @@ class TestWriterGolden:
         assert _sha256(text) == ("e4d7d35126bde2f91a4b1eec4cb3c0d9"
                                  "38af616dfce85c6e0f18d7f703a64b7d")
 
-    def test_weighted_and_fractional(self, planted):
+    @pytest.fixture(scope="class")
+    def variants(self, planted):
         rng = np.random.default_rng(3)
         weights = rng.integers(1, 9, size=planted.m)
         set_ids, elem_ids = planted.edges()
@@ -870,6 +873,10 @@ class TestWriterGolden:
         winst = WeightedInstance(planted, weights, 8)
         finst = FractionalInstance.from_edges(planted.n, planted.m, set_ids,
                                               elem_ids, numer, 8)
+        return winst, finst
+
+    def test_weighted_and_fractional(self, variants):
+        winst, finst = variants
         text = serialize_weighted_edge_list(winst, header_lines=["weighted"])
         assert _sha256(text) == ("81f30c8433c0898cfe9b2529f8b26c87"
                                  "a97c53a5f3653b72da309ff952eb2853")
@@ -890,3 +897,47 @@ class TestWriterGolden:
         assert _sha256(serialize_sketch(theory)) == (
             "8d26c9897de9a037223d70a65974073e"
             "d17beeb5f89ff66618bbcb83efde4810")
+
+    def test_variant_sketches(self, planted, variants):
+        # Sketches with a weight column.  Both theory cuts drop copies, and
+        # every sketch keeps some element for several copies.  The
+        # probabilistic input is the reduced planted instance of the
+        # weighted_variants benchmark, at seed 3.
+        winst, finst = variants
+        small, _ = generate_planted(10, 200, 40, 0.2, 3)
+        set_ids, elem_ids = small.edges()
+        numer = np.random.default_rng(3).integers(1, 5, size=len(set_ids))
+        pinst = ProbabilisticInstance.from_edges(small.n, small.m, set_ids,
+                                                 elem_ids, numer, 4)
+        zeta = probabilistic_copy_count(small.n, 4, 0.5)
+        w, degrees = winst.element_weight, planted.elem_degrees
+        practical, source = practical_params(0.1, 100), HashSource(3)
+        pins = [
+            (lambda p: sketch_weighted(winst, p, source),
+             theory_params(planted.n, int(w.sum()), int(w @ degrees), 10,
+                           0.9),
+             "4ea679f97e51485dde2bdadfc37f3441"
+             "ed22e8aa73868a44998c1ee1d05bd24a",
+             "09273d3cc1b1caa1426c132297739a09"
+             "9475bf77605f9d16558676457fe390c6"),
+            (lambda p: sketch_fractional(finst, p, source),
+             theory_params(planted.n, planted.m * 8,
+                           int(finst.numer_elem_order.sum()), 10, 0.9),
+             "6282bcbf3363ccc63dd35ccf45e45c36"
+             "b0ebad8ff6875b10bbbb2565f63df706",
+             "62ba600ecf9e288c7c558e00cd34a54d"
+             "9702541e811da3e189ccef76d903f888"),
+            (lambda p: sketch_probabilistic(pinst, 0.5, p, source),
+             theory_params(small.n, small.m * zeta, small.edge_count * zeta,
+                           1, 0.9),
+             "616c5c5ba070e8d380a4ea25a62b3e31"
+             "4b770e77f6b853cdc122220f4cde670c",
+             "2bb2cb6c9d6e8f7de9f39118723dcfa3"
+             "e3199b1b3cbea620e8a095b9b42871e2"),
+        ]
+        for build, theory, practical_digest, theory_digest in pins:
+            for params, digest in ((practical, practical_digest),
+                                   (theory, theory_digest)):
+                sk = build(params)
+                assert (sk.element_weight > 1).any()
+                assert _sha256(serialize_sketch(sk)) == digest

@@ -849,11 +849,14 @@ class TestRunKeys:
                                           hash_block):
         # Every element compares runs, and every run key is its edge count,
         # so keyed (probabilistic) copies of one element with equal counts
-        # always collide.  Small
-        # hash blocks split an element's copies between expansions, whose
-        # groups are then joined by comparing runs too.
+        # always collide.  A table of one bucket compares every row with
+        # the first row left, whatever its key and tag (nested copies of
+        # one element can share their last position).  Small hash blocks
+        # split an element's copies between expansions, so the merge of
+        # the expansions' survivors compares runs too.
         with mock.patch.multiple(
                 sketch_module, _EXACT_DEGREE=0, _HASH_BLOCK=hash_block,
+                _TABLE_BITS=0,
                 _key_words=lambda degree: np.ones(max(degree, 1))):
             for merged, copies, owners in _variant_sketches(
                     case, params, seed, eps=1.0):
@@ -932,7 +935,8 @@ class TestTheoryCopySamples:
 
 class TestManyCopiesOfOneElement:
     """An element with a million sampled copies is expanded a batch at a
-    time, and its groups are joined across batches."""
+    time.  Practical mode merges each batch as it is expanded, so only a
+    few rows per batch are held, and then merges the batches' survivors."""
 
     def _peak(self, build):
         tracemalloc.start()
@@ -963,6 +967,18 @@ class TestManyCopiesOfOneElement:
             winst, practical_params(1.0, 2), HashSource(1)))
         assert sk.selected_elements.tolist() == [0]
         assert sk.element_weight.tolist() == [2**20]
+        assert peak < 16 * 2**20
+
+    def test_probabilistic_at_rate_one(self):
+        # Keyed copies: each copy's coins give one of four runs.
+        pinst = ProbabilisticInstance.from_edges(2, 1, [0, 1], [0, 0],
+                                                 [2048, 1024], 4096)
+        assert probabilistic_copy_count(2, 4096, 0.4) == 1_134_535
+        params, source = practical_params(1.0, 2), HashSource(1)
+        want = reference_probabilistic(pinst, 0.4, params, source)
+        sk, peak = self._peak(lambda: sketch_probabilistic(
+            pinst, 0.4, params, source))
+        assert_same_sketch(sk, want)
         assert peak < 16 * 2**20
 
 
