@@ -970,7 +970,8 @@ class TestManyCopiesOfOneElement:
         assert peak < 16 * 2**20
 
     def test_probabilistic_at_rate_one(self):
-        # Keyed copies: each copy's coins give one of four runs.
+        # Keyed copies: the coins of each copy give it one of three runs
+        # or no edge.
         pinst = ProbabilisticInstance.from_edges(2, 1, [0, 1], [0, 0],
                                                  [2048, 1024], 4096)
         assert probabilistic_copy_count(2, 4096, 0.4) == 1_134_535
