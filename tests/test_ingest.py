@@ -899,7 +899,7 @@ class TestWriterGolden:
             "d17beeb5f89ff66618bbcb83efde4810")
 
     def test_variant_sketches(self, planted, variants):
-        # Sketches with a weight column.  Both theory cuts drop copies, and
+        # Sketches with a weight column.  Every theory cut drops copies, and
         # every sketch keeps some element for several copies.  The
         # probabilistic input is the reduced planted instance of the
         # weighted_variants benchmark, at seed 3.
