@@ -32,7 +32,6 @@ from .sketch import (
     SketchParams,
     build_sketch,
     build_sketch_lazy,
-    element_hash,
     element_hash_array,
     practical_params,
     sketch_fractional,

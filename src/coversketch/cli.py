@@ -218,10 +218,10 @@ class ExperimentSpec:
         if seed is not None and int(seed) < 0:
             raise ValueError(f"{self.instance_kind}.seed must be "
                              f"non-negative, got {seed}")
-        if self.solver not in ("stochastic", "greedy", "lazy"):
-            raise ValueError("solver must be stochastic, greedy, or lazy")
-        if self.baseline not in ("stochastic", "lazy"):
-            raise ValueError("baseline must be stochastic or lazy")
+        if self.solver not in ("stochastic", "greedy"):
+            raise ValueError("solver must be stochastic or greedy")
+        if self.baseline not in ("stochastic", "greedy"):
+            raise ValueError("baseline must be stochastic or greedy")
 
 
 # Instance parameters without a default, per instance kind.
@@ -293,8 +293,6 @@ def _solve_target(solver, target, k, eps, seed):
     # Looked up in ``solvers`` at call time, so a wrapped solver is seen too.
     if solver == "greedy":
         return solvers.greedy_kcover(target, k)
-    if solver == "lazy":
-        return solvers.lazy_greedy(target, k)
     return solvers.stochastic_greedy(target, k, eps, seed)
 
 
@@ -432,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
     so.add_argument("--problem", choices=["kcover", "setcover-outliers"],
                     required=True)
     so.add_argument("--solver",
-                    choices=["greedy", "lazy", "stochastic", "brute-force"],
+                    choices=["greedy", "stochastic", "brute-force"],
                     default="greedy")
     so.add_argument("--k", type=int)
     so.add_argument("--eps", type=float, default=0.5)

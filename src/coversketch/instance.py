@@ -163,8 +163,8 @@ class CoverageInstance:
 
     The set view ``set_indptr``/``set_elems`` is always held.  The element
     view ``elem_indptr``/``elem_set_ids`` is taken from the constructor when
-    given; otherwise the instance is a :class:`_SetView` until that view is
-    first read, and one :func:`_transpose` of the set view builds it then.
+    given; otherwise its slots stay unset until one is first read, and
+    ``__getattr__`` builds it then by one :func:`_transpose` of the set view.
     ``elem_degrees`` read before it is a bincount of ``set_elems`` and needs
     no transpose.  A race between threads may build a view twice; both
     builds are equal arrays.
@@ -209,7 +209,6 @@ class CoverageInstance:
         if (elem_indptr is None) != (elem_set_ids is None):
             raise ValueError("the element view needs both of its arrays")
         if elem_indptr is None:
-            self.__class__ = _SetView
             return
         if len(elem_indptr) != self.m + 1:
             raise ValueError("inconsistent index pointers")
@@ -240,6 +239,38 @@ class CoverageInstance:
         view is left to the first read."""
         return cls(n, m, *_set_runs(n, m, key), None, None, element_labels)
 
+    def __getattr__(self, name):
+        """Build an element-view slot, which is read here only when unset."""
+        if name == "elem_degrees":
+            self.elem_degrees = np.bincount(self.set_elems, minlength=self.m)
+        elif name in ("elem_indptr", "elem_set_ids"):
+            self.elem_indptr, self.elem_set_ids, _ = _transpose(
+                self.set_indptr, self.set_elems, self.m)
+            self.elem_degrees = np.diff(self.elem_indptr)
+        else:
+            raise AttributeError(name)
+        return object.__getattribute__(self, name)
+
+    def _has_element_view(self) -> bool:
+        """Whether the element view is built; asking builds nothing."""
+        try:
+            object.__getattribute__(self, "elem_set_ids")
+        except AttributeError:
+            return False
+        return True
+
+    def _element_runs(self, selected: np.ndarray,
+                      counts: np.ndarray) -> np.ndarray:
+        """Set ids of the first ``counts[i]`` sets of each distinct element
+        ``selected[i]``, end to end.  An unbuilt element view stays unbuilt
+        when an element is left out: the runs are gathered from an element
+        view of the selected elements' edges only."""
+        view = self
+        if len(selected) < self.m and not self._has_element_view():
+            view = _kept_set_view(self, selected)
+        return view.elem_set_ids[_gather_positions(view.elem_indptr,
+                                                   selected, counts)]
+
     def set_elements(self, s: int) -> np.ndarray:
         """Sorted element ids contained in set ``s``."""
         return self.set_elems[self.set_indptr[s]:self.set_indptr[s + 1]]
@@ -269,29 +300,15 @@ class CoverageInstance:
                 f"edge_count={self.edge_count})")
 
 
-class _SetView(CoverageInstance):
-    """A :class:`CoverageInstance` whose element view is not built yet.
-
-    Reading an unset slot reaches ``__getattr__``, which fills it from the
-    set view.  Once the element view is built the instance becomes a plain
-    :class:`CoverageInstance`, so only unread instances pay for the hook: on
-    every instance it would slow each attribute read, and the greedy pick
-    step makes several per pick.
-    """
-
-    __slots__ = ()
-
-    def __getattr__(self, name):
-        if name == "elem_degrees":
-            self.elem_degrees = np.bincount(self.set_elems, minlength=self.m)
-        elif name in ("elem_indptr", "elem_set_ids"):
-            self.elem_indptr, self.elem_set_ids, _ = _transpose(
-                self.set_indptr, self.set_elems, self.m)
-            self.elem_degrees = np.diff(self.elem_indptr)
-            self.__class__ = CoverageInstance
-        else:
-            raise AttributeError(name)
-        return object.__getattribute__(self, name)
+def _kept_set_view(instance: CoverageInstance, selected) -> CoverageInstance:
+    """``instance`` with only the edges of the elements ``selected``, as a
+    set view whose element view is left to the first read."""
+    keep = np.zeros(instance.m, dtype=bool)
+    keep[selected] = True
+    pos = np.flatnonzero(keep[instance.set_elems])
+    return CoverageInstance(instance.n, instance.m,
+                            np.searchsorted(pos, instance.set_indptr),
+                            instance.set_elems[pos])
 
 
 @dataclass(frozen=True, eq=False)
@@ -988,7 +1005,8 @@ def generate_planted(k: int, m: int, k_prime: int, eps: float,
     distinct elements drawn uniformly, independently across decoys.  Set ids
     are assigned by a seeded permutation so the hidden optimum does not align
     with smallest-id tie-breaking.  Returns the instance and the planted set
-    ids (ascending).
+    ids (ascending).  Set, element and edge counts past ``_MAX_VALUE`` are
+    rejected before anything is allocated.
     """
     if k < 1 or m < 1 or k_prime < 0:
         raise ValueError("k, m must be positive; k_prime nonnegative")
@@ -998,10 +1016,15 @@ def generate_planted(k: int, m: int, k_prime: int, eps: float,
         raise ValueError("eps must be nonnegative")
     block = m // k
     decoy_size = _decoy_size(block, eps)
-    if decoy_size > m:
+    if k_prime and decoy_size > m:
         raise ValueError("decoy sets larger than the ground set")
-    rng = np.random.default_rng(seed)
     n = k + k_prime
+    for count, name in ((n, "sets"), (m, "elements"),
+                        (m + k_prime * decoy_size, "edges")):
+        if count > _MAX_VALUE:
+            raise ValueError(f"planted instance needs {count} {name}, over "
+                             f"the {_MAX_VALUE} that edge-list files hold")
+    rng = np.random.default_rng(seed)
     # Run j < k of ``rows`` is planted block j; run k + i is decoy i's
     # picks, sorted, so every run ascends.  Set ``perm[j]`` is run j, so
     # the set view is the runs in the order of the inverse permutation.

@@ -21,7 +21,6 @@ from .instance import (
     FractionalInstance,
     ProbabilisticInstance,
     WeightedInstance,
-    _SetView,
     _check_budget,
     _check_key_range,
     _format_rows,
@@ -32,7 +31,6 @@ from .instance import (
 
 __all__ = [
     "HashSource",
-    "element_hash",
     "element_hash_array",
     "derive_seed",
     "SketchParams",
@@ -131,12 +129,6 @@ class HashSource:
         return _combine_scalar(_mix_scalar(self.seed & _MASK64), tag)
 
 
-def element_hash(source: HashSource, element_id: int) -> float:
-    """Deterministic hash of an element id to [0, 1)."""
-    z = _combine_scalar(source._base(_TAG_ELEMENT), int(element_id))
-    return (z >> 11) * _INV53
-
-
 def _element_bits(source: HashSource, ids: np.ndarray) -> np.ndarray:
     """The uint64 hashes of element ids, whose top 53 bits
     :func:`element_hash_array` returns as floats."""
@@ -145,7 +137,8 @@ def _element_bits(source: HashSource, ids: np.ndarray) -> np.ndarray:
 
 
 def element_hash_array(source: HashSource, ids: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`element_hash`; bit-identical to the scalar form."""
+    """Deterministic hash of each element id to [0, 1): the top 53 bits of
+    its seeded 64-bit mix, as a float."""
     return _unit_array(_element_bits(source, ids))
 
 
@@ -352,18 +345,6 @@ def _selection(degrees: np.ndarray, params: SketchParams,
     return ids[keep], capped[keep]
 
 
-def _kept_set_view(instance: CoverageInstance,
-                   selected: np.ndarray) -> CoverageInstance:
-    """``instance`` with only the edges of the elements ``selected``, as a
-    set view whose element view is left to the first read."""
-    keep = np.zeros(instance.m, dtype=bool)
-    keep[selected] = True
-    pos = np.flatnonzero(keep[instance.set_elems])
-    return CoverageInstance(instance.n, instance.m,
-                            np.searchsorted(pos, instance.set_indptr),
-                            instance.set_elems[pos])
-
-
 def build_sketch(instance: CoverageInstance, params: SketchParams,
                  source: HashSource) -> Sketch:
     """Construct the sketch of a materialized instance.
@@ -374,20 +355,17 @@ def build_sketch(instance: CoverageInstance, params: SketchParams,
     hash falls below ``rho``.  A kept element retains its first
     ``min(cap, degree)`` edges, i.e. the smallest set ids.
 
-    An instance whose element view is not built yet, such as a freshly
-    loaded one, keeps it unbuilt when the cut drops an element: the runs
-    are gathered from an element view of the kept elements' edges only.
+    The runs come from :meth:`CoverageInstance._element_runs`, which keeps
+    an unbuilt element view, such as a freshly loaded instance's, unbuilt
+    when the cut drops an element.
     """
     capped = np.minimum(instance.elem_degrees, params.cap)
     selected = _select_elements(
         element_hash_array(source, np.arange(instance.m, dtype=np.int64)),
         capped, params)
     counts = capped[selected]
-    if isinstance(instance, _SetView) and len(selected) < instance.m:
-        instance = _kept_set_view(instance, selected)
-    set_ids = instance.elem_set_ids[_gather_positions(instance.elem_indptr,
-                                                      selected, counts)]
-    return _assemble(instance.n, selected, counts, set_ids, source.seed,
+    return _assemble(instance.n, selected, counts,
+                     instance._element_runs(selected, counts), source.seed,
                      params, instance.m)
 
 
@@ -662,18 +640,18 @@ def _sketch_copies(base: CoverageInstance, first: np.ndarray,
     # few edges, few enough that the temporaries stay in cache.
     batch = 2 * _HASH_BLOCK * base.m // max(base.edge_count, 1)
 
-    def expand(idx, bits):
-        """Rows (flat ids, capped counts, sizes, keys, tags, hash bits, set
-        ids grouped by row) of the copies of idx, whose hash bits are
-        ``bits``, each row of size 1.  An unfiltered copy holds the first
-        ``counts`` edges of its element and gives no set ids."""
+    def expand(idx):
+        """Rows (flat ids, capped counts, sizes, keys, tags, set ids grouped
+        by row) of the copies of idx, each row of size 1.  An unfiltered
+        copy holds the first ``counts`` edges of its element and gives no
+        set ids."""
         v = np.searchsorted(ends, idx, side="right")
         j = idx - starts[v]
         flat_ids = first[v] + j
         sizes = np.ones(len(idx), dtype=np.int64)
         if edge_filter is None:
             counts = np.minimum(base.elem_degrees[v], cap)
-            return flat_ids, counts, sizes, v, v, bits, unfiltered
+            return flat_ids, counts, sizes, v, v, unfiltered
         degrees = base.elem_degrees[v]
         pos = _gather_positions(base.elem_indptr, v, degrees)
         copy = np.repeat(np.arange(len(idx), dtype=np.int64), degrees)
@@ -698,13 +676,13 @@ def _sketch_copies(base: CoverageInstance, first: np.ndarray,
             keys = _run_keys(base, words, v, pos, copy)[has_edge]
             tags = v[has_edge]
         return (flat_ids[has_edge], counts, sizes[has_edge], keys, tags,
-                bits[has_edge], base.elem_set_ids[pos])
+                base.elem_set_ids[pos])
 
     def merge(part, rows=None):
         """The rows of ``part`` (its ``rows``, in that order, when given)
         with equal key, tag and run merged: the first row of each group,
         in row order, whose size is the sum of the group's sizes."""
-        flat_ids, counts, sizes, keys, tags, bits, set_ids = part
+        flat_ids, counts, sizes, keys, tags, set_ids = part
         order = np.arange(len(counts)) if rows is None else rows
         offsets = np.cumsum(counts) - counts
         same_runs = _run_matcher(base, tags[order], counts[order],
@@ -719,7 +697,7 @@ def _sketch_copies(base: CoverageInstance, first: np.ndarray,
             set_ids = set_ids[_gather_positions(offsets, order,
                                                 counts[order])]
         return (flat_ids[order], counts[order], merged, keys[order],
-                tags[order], bits[order], set_ids)
+                tags[order], set_ids)
 
     def sample(rate):
         """The rows of the copies hashing below ``rate``, in flat-id order;
@@ -727,19 +705,17 @@ def _sketch_copies(base: CoverageInstance, first: np.ndarray,
         expansion gets ``batch`` of them, so one gets fewer than ``batch``
         plus a block's."""
         limit = _unit_limit(rate)
-        parts, held, held_bits = [], unfiltered, unfiltered
+        parts, held = [], unfiltered
         for lo, z in _copy_bits(source, first - starts, starts, ends, total):
-            sampled = np.flatnonzero(_bits_below(z, limit))
-            idx = np.concatenate((held, lo + sampled))
-            # The top 53 bits of each hash, which the theory cut sorts.
-            bits = np.concatenate((held_bits, z[sampled].view(np.int64)))
+            idx = np.concatenate((held, lo + np.flatnonzero(
+                _bits_below(z, limit))))
             if len(idx) < batch and lo + len(z) < total:
-                held, held_bits = idx, bits
+                held = idx
                 continue
-            held = held_bits = unfiltered
-            part = expand(idx, bits)
+            held = unfiltered
+            part = expand(idx)
             parts.append(merge(part) if practical else part)
-        return _concatenate_runs(parts, 7)
+        return _concatenate_runs(parts, 6)
 
     if practical:
         part = merge(sample(params.rho))
@@ -752,11 +728,10 @@ def _sketch_copies(base: CoverageInstance, first: np.ndarray,
         while (mass := int(part[1].sum())) < n_tilde and rate < 1.0:
             rate = min(1.0, 2 * rate * n_tilde / max(mass, 1))
             part = sample(rate)
-        # The hashes of element_hash_array; ties break by smaller flat id,
-        # as the sample is in flat-id order.
+        # Ties break by smaller flat id, as the sample is in flat-id order.
         part = merge(part, _select_elements(
-            part[5].astype(np.float64) * _INV53, part[1], params))
-    flat_ids, counts, sizes, _, tags, _, set_ids = part
+            element_hash_array(source, part[0]), part[1], params))
+    flat_ids, counts, sizes, _, tags, set_ids = part
     if edge_filter is None:
         set_ids = base.elem_set_ids[_gather_positions(base.elem_indptr, tags,
                                                       counts)]

@@ -23,7 +23,7 @@ def generate_planted(k, m, k_prime, eps, seed):
         raise ValueError("eps must be nonnegative")
     block = m // k
     decoy_size = _decoy_size(block, eps)
-    if decoy_size > m:
+    if k_prime and decoy_size > m:
         raise ValueError("decoy sets larger than the ground set")
     rng = np.random.default_rng(seed)
     set_chunks = [np.repeat(np.arange(k, dtype=np.int64), block)]

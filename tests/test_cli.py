@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coversketch import generate_planted, instance as instance_mod, \
-    load_edge_list, serialize_edge_list, sketch as sketch_mod
+from coversketch import generate_planted, greedy_kcover, \
+    instance as instance_mod, load_edge_list, serialize_edge_list, \
+    sketch as sketch_mod
 from coversketch.cli import main
 from coversketch.sketch import HashSource, build_sketch, practical_params, \
     serialize_sketch, theory_params
@@ -159,6 +160,22 @@ class TestGenerate:
         assert (code, stdout) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("argv, count", [
+        (["--k", "1", "--m", "1000000000000", "--kprime", "0", "--eps", "0"],
+         "1000000000000 elements"),
+        (["--k", "100", "--m", "20000", "--kprime", "100000000", "--eps",
+          "0.2"], "24000020000 edges"),
+    ])
+    def test_oversized_planted_exits_one(self, tmp_path, capsys, argv,
+                                         count):
+        out = tmp_path / "x.txt"
+        code, stdout, err = run(["generate", "planted", *argv, "--out",
+                                 str(out)], capsys)
+        assert (code, stdout) == (1, "")
+        assert err == (f"error: planted instance needs {count}, over the "
+                       "2147483647 that edge-list files hold\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("args,name", [
@@ -458,6 +475,17 @@ class TestSolveCommand:
         assert lines[0] == "value=5 k=2"
         assert lines[1:] == ["0", "2"]
 
+    def test_lazy_is_no_solver_choice(self, tmp_path, capsys):
+        # lazy_greedy is greedy_kcover's engine; the CLI names it greedy.
+        inp = tmp_path / "inst.txt"
+        inp.write_text("0 0\n1 1\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["solve", "--in", str(inp), "--problem", "kcover", "--k",
+                  "1", "--solver", "lazy"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --solver: invalid choice: 'lazy'" in err
+
     def test_infeasible_outliers_exit_one(self, tmp_path, capsys):
         inp = tmp_path / "inst.txt"
         inp.write_text("0 0\n0 5\n")  # elements 1..4 uncoverable
@@ -747,8 +775,8 @@ class TestExperimentCommand:
         path, out = self._write_spec(tmp_path, rho="0.8,0.3", sigma="50,4",
                                      k="5,2,3")
         inst, _ = generate_planted(5, 200, 20, 0.2, 3)
-        masks = mock.Mock(wraps=sketch_mod._kept_set_view)
-        monkeypatch.setattr(sketch_mod, "_kept_set_view", masks)
+        masks = mock.Mock(wraps=instance_mod._kept_set_view)
+        monkeypatch.setattr(instance_mod, "_kept_set_view", masks)
         assert run(["experiment", "--spec", str(path)], capsys)[0] == 0
         assert masks.call_count == 0
         full = [c for c in transposes if c[0] == inst.m]
@@ -760,6 +788,25 @@ class TestExperimentCommand:
         path, _ = self._write_spec(tmp_path, seeds="1,1")
         code, _, err = run(["experiment", "--spec", str(path)], capsys)
         assert code == 1 and "distinct" in err
+
+    @pytest.mark.parametrize("key, message", [
+        ("solver", "solver must be stochastic or greedy"),
+        ("baseline", "baseline must be stochastic or greedy"),
+    ])
+    def test_lazy_is_no_spec_solver(self, tmp_path, capsys, key, message):
+        path, out = self._write_spec(tmp_path, **{key: "lazy"})
+        code, _, err = run(["experiment", "--spec", str(path)], capsys)
+        assert (code, err) == (1, f"error: {message}\n")
+        assert not (tmp_path / "results.csv").exists()
+
+    def test_greedy_baseline(self, tmp_path, capsys):
+        path, out = self._write_spec(tmp_path, baseline="greedy")
+        assert run(["experiment", "--spec", str(path)], capsys)[0] == 0
+        inst, _ = generate_planted(5, 200, 20, 0.2, 3)
+        want = greedy_kcover(inst, 5).coverage_value
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["baseline_coverage"]) for r in rows] == [want] * 4
 
     @pytest.mark.parametrize("kind, present, missing", [
         ("planted", {"planted.m": "200"}, "planted.k"),

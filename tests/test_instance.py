@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -174,11 +175,59 @@ class TestLazyElementView:
                 assert got.dtype == np.int64
                 np.testing.assert_array_equal(got, want)
         assert len(transposes) == builds
-        # Once built, reads no longer pass through the fallback hook.
-        assert type(inst) is CoverageInstance
+        # Once built, the view's slots are set, so reads no longer reach
+        # the fallback hook.
+        assert inst._has_element_view()
         for v in range(inst.m):
             assert inst.element_sets(v).tolist() == [
                 s for s in range(inst.n) if v in inst.set_elements(s)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_element_runs_match_a_full_view_gather(self, data):
+        """``_element_runs`` on an unbuilt element view equals a gather from
+        the full element view.  A selection that leaves an element out
+        takes the masked path: it transposes only the selected elements'
+        edges and leaves the instance's element view unbuilt.  Element ids
+        fall on both sides of 2**16, where the transpose switches sorts."""
+        wide = data.draw(st.booleans(), "wide")
+        m = data.draw(st.integers(2**16 + 1, 2**16 + 200) if wide
+                      else st.integers(1, 40), "m")
+        n = data.draw(st.integers(1, 8), "n")
+        ids = (st.one_of(st.integers(0, 40), st.integers(2**16 - 40, m - 1))
+               if wide else st.integers(0, m - 1))
+        edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), ids),
+                                   max_size=60), "edges")
+        set_ids = [s for s, _ in edges]
+        elem_ids = [v for _, v in edges]
+        full = CoverageInstance.from_edges(n, m, set_ids, elem_ids)
+        kind = data.draw(st.sampled_from(["empty", "partial", "full"]),
+                         "kind")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if kind == "full":
+            selected = rng.permutation(m)
+        else:
+            # Ids of elements with and without edges, in any order.
+            selected = np.array(data.draw(st.lists(
+                st.one_of(ids, st.sampled_from(elem_ids or [0])),
+                unique=True, max_size=0 if kind == "empty" else 30)),
+                dtype=np.int64)
+        degrees = full.elem_degrees[selected]
+        counts = data.draw(st.sampled_from(["zero", "degree", "any"]),
+                           "counts")
+        counts = {"zero": np.zeros_like(degrees), "degree": degrees,
+                  "any": rng.integers(0, degrees + 1)}[counts]
+        want = [s for v, c in zip(selected.tolist(), counts.tolist())
+                for s in full.element_sets(v)[:c].tolist()]
+        inst = CoverageInstance.from_edges(n, m, set_ids, elem_ids)
+        with mock.patch.object(instance_mod, "_transpose",
+                               wraps=instance_mod._transpose) as calls:
+            got = inst._element_runs(selected, counts)
+        assert got.dtype == np.int64 and got.tolist() == want
+        masked = len(selected) < m
+        assert inst._has_element_view() != masked
+        assert [(c.args[2], len(c.args[1])) for c in calls.call_args_list] \
+            == [(m, int(degrees.sum()) if masked else full.edge_count)]
 
     def test_threads_share_one_unread_instance(self):
         # Threads that race to the first read may each build the view; every
@@ -229,7 +278,7 @@ class TestLazyElementView:
         inst = load_edge_list(text)
         del transposes[:]
         sk = build_sketch(inst, practical_params(0.5, 2), HashSource(3))
-        assert type(inst) is instance_mod._SetView
+        assert not inst._has_element_view()
         kept = int(inst.elem_degrees[sk.selected_elements].sum())
         assert 0 < kept < inst.edge_count
         assert transposes == [(inst.m, kept), (inst.n, sk.instance.edge_count)]
@@ -421,6 +470,33 @@ class TestGeneratePlanted:
         assert planted == want_planted
         assert_same_csr(got, want)
         assert got == want
+
+    def test_no_decoys_skip_the_decoy_size_check(self):
+        # A decoy of ceil(1.2 * 100) elements would not fit in 100, but
+        # there is none.
+        inst, planted = generate_planted(1, 100, 0, 0.2, 1)
+        assert (inst.n, inst.m, inst.edge_count) == (1, 100, 100)
+        assert planted == [0]
+        assert inst.set_elements(0).tolist() == list(range(100))
+        with pytest.raises(ValueError, match="decoy sets larger"):
+            generate_planted(1, 100, 1, 0.2, 1)
+
+    @pytest.mark.parametrize("args, count", [
+        ((1, 10**12, 0, 0.0), "1000000000000 elements"),
+        ((100, 20_000, 10**8, 0.2), "24000020000 edges"),
+        ((1, 1, 2**31 - 1, 0.0), "2147483648 sets"),
+    ])
+    def test_oversized_rejected_before_allocating(self, args, count):
+        # Each count would take from 16 GiB to 7.28 TiB of int64 rows.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"needs {count}, over the "
+                                                 f"{2**31 - 1}"):
+                generate_planted(*args, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_decoy_size_exact_at_scale(self):
         # In floats 1.1 * 21e6 is 23100000.000000004.

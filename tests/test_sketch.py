@@ -15,7 +15,6 @@ from coversketch import (
     build_sketch,
     build_sketch_lazy,
     coverage,
-    element_hash,
     element_hash_array,
     generate_planted,
     greedy_kcover,
@@ -33,14 +32,15 @@ from coversketch.instance import (
     FractionalInstance,
     ProbabilisticInstance,
     WeightedInstance,
-    _SetView,
     load_fractional_edge_list,
     load_weighted_edge_list,
 )
 from coversketch.sketch import (
     Sketch,
     SketchParams,
+    _TAG_ELEMENT,
     _bits_below,
+    _combine_scalar,
     _unit_array,
     _unit_limit,
     derive_seed,
@@ -68,6 +68,13 @@ from expansion_reference import (
     sketch_params,
     weighted_owners,
 )
+
+
+def element_hash(source, element_id):
+    """The scalar hash of one element id to [0, 1), the cross-check of
+    ``element_hash_array``."""
+    z = _combine_scalar(source._base(_TAG_ELEMENT), int(element_id))
+    return (z >> 11) * 2.0 ** -53
 
 
 def copy_mass(sk):
@@ -237,7 +244,7 @@ class TestBuildSketch:
                 inst = CoverageInstance.from_edges(n, m, set_ids, elem_ids)
                 if read_first:
                     inst.elem_indptr
-                assert isinstance(inst, _SetView) != read_first
+                assert inst._has_element_view() == read_first
                 assert_same_sketch(build_sketch(inst, params, source), want)
 
     def test_practical_identity(self):
