@@ -215,13 +215,31 @@ class ExperimentSpec:
             raise ValueError(f"seeds must be non-negative, got "
                              f"{min(self.seeds)}")
         seed = self.instance_args.get("seed")
-        if seed is not None and int(seed) < 0:
+        if seed is not None and _spec_number(f"{self.instance_kind}.seed",
+                                             seed, int) < 0:
             raise ValueError(f"{self.instance_kind}.seed must be "
                              f"non-negative, got {seed}")
         if self.solver not in ("stochastic", "greedy"):
             raise ValueError("solver must be stochastic or greedy")
         if self.baseline not in ("stochastic", "greedy"):
             raise ValueError("baseline must be stochastic or greedy")
+
+
+def _spec_number(key: str, text: str, convert):
+    """``convert(text)``, where ``convert`` is int or float; a value it
+    rejects raises a ValueError that names the spec key and the text."""
+    try:
+        return convert(text)
+    except ValueError:
+        expected = "an integer" if convert is int else "a number"
+        raise ValueError(f"spec key {key}: expected {expected}, "
+                         f"got {text!r}") from None
+
+
+def _spec_list(kv: dict, key: str, convert) -> list:
+    """The comma-separated values of ``key``, empty when it is absent."""
+    return [_spec_number(key, x, convert)
+            for x in kv.get(key, "").split(",") if x]
 
 
 # Instance parameters without a default, per instance kind.
@@ -262,30 +280,37 @@ def parse_experiment_spec(path) -> ExperimentSpec:
     return ExperimentSpec(
         instance_kind=kind,
         instance_args=iargs,
-        rho_grid=[float(x) for x in kv.get("rho", "").split(",") if x],
-        sigma_grid=[int(x) for x in kv.get("sigma", "").split(",") if x],
-        k_grid=[int(x) for x in kv.get("k", "").split(",") if x],
-        seeds=[int(x) for x in kv.get("seeds", "").split(",") if x],
+        rho_grid=_spec_list(kv, "rho", float),
+        sigma_grid=_spec_list(kv, "sigma", int),
+        k_grid=_spec_list(kv, "k", int),
+        seeds=_spec_list(kv, "seeds", int),
         solver=kv.get("solver", "stochastic"),
         baseline=kv.get("baseline", "stochastic"),
-        solver_eps=float(kv.get("solver_eps", "0.1")),
+        solver_eps=_spec_number("solver_eps", kv.get("solver_eps", "0.1"),
+                                float),
         out=kv.get("out", "experiment.csv"),
     )
 
 
 def _build_spec_instance(spec: ExperimentSpec):
-    a = spec.instance_args
-    if spec.instance_kind == "planted":
+    kind, a = spec.instance_kind, spec.instance_args
+
+    def arg(name, convert, default=None):
+        text = a[name] if default is None else a.get(name, default)
+        return _spec_number(f"{kind}.{name}", text, convert)
+
+    if kind == "planted":
         inst, _ = inst_mod.generate_planted(
-            int(a["k"]), int(a["m"]), int(a["kprime"]), float(a["eps"]),
-            int(a.get("seed", 0)))
+            arg("k", int), arg("m", int), arg("kprime", int),
+            arg("eps", float), arg("seed", int, "0"))
         return inst
-    if spec.instance_kind == "adversarial":
+    if kind == "adversarial":
         return inst_mod.generate_adversarial(
-            int(a["n"]), int(a["k"]), float(a["beta"]), int(a.get("seed", 0)))
-    if spec.instance_kind == "khop":
-        return inst_mod._khop_from_edges(*_load_graph_edges(a["graph"]),
-                                         int(a.get("hops", 2)))
+            arg("n", int), arg("k", int), arg("beta", float),
+            arg("seed", int, "0"))
+    if kind == "khop":
+        hops = arg("hops", int, "2")
+        return inst_mod._khop_from_edges(*_load_graph_edges(a["graph"]), hops)
     return inst_mod.load_edge_list(a["path"])
 
 

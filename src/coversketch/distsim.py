@@ -23,7 +23,7 @@ rounds, which every hash family (one per set-cover guess) shares:
 4. coordinator reduce: run the solver on the runs as they arrived,
    without building the sketch's CSR: greedy over the runs gives the picks,
    gains and coverage of greedy on the sketch ``build_sketch`` would build,
-   whatever the order of the runs (``solvers._start``).  The set-cover
+   whatever the order of the runs (``solvers._engine``).  The set-cover
    ladder walk solves a guess only when it reaches that guess.  Reached
    guesses whose runs carry every edge of the input (``n_tilde`` clamped to
    the edge count and a degree cap at least the largest degree) share one

@@ -3,10 +3,10 @@
 All solvers run uniformly on a :class:`~coversketch.instance.CoverageInstance`
 or a :class:`~coversketch.sketch.Sketch`.  Tie-breaking is globally "smallest
 set id" so sketch-vs-instance comparisons are bit-exact.  Every greedy-family
-solver reads marginal gains from one maintained array, updated by
-:func:`_take` after each pick.  On a sketch with element weights (a variant
-sketch, whose elements stand for several copies) every solver counts an
-element by its weight, so gains, coverage and picks equal those on the
+solver reads marginal gains from one maintained array, which the ``take`` of
+:func:`_engine` updates after each pick.  On a sketch with element weights (a
+variant sketch, whose elements stand for several copies) every solver counts
+an element by its weight, so gains, coverage and picks equal those on the
 sketch of the unit copies.  The same engine also runs on a sketch given
 as runs over its parent instance, (element, capped degree) pairs, without
 building the sketch: the simulator's round 4 and the outlier ladder's sketch
@@ -158,9 +158,16 @@ def coverage_probabilistic(pinst: ProbabilisticInstance, chosen) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _start(inst: CoverageInstance, runs=None, weight=None):
-    """Initial marginal gains of greedy, and the ``(limit, cut,
-    edge_weight)`` that :func:`_take` reads.
+def _engine(inst: CoverageInstance, runs=None, weight=None):
+    """Greedy's maintained marginal gains and the ``take`` that picks a set.
+
+    ``take(s)`` picks set ``s``: it marks the fresh elements of ``s``
+    covered, subtracts them from the gain of every set holding them, and
+    returns the gain ``s`` had before the pick.  Chosen sets keep gain -1
+    (their elements are covered, so no later pick touches them).  Gains are
+    maintained exactly, so that gain is the number of newly covered
+    elements, or with ``weight`` their total weight.  The instance is read
+    once here; ``take`` reads only these locals.
 
     With ``runs = (selected, counts)``, greedy runs on the sketch whose
     elements are ``selected`` of ``inst``, each with its first ``counts``
@@ -174,44 +181,64 @@ def _start(inst: CoverageInstance, runs=None, weight=None):
 
     With element ``weight`` (and no runs), a set's gain is the total weight
     of its elements, and ``edge_weight`` holds the weight of each edge's
-    element in element order; it is None without weights.  Both are
-    floats: sums of integers below 2**53 are exact in float64, so gains
-    stay exact integers.
+    element in element order.  Both are floats: sums of integers below
+    2**53 are exact in float64, so gains stay exact integers.
     """
+    n = inst.n
+    set_indptr, set_elems = inst.set_indptr, inst.set_elems
+    elem_indptr, elem_set_ids = inst.elem_indptr, inst.elem_set_ids
+    limit, cut, edge_weight = inst.elem_degrees, None, None
     if weight is not None:
         if _mass(inst, weight) >= 2**53:
             raise ValueError("element weights must sum to less than 2**53")
-        edge_weight = np.repeat(weight.astype(np.float64), inst.elem_degrees)
-        gains = np.bincount(inst.elem_set_ids, weights=edge_weight,
-                            minlength=inst.n)
-        return gains, (inst.elem_degrees, None, edge_weight)
-    if runs is None or int(runs[1].sum()) == inst.edge_count:
-        return inst.set_sizes.astype(np.int64), (inst.elem_degrees, None, None)
-    selected, counts = runs
-    limit = np.zeros(inst.m, dtype=np.int64)
-    limit[selected] = counts
-    cut = np.full(inst.m, inst.n, dtype=np.int64)
-    short = np.flatnonzero(limit < inst.elem_degrees)
-    cut[short] = inst.elem_set_ids[inst.elem_indptr[short] + limit[short]]
-    kept = inst.elem_set_ids[_gather_positions(inst.elem_indptr, selected,
-                                               counts)]
-    return (np.bincount(kept, minlength=inst.n).astype(np.int64),
-            (limit, cut, None))
+        edge_weight = np.repeat(weight.astype(np.float64), limit)
+        gains = np.bincount(elem_set_ids, weights=edge_weight, minlength=n)
+    elif runs is None or int(runs[1].sum()) == inst.edge_count:
+        gains = inst.set_sizes.astype(np.int64)
+    else:
+        selected, counts = runs
+        limit = np.zeros(inst.m, dtype=np.int64)
+        limit[selected] = counts
+        cut = np.full(inst.m, n, dtype=np.int64)
+        short = np.flatnonzero(limit < inst.elem_degrees)
+        cut[short] = elem_set_ids[elem_indptr[short] + limit[short]]
+        kept = elem_set_ids[_gather_positions(elem_indptr, selected, counts)]
+        gains = np.bincount(kept, minlength=n).astype(np.int64)
+    covered = np.zeros(inst.m, dtype=bool)
+
+    def take(s: int) -> int:
+        gain = gains[s]
+        elems = set_elems[set_indptr[s]:set_indptr[s + 1]]
+        fresh = ~covered[elems]
+        if cut is not None:
+            fresh &= s < cut[elems]
+        fresh = elems[fresh]
+        covered[fresh] = True
+        if len(fresh):
+            # The kept sets of every fresh element in one gather.
+            pos = _gather_positions(elem_indptr, fresh, limit[fresh])
+            np.subtract(gains, np.bincount(
+                elem_set_ids[pos],
+                None if edge_weight is None else edge_weight[pos],
+                minlength=n), out=gains)
+        gains[s] = -1
+        return int(gain)
+
+    return gains, take
 
 
 def _greedy_run(inst: CoverageInstance, max_picks: int,
                 stop_threshold: int | None = None, fill_zero: bool = False,
                 runs=None, weight=None):
     """Shared greedy loop, on ``inst`` (with element ``weight``) or on the
-    sketch ``runs`` over it (see :func:`_start`).
+    sketch ``runs`` over it (see :func:`_engine`).
 
     Picks the set with the largest marginal coverage, smallest id on ties.
     With ``fill_zero`` the loop keeps picking (zero-gain, id order) until
     ``max_picks`` sets are chosen; otherwise it stops at zero gain or once
     ``stop_threshold`` of covered weight is reached.
     """
-    gains, view = _start(inst, runs, weight)
-    covered = np.zeros(inst.m, dtype=bool)
+    gains, take = _engine(inst, runs, weight)
     chosen: list[int] = []
     trace: list[int] = []
     cov = 0
@@ -219,8 +246,7 @@ def _greedy_run(inst: CoverageInstance, max_picks: int,
         if stop_threshold is not None and cov >= stop_threshold:
             break
         s = int(gains.argmax())
-        g = int(gains[s])
-        if g <= 0:
+        if gains[s] <= 0:
             if not fill_zero:
                 break
             # Exhausted gains: remaining picks are id-order fillers.
@@ -230,49 +256,17 @@ def _greedy_run(inst: CoverageInstance, max_picks: int,
                 chosen.append(int(t))
                 trace.append(0)
             break
-        cov += _take(inst, view, gains, covered, s)
+        g = take(s)
+        cov += g
         chosen.append(s)
         trace.append(g)
     return chosen, trace, cov
 
 
-def _take(inst: CoverageInstance, view, gains: np.ndarray,
-          covered: np.ndarray, s: int) -> int:
-    """Pick set ``s``: mark its fresh elements covered and subtract them from
-    the gain of every set holding them.  ``view`` is the ``(limit, cut,
-    edge_weight)`` of :func:`_start`: set ``s`` holds the elements ``e`` of
-    ``inst`` with ``s < cut[e]``, and element ``e`` the first ``limit[e]``
-    of its sets.  Chosen sets keep gain -1 (their elements are covered, so
-    no later pick touches them).  Returns the number of newly covered
-    elements, or with ``edge_weight`` their weight, which is the gain of
-    ``s``.
-    """
-    limit, cut, edge_weight = view
-    if edge_weight is not None:
-        gain = int(gains[s])
-    elems = inst.set_elements(s)
-    fresh = ~covered[elems]
-    if cut is not None:
-        fresh &= s < cut[elems]
-    fresh = elems[fresh]
-    covered[fresh] = True
-    if len(fresh):
-        # The kept sets of every fresh element in one gather.
-        pos = _gather_positions(inst.elem_indptr, fresh, limit[fresh])
-        touched = inst.elem_set_ids[pos]
-        if edge_weight is None:
-            gains -= np.bincount(touched, minlength=inst.n)
-        else:
-            gains -= np.bincount(touched, weights=edge_weight[pos],
-                                 minlength=inst.n)
-    gains[s] = -1
-    return len(fresh) if edge_weight is None else gain
-
-
 def _kcover(inst: CoverageInstance, tag: str, k: int, runs=None,
             weight=None) -> Solution:
     """:func:`greedy_kcover` on ``inst`` with element ``weight``, or on the
-    sketch ``runs`` over it (see :func:`_start`); ``tag`` is what the
+    sketch ``runs`` over it (see :func:`_engine`); ``tag`` is what the
     solution was evaluated on."""
     if not 0 <= k <= inst.n:
         raise ValueError("need 0 <= k <= n")
@@ -307,7 +301,7 @@ def lazy_greedy(target, k: int) -> Solution:
 def _stochastic(inst: CoverageInstance, tag: str, k: int, eps: float,
                 seed: int, runs=None, weight=None) -> Solution:
     """:func:`stochastic_greedy` on ``inst`` with element ``weight``, or on
-    the sketch ``runs`` over it (see :func:`_start`)."""
+    the sketch ``runs`` over it (see :func:`_engine`)."""
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     if not 1 <= k <= inst.n:
@@ -316,8 +310,7 @@ def _stochastic(inst: CoverageInstance, tag: str, k: int, eps: float,
     if sample >= inst.n:
         return _kcover(inst, tag, k, runs, weight)
     rng = np.random.default_rng(seed)
-    gains, view = _start(inst, runs, weight)
-    covered = np.zeros(inst.m, dtype=bool)
+    gains, take = _engine(inst, runs, weight)
     chosen: list[int] = []
     trace: list[int] = []
     cov = 0
@@ -328,9 +321,10 @@ def _stochastic(inst: CoverageInstance, tag: str, k: int, eps: float,
         if best < 0:  # every draw is already chosen
             continue
         s = int(draws[g == best].min())
-        trace.append(int(best))
+        gain = take(s)
+        trace.append(gain)
         chosen.append(s)
-        cov += _take(inst, view, gains, covered, s)
+        cov += gain
     return Solution(chosen=chosen, coverage_value=cov, evaluated_on=tag,
                     gains=trace)
 
@@ -443,7 +437,7 @@ def _walk_ladder(instance: CoverageInstance, guesses, lam: float,
     the elements the guess's sketch keeps, in any order, with their capped
     degrees.  Greedy picks, gains and coverage do not depend on element
     order, so each guess runs the greedy engine on its runs (see
-    :func:`_start`).  A guess is clamped when ``counts`` carries every edge
+    :func:`_engine`).  A guess is clamped when ``counts`` carries every edge
     of the instance, which needs a cap at least the largest degree.  Its
     sketch is then ``instance`` up to element order and empty elements, so
     clamped guesses with the same threshold share one threshold-stopped run

@@ -826,6 +826,39 @@ class TestExperimentCommand:
         assert code == 1 and missing in err and "Traceback" not in err
         assert not (tmp_path / "results.csv").exists()
 
+    INSTANCE_KEYS = {
+        "planted": {"planted.k": "5", "planted.m": "200",
+                    "planted.kprime": "20", "planted.eps": "0.2"},
+        "adversarial": {"adversarial.n": "10", "adversarial.k": "2",
+                        "adversarial.beta": "0.5"},
+        "khop": {"khop.graph": "graph.txt", "khop.hops": "2"},
+    }
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("rho", "0.1,x", "a number"),
+        ("sigma", "50,5x", "an integer"),
+        ("k", "two", "an integer"),
+        ("seeds", "1.5", "an integer"),
+        ("solver_eps", "tiny", "a number"),
+        ("planted.k", "five", "an integer"),
+        ("planted.seed", "0x3", "an integer"),
+        ("adversarial.beta", "half", "a number"),
+        ("khop.hops", "2.5", "an integer"),
+    ])
+    def test_bad_value_names_its_key(self, tmp_path, capsys, key, value,
+                                     expected):
+        kind = key.split(".")[0] if "." in key else "planted"
+        spec = {"instance": kind, **self.INSTANCE_KEYS[kind], "rho": "0.5",
+                "sigma": "50", "k": "5", "seeds": "1",
+                "out": str(tmp_path / "results.csv"), key: value}
+        path = tmp_path / "spec.txt"
+        path.write_text("".join(f"{k} {v}\n" for k, v in spec.items()))
+        code, _, err = run(["experiment", "--spec", str(path)], capsys)
+        bad = value.split(",")[-1]
+        assert (code, err) == (
+            1, f"error: spec key {key}: expected {expected}, got {bad!r}\n")
+        assert not (tmp_path / "results.csv").exists()
+
     def test_columns_fixed(self, tmp_path, capsys):
         path, out = self._write_spec(tmp_path)
         assert run(["experiment", "--spec", str(path)], capsys)[0] == 0

@@ -2,7 +2,8 @@
 
 The demos exercise the public API end to end (generators, CSR builds,
 sketches, solvers, the simulator), so each one runs in its own interpreter
-with ``src`` on the path, as a reader would run it.
+with ``src`` on the path, as a reader would run it, and with ``-W error``,
+so a warning a demo raises fails it.
 """
 
 import os
@@ -25,6 +26,7 @@ def test_demo_exits_zero(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

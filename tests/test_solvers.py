@@ -30,7 +30,7 @@ from coversketch.instance import FractionalInstance, WeightedInstance, \
     ProbabilisticInstance
 from coversketch.sketch import SketchParams, _selection
 from coversketch import solvers as solvers_module
-from coversketch.solvers import _greedy_run, _start, _stochastic, \
+from coversketch.solvers import _engine, _greedy_run, _stochastic, \
     cover_threshold, guess_ladder
 
 import distsim_reference
@@ -579,16 +579,55 @@ class TestGreedyOnFullRuns:
 
     @settings(max_examples=50, deadline=None)
     @given(full_runs())
-    def test_start_gathers_nothing(self, case):
+    def test_engine_gathers_nothing(self, case):
         inst, selected, counts = case
         with mock.patch.object(solvers_module, "_gather_positions",
                                wraps=solvers_module._gather_positions) as gather:
-            gains, (limit, cut, weight) = _start(inst, (selected, counts))
+            gains, _ = _engine(inst, (selected, counts))
         assert gather.call_count == 0
-        want_gains, (want_limit, want_cut, _) = _start(inst)
+        want_gains, _ = _engine(inst)
+        assert gains.dtype == want_gains.dtype
         assert np.array_equal(gains, want_gains)
-        assert np.array_equal(limit, want_limit)
-        assert cut is want_cut is None and weight is None
+
+
+class CountingInstance(CoverageInstance):
+    """An instance that records the name of every attribute read on it."""
+
+    __slots__ = ()
+    reads: list[str] = []
+
+    def __getattribute__(self, name):
+        CountingInstance.reads.append(name)
+        return super().__getattribute__(name)
+
+
+class TestEngineReadsInstanceOnce:
+    """The engine reads the instance when it is built; a pick reads only
+    the engine's own arrays, so a slower attribute read on the instance
+    costs nothing per pick."""
+
+    @pytest.mark.parametrize("path", ["instance", "runs", "weights"])
+    def test_take_reads_no_attribute(self, path):
+        base, _ = generate_planted(4, 300, 40, 0.2, seed=5)
+        inst = CountingInstance(base.n, base.m, base.set_indptr,
+                                base.set_elems)
+        runs = weight = None
+        if path == "runs":
+            runs = _selection(base.elem_degrees, practical_params(0.5, 2),
+                              HashSource(3))
+            assert runs[1].sum() < base.edge_count
+        elif path == "weights":
+            weight = np.random.default_rng(1).integers(1, 9, size=base.m)
+        gains, take = _engine(inst, runs, weight)
+        CountingInstance.reads.clear()
+        picks = 0
+        while gains.max() > 0:
+            s = int(gains.argmax())
+            want = int(gains[s])
+            assert take(s) == want
+            picks += 1
+        assert picks > 1
+        assert CountingInstance.reads == []
 
 
 class TestTracerContract:
