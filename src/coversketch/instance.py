@@ -14,6 +14,7 @@ import io
 import itertools
 import json
 import math
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -84,6 +85,8 @@ def _check_budget(total: int, unit: str, advice: str) -> None:
 
 def _edge_keys(n: int, m: int, set_ids, elem_ids) -> np.ndarray:
     """Checked edge ids packed as ``set * m + element``, in input order."""
+    if n < 1:
+        raise ValueError("instance needs at least one set")
     _check_key_range(n, m)
     set_ids = np.asarray(set_ids, dtype=np.int64)
     elem_ids = np.asarray(elem_ids, dtype=np.int64)
@@ -226,8 +229,6 @@ class CoverageInstance:
         pairs are collapsed; coverage is set-semantic.
         """
         n, m = int(n), int(m)
-        if n < 1:
-            raise ValueError("instance needs at least one set")
         return cls._from_keys(
             n, m, _canonical_keys(_edge_keys(n, m, set_ids, elem_ids)),
             element_labels)
@@ -398,18 +399,7 @@ class InstanceStats:
     set_size_hist: tuple[int, ...]
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "m": self.m,
-                "edge_count": self.edge_count,
-                "max_element_degree": self.max_element_degree,
-                "max_set_size": self.max_set_size,
-                "element_degree_hist": list(self.element_degree_hist),
-                "set_size_hist": list(self.set_size_hist),
-            },
-            separators=(",", ":"),
-        )
+        return json.dumps(dataclasses.asdict(self), separators=(",", ":"))
 
 
 def stats(instance: CoverageInstance) -> InstanceStats:

@@ -434,16 +434,15 @@ def build_sketch_lazy(element_count: int, degree_oracle, edge_oracle,
 # 2**15 copies takes 256 KiB of hash words, and a batch's temporaries stay
 # in a core's cache.  One merge step makes one weighted row of the copies
 # of an element that hold the same capped run: it groups rows by a key and
-# a tag (_group_copies) and keeps each group's first row.  A copy whose
-# edges include the next copy's is keyed by its run's last position and
-# tagged by the run's length; other copies are tagged by their element and
-# keyed by a sum of one word per edge (_run_keys), or by their element when
-# unfiltered.  Practical mode samples once at rho, merges each batch as it
-# is expanded and then the batches' survivors.  Theory mode samples below a
-# rising rate until the sample's capped mass reaches n_tilde or the rate
-# reaches 1, makes the shared cut (_select_elements) on the sample's
-# copies, and merges the kept ones.  Degenerate parameters (all weights
-# one, rho = 1 with no cap) reproduce the plain constructions bit for bit.
+# a tag (_group_copies) and keeps each group's first row.  Every row is
+# tagged by its element; a filtered copy is keyed by a sum of one word per
+# edge of its capped run (_run_keys), an unfiltered one by its element.
+# Practical mode samples once at rho, merges each batch as it is expanded
+# and then the batches' survivors.  Theory mode samples below a rising rate
+# until the sample's capped mass reaches n_tilde or the rate reaches 1,
+# makes the shared cut (_select_elements) on the sample's copies, and
+# merges the kept ones.  Degenerate parameters (all weights one, rho = 1
+# with no cap) reproduce the plain constructions bit for bit.
 # ---------------------------------------------------------------------------
 
 _HASH_BLOCK = 1 << 15  # candidate copies hashed per block
@@ -585,7 +584,7 @@ def _group_copies(keys: np.ndarray, tags: np.ndarray,
 def _sketch_copies(base: CoverageInstance, first: np.ndarray,
                    copies: np.ndarray, total: int, edge_filter,
                    params: SketchParams, source: HashSource,
-                   original_m: int, nested: bool = False) -> Sketch:
+                   original_m: int) -> Sketch:
     """Sketch of the expansion where element v has copies ``j < copies[v]``,
     with one weighted element per distinct (element, capped run).
 
@@ -596,8 +595,6 @@ def _sketch_copies(base: CoverageInstance, first: np.ndarray,
     dropped; with ``edge_filter=None`` every copy keeps all of v's edges and
     edgeless copies stay.  The kept copies are those of :func:`build_sketch`
     over the expansion's copies, but only sampled copies gather edges.
-    ``nested`` says that copy ``j + 1`` of an element holds a subset of the
-    edges of copy ``j``.
 
     Practical mode samples once: it keeps the copies hashing below ``rho``.
     Theory mode samples below a rising rate, then makes the shared cut
@@ -612,14 +609,12 @@ def _sketch_copies(base: CoverageInstance, first: np.ndarray,
     that reads the weights gives the result it gives on the copies.  The
     inner ``merge`` finds them.  It groups rows by a key and a tag with
     :func:`_group_copies`, keeps each group's first row in row order, and
-    sums the group's sizes.  A nested copy's capped run is its edges up to
-    its last kept position, so that position (the key) and the run's
-    length (the tag) name it.  Other copies are keyed by their
-    :func:`_run_keys` and tagged by their element; unfiltered ones, whose
-    runs an element fixes, are keyed by their element.  Practical mode's
-    rows are in flat-id order, which is its selection order: it merges
-    each ``batch`` of sampled copies as it expands them, which keeps one
-    element's million copies to a few rows, and then the batches'
+    sums the group's sizes.  Every row is tagged by its element.  A
+    filtered copy is keyed by the :func:`_run_keys` of its capped run; an
+    unfiltered one, whose run its element fixes, by its element.  Practical
+    mode's rows are in flat-id order, which is its selection order: it
+    merges each ``batch`` of sampled copies as it expands them, which keeps
+    one element's million copies to a few rows, and then the batches'
     survivors.  Theory mode expands without merging, makes its cut, and
     merges the kept copies in selection order.
     """
@@ -631,8 +626,7 @@ def _sketch_copies(base: CoverageInstance, first: np.ndarray,
     over_cap = max_degree > cap
     words = _key_words(max_degree)
     # Whether some copies' keys can be equal with different runs.
-    wide = (max_degree > _EXACT_DEGREE and edge_filter is not None
-            and not nested)
+    wide = max_degree > _EXACT_DEGREE and edge_filter is not None
     practical = params.mode == "practical"
     unfiltered = np.empty(0, dtype=np.int64)
     # Copies per expansion, about 2 * _HASH_BLOCK edges at the mean degree:
@@ -664,19 +658,12 @@ def _sketch_copies(base: CoverageInstance, first: np.ndarray,
             rank = np.arange(len(copy)) - np.repeat(
                 np.cumsum(counts) - counts, counts)
             below = rank < cap
-            pos = pos[below]
-            if not nested:
-                copy = copy[below]
+            pos, copy = pos[below], copy[below]
             np.minimum(counts, cap, out=counts)
         has_edge = np.flatnonzero(counts)
-        counts = counts[has_edge]
-        if nested:
-            keys, tags = pos[np.cumsum(counts) - 1], counts
-        else:
-            keys = _run_keys(base, words, v, pos, copy)[has_edge]
-            tags = v[has_edge]
-        return (flat_ids[has_edge], counts, sizes[has_edge], keys, tags,
-                base.elem_set_ids[pos])
+        keys = _run_keys(base, words, v, pos, copy)[has_edge]
+        return (flat_ids[has_edge], counts[has_edge], sizes[has_edge], keys,
+                v[has_edge], base.elem_set_ids[pos])
 
     def merge(part, rows=None):
         """The rows of ``part`` (its ``rows``, in that order, when given)
@@ -786,7 +773,7 @@ def sketch_fractional(finst: FractionalInstance, params: SketchParams,
 
     first = np.arange(base.m, dtype=np.int64) * U
     return _sketch_copies(base, first, copies, total, numer_hit, params,
-                          source, base.m * U, nested=True)
+                          source, base.m * U)
 
 
 def probabilistic_copy_count(n: int, U: int, eps: float) -> int:

@@ -102,11 +102,16 @@ def _mass(inst: CoverageInstance, weight) -> int:
 
 
 def _check_ids(n: int, chosen) -> list[int]:
-    ids = [int(s) for s in chosen]
-    for s in ids:
+    """The distinct ids of ``chosen`` in first-occurrence order; each must
+    be a Python or numpy integer in ``[0, n)``."""
+    ids = []
+    for s in chosen:
+        if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+            raise ValueError(f"set id {s!r} is not an integer")
         if not 0 <= s < n:
             raise ValueError(f"set id {s} out of range")
-    return ids
+        ids.append(int(s))
+    return list(dict.fromkeys(ids))
 
 
 def _covered(inst: CoverageInstance, chosen) -> np.ndarray:
@@ -334,9 +339,10 @@ def stochastic_greedy(target, k: int, eps: float, seed: int) -> Solution:
 
     Each of ``k`` picks samples ``ceil((n/k) ln(1/eps))`` candidate sets
     uniformly with replacement and takes the best marginal gain among the
-    unchosen ones (ties by id).  When the sample size reaches ``n`` the
-    sampling degrades to a full scan and the result equals
-    :func:`greedy_kcover`.  Deterministic in ``seed``.
+    unchosen ones (ties by id).  A pick whose sample holds only chosen sets
+    is skipped, so the solution can have fewer than ``k`` sets.  When the
+    sample size reaches ``n`` the sampling degrades to a full scan and the
+    result equals :func:`greedy_kcover`.  Deterministic in ``seed``.
     """
     inst, tag, weight = _unwrap(target)
     return _stochastic(inst, tag, k, eps, seed, weight=weight)

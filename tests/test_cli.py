@@ -475,6 +475,21 @@ class TestSolveCommand:
         assert lines[0] == "value=5 k=2"
         assert lines[1:] == ["0", "2"]
 
+    def test_stochastic_can_write_fewer_than_k_sets(self, tmp_path, capsys):
+        # With n = 3 and k = 3 each pick samples ceil(ln 2) = 1 set; the
+        # third pick draws a chosen set and is skipped.
+        inp = tmp_path / "inst.txt"
+        inp.write_text("0 0\n0 1\n1 2\n2 3\n")
+        out = tmp_path / "sol.txt"
+        code, stdout, _ = run(
+            ["solve", "--in", str(inp), "--problem", "kcover", "--k", "3",
+             "--solver", "stochastic", "--eps", "0.5", "--seed", "0",
+             "--out", str(out)], capsys)
+        assert code == 0 and stdout == "value=2\n"
+        lines = out.read_text().splitlines()
+        assert lines[0] == "value=2 k=2"
+        assert len(lines[1:]) == 2 == len(set(lines[1:]))
+
     def test_lazy_is_no_solver_choice(self, tmp_path, capsys):
         # lazy_greedy is greedy_kcover's engine; the CLI names it greedy.
         inp = tmp_path / "inst.txt"

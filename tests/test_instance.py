@@ -29,6 +29,7 @@ from coversketch import cli
 from coversketch import instance as instance_mod
 from coversketch.instance import (
     FractionalInstance,
+    ProbabilisticInstance,
     WeightedInstance,
     _decoy_size,
     _khop_from_edges,
@@ -121,6 +122,16 @@ class TestCoverageInstance:
         broken = CoverageInstance(2, 2, a.set_indptr, a.set_elems, [0, 2, 2],
                                   [0, 1])
         assert broken != a
+
+    @pytest.mark.parametrize("make", [
+        lambda: CoverageInstance.from_edges(0, 1, [], []),
+        lambda: FractionalInstance.from_edges(0, 1, [], [], [], 1),
+        lambda: ProbabilisticInstance.from_edges(0, 1, [], [], [], 1),
+    ])
+    def test_no_sets_rejected(self, make):
+        with pytest.raises(ValueError,
+                           match="^instance needs at least one set$"):
+            make()
 
     def test_element_view_needs_both_arrays(self):
         a = CoverageInstance.from_edges(2, 2, [0, 1], [0, 1])

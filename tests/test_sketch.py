@@ -855,12 +855,11 @@ class TestRunKeys:
     def test_colliding_keys_split_by_runs(self, case, params, seed,
                                           hash_block):
         # Every element compares runs, and every run key is its edge count,
-        # so keyed (probabilistic) copies of one element with equal counts
-        # always collide.  A table of one bucket compares every row with
-        # the first row left, whatever its key and tag (nested copies of
-        # one element can share their last position).  Small hash blocks
-        # split an element's copies between expansions, so the merge of
-        # the expansions' survivors compares runs too.
+        # so filtered (fractional and probabilistic) copies of one element
+        # with equal counts always collide.  A table of one bucket compares
+        # every row with the first row left, whatever its key and tag.
+        # Small hash blocks split an element's copies between expansions,
+        # so the merge of the expansions' survivors compares runs too.
         with mock.patch.multiple(
                 sketch_module, _EXACT_DEGREE=0, _HASH_BLOCK=hash_block,
                 _TABLE_BITS=0,

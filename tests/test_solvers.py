@@ -1,3 +1,4 @@
+import itertools
 import math
 from unittest import mock
 
@@ -78,6 +79,51 @@ class TestWeightedCoverage:
                                                  [1, 1], 2)
         assert coverage_probabilistic(pinst, [0, 1]) == pytest.approx(0.75)
         assert coverage_probabilistic(pinst, [0]) == pytest.approx(0.5)
+
+
+# One edge (set 0, element 0) with numerator 1 of U = 2, under each
+# coverage function.
+ONE_EDGE_CASES = [
+    pytest.param(coverage, lambda: loads_edge_list("0 0\n0 1\n"),
+                 id="coverage"),
+    pytest.param(coverage_weighted, lambda: WeightedInstance(
+        loads_edge_list("0 0\n"), np.array([2]), 2), id="weighted"),
+    pytest.param(coverage_fractional, lambda: FractionalInstance.from_edges(
+        1, 2, [0], [0], [1], 2), id="fractional"),
+    pytest.param(coverage_probabilistic,
+                 lambda: ProbabilisticInstance.from_edges(
+                     1, 2, [0], [0], [1], 2), id="probabilistic"),
+]
+
+
+class TestChosenIds:
+    @pytest.mark.parametrize("score, make", ONE_EDGE_CASES)
+    def test_repeated_id_counts_once(self, score, make):
+        target = make()
+        once = score(target, [0])
+        assert score(target, [0, 0]) == once
+        assert score(target, [np.int64(0), np.uint8(0)]) == once
+        assert score(target, np.zeros(2, dtype=np.int32)) == once
+
+    @pytest.mark.parametrize("score, make", ONE_EDGE_CASES)
+    @pytest.mark.parametrize("bad", [0.7, 0.0, np.float64(0.0), "0", True,
+                                     None], ids=repr)
+    def test_non_integer_id_is_named(self, score, make, bad):
+        with pytest.raises(ValueError, match="is not an integer") as info:
+            score(make(), [0, bad])
+        assert repr(bad) in str(info.value)
+
+    def test_repeats_keep_the_first_order(self):
+        # The misses of element 0 multiply in first-occurrence order, so a
+        # repeat leaves the float result bit for bit.
+        pinst = ProbabilisticInstance.from_edges(3, 1, [0, 1, 2], [0, 0, 0],
+                                                 [1, 2, 3], 7)
+        for chosen in itertools.permutations(range(3)):
+            miss = 1.0
+            for s in chosen:
+                miss *= 1.0 - (s + 1) / 7
+            assert coverage_probabilistic(pinst, chosen) == 1.0 - miss
+            assert coverage_probabilistic(pinst, chosen * 2) == 1.0 - miss
 
 
 class TestGreedy:
