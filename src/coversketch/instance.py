@@ -17,6 +17,7 @@ import math
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -83,13 +84,36 @@ def _check_budget(total: int, unit: str, advice: str) -> None:
                          f"of {_EXPANSION_BUDGET}; {advice}")
 
 
+def _integers(values, name: str) -> np.ndarray:
+    """``values`` as an int64 array.  A value that is not an integer, such as
+    1.9, raises ValueError naming ``name`` rather than being truncated;
+    integer-typed input is converted without a check."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "iu":
+        return arr.astype(np.int64, copy=False)
+    if arr.dtype.kind == "f":
+        with np.errstate(invalid="ignore"):  # NaN and inf fail the compare
+            out = arr.astype(np.int64)
+        if np.array_equal(out, arr):
+            return out
+    raise ValueError(f"{name} must be integers")
+
+
+def _check_int(value, name: str) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is a Python
+    or numpy integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return int(value)
+
+
 def _edge_keys(n: int, m: int, set_ids, elem_ids) -> np.ndarray:
     """Checked edge ids packed as ``set * m + element``, in input order."""
     if n < 1:
         raise ValueError("instance needs at least one set")
     _check_key_range(n, m)
-    set_ids = np.asarray(set_ids, dtype=np.int64)
-    elem_ids = np.asarray(elem_ids, dtype=np.int64)
+    set_ids = _integers(set_ids, "set ids")
+    elem_ids = _integers(elem_ids, "element ids")
     if set_ids.shape != elem_ids.shape:
         raise ValueError("edge arrays must have equal length")
     if set_ids.size:
@@ -164,10 +188,10 @@ def _transpose(indptr: np.ndarray, minor: np.ndarray, minor_count: int):
 class CoverageInstance:
     """Immutable set/element incidence structure.
 
-    The set view ``set_indptr``/``set_elems`` is always held.  The element
-    view ``elem_indptr``/``elem_set_ids`` is taken from the constructor when
-    given; otherwise its slots stay unset until one is first read, and
-    ``__getattr__`` builds it then by one :func:`_transpose` of the set view.
+    The constructor takes the set view ``set_indptr``/``set_elems`` only.
+    The element view ``elem_indptr``/``elem_set_ids`` is a function of it:
+    its slots stay unset until one is first read, and ``__getattr__``
+    builds it then by one :func:`_transpose` of the set view.
     ``elem_degrees`` read before it is a bincount of ``set_elems`` and needs
     no transpose.  A race between threads may build a view twice; both
     builds are equal arrays.
@@ -198,8 +222,7 @@ class CoverageInstance:
         "element_labels",
     )
 
-    def __init__(self, n, m, set_indptr, set_elems, elem_indptr=None,
-                 elem_set_ids=None, element_labels=None):
+    def __init__(self, n, m, set_indptr, set_elems, element_labels=None):
         self.n = int(n)
         self.m = int(m)
         self.set_indptr = set_indptr
@@ -209,17 +232,6 @@ class CoverageInstance:
         self.element_labels = element_labels
         if len(set_indptr) != self.n + 1:
             raise ValueError("inconsistent index pointers")
-        if (elem_indptr is None) != (elem_set_ids is None):
-            raise ValueError("the element view needs both of its arrays")
-        if elem_indptr is None:
-            return
-        if len(elem_indptr) != self.m + 1:
-            raise ValueError("inconsistent index pointers")
-        if len(elem_set_ids) != self.edge_count:
-            raise ValueError("adjacency mismatch between set and element views")
-        self.elem_indptr = elem_indptr
-        self.elem_set_ids = elem_set_ids
-        self.elem_degrees = np.diff(elem_indptr)
 
     @classmethod
     def from_edges(cls, n, m, set_ids, elem_ids, element_labels=None):
@@ -238,7 +250,18 @@ class CoverageInstance:
         """Instance whose edges are the sorted unique ``set * m + element``
         keys ``key``, as :func:`_canonical_keys` returns them.  The element
         view is left to the first read."""
-        return cls(n, m, *_set_runs(n, m, key), None, None, element_labels)
+        return cls(n, m, *_set_runs(n, m, key), element_labels)
+
+    @classmethod
+    def _from_element_runs(cls, n, counts, set_ids):
+        """Instance whose element ``i`` holds the next ``counts[i]`` entries
+        of ``set_ids``, distinct and ascending; both views are built."""
+        elem_indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=elem_indptr[1:])
+        inst = cls(n, len(counts), *_transpose(elem_indptr, set_ids, n)[:2])
+        inst.elem_indptr, inst.elem_set_ids = elem_indptr, set_ids
+        inst.elem_degrees = np.diff(elem_indptr)
+        return inst
 
     def __getattr__(self, name):
         """Build an element-view slot, which is read here only when unset."""
@@ -285,13 +308,12 @@ class CoverageInstance:
         return _run_ids(self.set_indptr), self.set_elems
 
     def __eq__(self, other):
+        # The element view is a function of the set view, so none is built.
         if not isinstance(other, CoverageInstance):
             return NotImplemented
         return (self.n == other.n and self.m == other.m
                 and np.array_equal(self.set_indptr, other.set_indptr)
-                and np.array_equal(self.set_elems, other.set_elems)
-                and np.array_equal(self.elem_indptr, other.elem_indptr)
-                and np.array_equal(self.elem_set_ids, other.elem_set_ids))
+                and np.array_equal(self.set_elems, other.set_elems))
 
     def __hash__(self):  # identity hashing; instances are reference-compared
         return id(self)
@@ -321,8 +343,9 @@ class WeightedInstance:
     U: int
 
     def __post_init__(self):
-        w = np.asarray(self.element_weight, dtype=np.int64)
+        w = _integers(self.element_weight, "weights")
         object.__setattr__(self, "element_weight", w)
+        object.__setattr__(self, "U", _check_int(self.U, "U"))
         if len(w) != self.base.m:
             raise ValueError("one weight per element required")
         if self.base.m and (w.min() < 1 or w.max() > self.U):
@@ -334,51 +357,50 @@ class FractionalInstance:
     """Coverage instance where set S covers a fraction alpha of element v.
 
     Fractions are stored exactly as integer numerators: ``alpha = numer / U``
-    with ``numer`` in ``[0, U]``.  Two parallel arrays hold the numerators in
-    the two adjacency orders of the base instance.
+    with ``numer`` in ``[0, U]``, one per edge in the base's set order.
+    ``numer_elem_order``, in its element order, is derived on first read by
+    one :func:`_transpose` of the base's set view and kept.
     """
 
     base: CoverageInstance
     numer_set_order: np.ndarray   # aligned with base.edges() / set_elems
-    numer_elem_order: np.ndarray  # aligned with base.elem_set_ids
     U: int
 
     def __post_init__(self):
-        a = np.asarray(self.numer_set_order, dtype=np.int64)
-        b = np.asarray(self.numer_elem_order, dtype=np.int64)
-        object.__setattr__(self, "numer_set_order", a)
-        object.__setattr__(self, "numer_elem_order", b)
+        numer = _integers(self.numer_set_order, "numerators")
+        object.__setattr__(self, "numer_set_order", numer)
+        object.__setattr__(self, "U", _check_int(self.U, "U"))
         if self.U < 1:
             raise ValueError("U must be a positive integer")
-        for arr in (a, b):
-            if len(arr) != self.base.edge_count:
-                raise ValueError("one numerator per edge required")
-            if arr.size and (arr.min() < 0 or arr.max() > self.U):
-                raise ValueError("numerators must lie in [0, U]")
+        if len(numer) != self.base.edge_count:
+            raise ValueError("one numerator per edge required")
+        if numer.size and (numer.min() < 0 or numer.max() > self.U):
+            raise ValueError("numerators must lie in [0, U]")
+
+    @cached_property
+    def numer_elem_order(self) -> np.ndarray:
+        """The numerators aligned with ``base.elem_set_ids``."""
+        base = self.base
+        order = _transpose(base.set_indptr, base.set_elems, base.m)[2]
+        return self.numer_set_order[order]
 
     @classmethod
     def from_edges(cls, n, m, set_ids, elem_ids, numer, U):
-        """Build base instance and aligned numerators in one pass.
+        """Build the base instance and its aligned numerators.
 
         Edges must be unique; duplicates are rejected rather than merged since
         they would carry conflicting fractions.
         """
         n, m = int(n), int(m)
         key = _edge_keys(n, m, set_ids, elem_ids)
-        numer = np.asarray(numer, dtype=np.int64)
+        numer = _integers(numer, "numerators")
         if numer.shape != key.shape:
             raise ValueError("one numerator per edge required")
         order = np.argsort(key)
         key = key[order]
         if np.any(key[1:] == key[:-1]):
             raise ValueError("duplicate edge with fractional coverage")
-        set_indptr, set_elems = _set_runs(n, m, key)
-        elem_indptr, elem_set_ids, eorder = _transpose(set_indptr, set_elems,
-                                                       m)
-        base = CoverageInstance(n, m, set_indptr, set_elems, elem_indptr,
-                                elem_set_ids)
-        a = numer[order]
-        return cls(base, a, a[eorder], int(U))
+        return cls(CoverageInstance._from_keys(n, m, key), numer[order], U)
 
 
 class ProbabilisticInstance(FractionalInstance):

@@ -22,10 +22,10 @@ from .instance import (
     ProbabilisticInstance,
     WeightedInstance,
     _check_budget,
+    _check_int,
     _check_key_range,
     _format_rows,
     _gather_positions,
-    _transpose,
     _write_rows,
 )
 
@@ -195,7 +195,7 @@ def theory_params(n: int, m: int, edge_count: int, k: int, eps: float,
     ``n_tilde = ceil(24 n delta ln(1/eps) ln n / ((1-eps) eps^3))`` clamped to
     ``[1, edge_count]``.
     """
-    if not 1 <= k <= n:
+    if not 1 <= _check_int(k, "k") <= n:
         raise ValueError("need 1 <= k <= n")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1) in theory mode")
@@ -223,7 +223,7 @@ def practical_params(rho: float, sigma: int) -> SketchParams:
     """Practical knobs: sampling probability and degree cap."""
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must lie in (0, 1]")
-    if sigma < 1:
+    if _check_int(sigma, "sigma") < 1:
         raise ValueError("sigma must be >= 1")
     return SketchParams(mode="practical", rho=float(rho), sigma=int(sigma))
 
@@ -312,11 +312,7 @@ def _assemble(n: int, selected: np.ndarray, counts: np.ndarray,
     ``counts[i]`` entries of ``set_ids``, distinct and ascending, as its sets,
     and weight ``weight[i]`` (None: every weight is 1).
     """
-    elem_indptr = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=elem_indptr[1:])
-    set_indptr, set_elems, _ = _transpose(elem_indptr, set_ids, n)
-    inst = CoverageInstance(n, len(selected), set_indptr, set_elems,
-                            elem_indptr, set_ids)
+    inst = CoverageInstance._from_element_runs(n, counts, set_ids)
     return Sketch(instance=inst, hash_seed=seed, params=params,
                   selected_elements=np.asarray(selected, dtype=np.int64),
                   original_m=int(original_m), oracle_lookups=lookups,
@@ -758,18 +754,18 @@ def sketch_fractional(finst: FractionalInstance, params: SketchParams,
     element with the same capped run are one element, weighted by their
     number.  ``original_m`` counts the copies, ``m * U``.
     """
-    base, U = finst.base, finst.U
+    base, U, numer = finst.base, finst.U, finst.numer_elem_order
     copies = np.zeros(base.m, dtype=np.int64)
     has_edge = base.elem_degrees > 0
     if has_edge.any():
-        copies[has_edge] = np.maximum.reduceat(finst.numer_elem_order,
+        copies[has_edge] = np.maximum.reduceat(numer,
                                                base.elem_indptr[:-1][has_edge])
     total = _copy_count(copies)
     _check_budget(total, "copies", "lower U")
     _check_key_range(base.m, U)
 
     def numer_hit(flat_ids, j, pos, copy):
-        return finst.numer_elem_order[pos] > j[copy]
+        return numer[pos] > j[copy]
 
     first = np.arange(base.m, dtype=np.int64) * U
     return _sketch_copies(base, first, copies, total, numer_hit, params,

@@ -27,6 +27,7 @@ from .instance import (
     FractionalInstance,
     ProbabilisticInstance,
     WeightedInstance,
+    _check_int,
     _decimal,
     _gather_positions,
 )
@@ -106,9 +107,7 @@ def _check_ids(n: int, chosen) -> list[int]:
     be a Python or numpy integer in ``[0, n)``."""
     ids = []
     for s in chosen:
-        if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
-            raise ValueError(f"set id {s!r} is not an integer")
-        if not 0 <= s < n:
+        if not 0 <= _check_int(s, "set id") < n:
             raise ValueError(f"set id {s} out of range")
         ids.append(int(s))
     return list(dict.fromkeys(ids))
@@ -273,7 +272,7 @@ def _kcover(inst: CoverageInstance, tag: str, k: int, runs=None,
     """:func:`greedy_kcover` on ``inst`` with element ``weight``, or on the
     sketch ``runs`` over it (see :func:`_engine`); ``tag`` is what the
     solution was evaluated on."""
-    if not 0 <= k <= inst.n:
+    if not 0 <= _check_int(k, "k") <= inst.n:
         raise ValueError("need 0 <= k <= n")
     chosen, trace, cov = _greedy_run(inst, k, fill_zero=True, runs=runs,
                                      weight=weight)
@@ -309,7 +308,7 @@ def _stochastic(inst: CoverageInstance, tag: str, k: int, eps: float,
     the sketch ``runs`` over it (see :func:`_engine`)."""
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    if not 1 <= k <= inst.n:
+    if not 1 <= _check_int(k, "k") <= inst.n:
         raise ValueError("need 1 <= k <= n")
     sample = math.ceil((inst.n / k) * math.log(1.0 / eps))
     if sample >= inst.n:
@@ -549,7 +548,7 @@ def brute_force_kcover(target, k: int, budget: int = 10_000_000) -> Solution:
     :class:`BudgetExceededError` when C(n, k) exceeds ``budget``.
     """
     inst, tag, weight = _unwrap(target)
-    if not 0 <= k <= inst.n:
+    if not 0 <= _check_int(k, "k") <= inst.n:
         raise ValueError("need 0 <= k <= n")
     if math.comb(inst.n, k) > budget:
         raise BudgetExceededError(

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from coversketch import CoverageInstance
 from coversketch import instance as instance_mod
-from coversketch import sketch as sketch_mod
 
 
 def random_instance(seed, max_n=12, max_m=30):
@@ -32,11 +31,11 @@ def decimals(low, high):
 @pytest.fixture
 def transposes(monkeypatch):
     """(minor-id count, entry count) of every ``_transpose`` call from here
-    on, in both modules that call it."""
+    on; only the instance module calls it."""
     calls = []
-    for mod in (instance_mod, sketch_mod):
-        def counted(indptr, minor, minor_count, _transpose=mod._transpose):
-            calls.append((minor_count, len(minor)))
-            return _transpose(indptr, minor, minor_count)
-        monkeypatch.setattr(mod, "_transpose", counted)
+
+    def counted(indptr, minor, minor_count, _transpose=instance_mod._transpose):
+        calls.append((minor_count, len(minor)))
+        return _transpose(indptr, minor, minor_count)
+    monkeypatch.setattr(instance_mod, "_transpose", counted)
     return calls

@@ -325,3 +325,38 @@ def test_criterion_9_quality_monotone_in_rho():
     _report(9, "3-seed mean quality improves monotonically with rho", ok,
             "quality by rho: " + ", ".join(f"{r}:{q:.3f}" for r, q in means),
             time.time() - start, 180)
+
+
+def test_criterion_10_small_sketch_keeps_greedy_quality():
+    """The paper's headline claim at Tier-1 scale: a practical sketch at
+    least 100x smaller than a 0.5M-edge planted input, solved by greedy and
+    scored on the input, keeps most of full greedy's coverage.
+
+    Thresholds come from 1,400 runs (instance seeds 0-19 and 100-149, hash
+    seeds 0-19 each): the shrink was 116.8x at least, the quality against
+    full greedy 0.919 at least and against the planted optimum 0.692 at
+    least.  The bounds below leave margins of 16.8x, 0.019 and 0.110.
+    """
+    start = time.time()
+    k, m, kprime = 100, 20_000, 2_000
+    params = practical_params(0.007, 100)
+    eps = 0.05
+    shrinks, vs_greedy, vs_optimum = [], [], []
+    for inst_seed in range(10):
+        inst, planted = generate_planted(k, m, kprime, 0.2, seed=inst_seed)
+        assert inst.edge_count == 500_000
+        assert coverage(inst, planted) == m
+        full = greedy_kcover(inst, k).coverage_value
+        for hash_seed in range(4):
+            sk = build_sketch(inst, params, HashSource(hash_seed))
+            value = coverage(inst, greedy_kcover(sk, k).chosen)
+            shrinks.append(inst.edge_count / sk.instance.edge_count)
+            vs_greedy.append(value / full)
+            vs_optimum.append(value / m)
+    ok = (min(shrinks) >= 100 and min(vs_greedy) >= 0.90
+          and min(vs_optimum) >= 1 - 1 / math.e - eps)
+    _report(10, ">=100x sketch keeps >= 90% of greedy, >= 1-1/e-0.05 of OPT",
+            ok, f"{len(shrinks)} runs, shrink >= {min(shrinks):.1f}x, "
+            f"vs greedy >= {min(vs_greedy):.4f}, "
+            f"vs optimum >= {min(vs_optimum):.4f}",
+            time.time() - start, 30)

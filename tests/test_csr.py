@@ -219,6 +219,22 @@ class TestRunAssembly:
 
     @settings(max_examples=300, deadline=None)
     @given(element_runs())
+    def test_element_runs_constructor(self, case):
+        # Runs may be empty, and with n past the ids drawn, sets may have
+        # no edge.
+        n, counts, set_ids = case
+        elems = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+        got = CoverageInstance._from_element_runs(n, counts, set_ids)
+        assert got._has_element_view()
+        want = CoverageInstance.from_edges(n, len(counts), set_ids, elems)
+        assert (got.n, got.m, got.edge_count) == (want.n, want.m,
+                                                  want.edge_count)
+        assert_arrays_equal(csr_arrays(got), csr_arrays(want))
+        assert_arrays_equal((got.set_sizes, got.elem_degrees),
+                            (want.set_sizes, want.elem_degrees))
+
+    @settings(max_examples=300, deadline=None)
+    @given(element_runs())
     def test_matches_from_edges(self, case):
         n, counts, set_ids = case
         elems = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
@@ -233,6 +249,26 @@ class TestRunAssembly:
         assert_arrays_equal((sk.instance.set_sizes, sk.instance.elem_degrees),
                             (want.set_sizes, want.elem_degrees))
         assert_arrays_equal((sk.selected_elements,), (selected,))
+
+
+class TestNumeratorOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(edge_lists(st.one_of(st.integers(1, 9), WIDE_SIDES), max_edges=30),
+           st.randoms())
+    def test_matches_lexsort(self, case, rnd):
+        """Both variant classes take numerators in set order and derive the
+        element order once, equal to a lexsort of the edges."""
+        n, m, set_ids, elem_ids = case
+        base = CoverageInstance.from_edges(n, m, set_ids, elem_ids)
+        s, e = base.edges()
+        numer = np.array([rnd.randint(0, 5) for _ in range(len(s))],
+                         dtype=np.int64)
+        want = numer[np.lexsort((s, e))]
+        for cls in (FractionalInstance, ProbabilisticInstance):
+            finst = cls(base, numer, 5)
+            got = finst.numer_elem_order
+            assert_arrays_equal((got,), (want,))
+            assert finst.numer_elem_order is got
 
 
 class TestFractionalFromEdges:

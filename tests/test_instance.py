@@ -117,11 +117,14 @@ class TestCoverageInstance:
         b = loads_edge_list("1 1\n0 0\n")
         assert a == b
 
-    def test_equality_compares_element_view(self):
-        a = CoverageInstance.from_edges(2, 2, [0, 1], [0, 1])
-        broken = CoverageInstance(2, 2, a.set_indptr, a.set_elems, [0, 2, 2],
-                                  [0, 1])
-        assert broken != a
+    def test_equality_builds_no_element_view(self):
+        # The element view is a function of the set view, so comparing two
+        # loaded instances transposes neither.
+        a = loads_edge_list("0 0\n1 1\n0 1\n")
+        b = loads_edge_list("0 1\n1 1\n0 0\n")
+        c = loads_edge_list("0 0\n1 1\n")
+        assert a == b and a != c
+        assert not any(i._has_element_view() for i in (a, b, c))
 
     @pytest.mark.parametrize("make", [
         lambda: CoverageInstance.from_edges(0, 1, [], []),
@@ -133,10 +136,52 @@ class TestCoverageInstance:
                            match="^instance needs at least one set$"):
             make()
 
-    def test_element_view_needs_both_arrays(self):
+    def test_constructors_take_one_view(self):
+        # A second copy of the data could disagree with the first: these
+        # numerators gave set 1 a sketch value of 1.0 and a coverage of 0.
         a = CoverageInstance.from_edges(2, 2, [0, 1], [0, 1])
-        with pytest.raises(ValueError, match="both of its arrays"):
-            CoverageInstance(2, 2, a.set_indptr, a.set_elems, a.elem_indptr)
+        with pytest.raises(TypeError):
+            CoverageInstance(2, 2, a.set_indptr, a.set_elems, a.elem_indptr,
+                             a.elem_set_ids)
+        base = CoverageInstance.from_edges(2, 1, [0, 1], [0, 0])
+        for cls in (FractionalInstance, ProbabilisticInstance):
+            with pytest.raises(TypeError):
+                cls(base, [2, 0], [0, 2], 2)
+
+    @pytest.mark.parametrize("make", [
+        lambda: CoverageInstance.from_edges(2, 2, [0.7], [1.9]),
+        lambda: CoverageInstance.from_edges(2, 2, [0], [np.nan]),
+        lambda: WeightedInstance(CoverageInstance.from_edges(
+            2, 4, [0, 0, 1, 1], [0, 1, 2, 3]), [1.5, 2.7, 1, 1], 3),
+        lambda: FractionalInstance.from_edges(2, 2, [0, 1], [0, 1],
+                                              [1.9, 1], 2),
+        lambda: ProbabilisticInstance(CoverageInstance.from_edges(
+            1, 1, [0], [0]), ["1"], 2),
+        lambda: CoverageInstance.from_edges(2, 2, [True], [False]),
+    ], ids=["edge ids", "nan id", "weights", "numerators", "string", "bool"])
+    def test_non_integer_values_rejected(self, make):
+        # A truncating cast would read 1.9 as 1 and 0.7 as 0.
+        with pytest.raises(ValueError, match="must be integers$"):
+            make()
+
+    @pytest.mark.parametrize("U", [2.5, 2.0, True, "2"], ids=repr)
+    def test_non_integer_U_rejected(self, U):
+        # A U of 2.5 would give a fractional coverage of 1.2, and a cast
+        # would truncate it to 2.
+        base = CoverageInstance.from_edges(2, 2, [0, 1], [0, 1])
+        for make in (lambda: WeightedInstance(base, [1, 2], U),
+                     lambda: FractionalInstance(base, [2, 1], U),
+                     lambda: ProbabilisticInstance.from_edges(
+                         2, 2, [0, 1], [0, 1], [2, 1], U)):
+            with pytest.raises(ValueError, match="^U .* is not an integer$"):
+                make()
+
+    def test_integral_floats_accepted(self):
+        inst = CoverageInstance.from_edges(2, 2, [0.0, 1.0], [1.0, 0.0])
+        assert inst == CoverageInstance.from_edges(2, 2, [0, 1], [1, 0])
+        winst = WeightedInstance(inst, np.array([2.0, 1.0]), 2)
+        assert winst.element_weight.dtype == np.int64
+        assert winst.element_weight.tolist() == [2, 1]
 
 
 def _sketch_of_keys(text):
@@ -146,7 +191,7 @@ def _sketch_of_keys(text):
 
 
 # (constructor, transposes a full read of the element view makes).  The
-# sketch assembly hands both views to the constructor.
+# sketch assembly builds both views from the element runs.
 LAZY_CONSTRUCTORS = [
     ("from_edges", lambda: CoverageInstance.from_edges(
         4, 6, [0, 3, 1, 0, 3, 2], [5, 0, 2, 5, 1, 5]), 1),

@@ -575,7 +575,7 @@ class TestSketchFractional:
         inst = random_instance(21, max_n=5, max_m=8)
         U = 3
         ones = np.full(inst.edge_count, U, dtype=np.int64)
-        finst = FractionalInstance(inst, ones, ones.copy(), U)
+        finst = FractionalInstance(inst, ones, U)
         sk = sketch_fractional(finst, practical_params(1.0, 10), HashSource(0))
         chosen = [0, min(1, inst.n - 1)]
         assert coverage(sk, chosen) == U * coverage(inst, chosen)
@@ -599,8 +599,7 @@ class TestSketchProbabilistic:
         inst = random_instance(31, max_n=4, max_m=6)
         U = 2
         numer = np.where(np.arange(inst.edge_count) % 2 == 0, U, 0)
-        pinst = ProbabilisticInstance(inst, numer,
-                                      _elem_order(inst, numer), U)
+        pinst = ProbabilisticInstance(inst, numer, U)
         eps = 0.5
         sk = sketch_probabilistic(pinst, eps, practical_params(1.0, inst.n),
                                   HashSource(3))
@@ -716,8 +715,7 @@ class TestVariantsMatchReference:
         finst, weights = case
         base, U = finst.base, finst.U
         winst = WeightedInstance(base, weights, U)
-        pinst = ProbabilisticInstance(base, finst.numer_set_order,
-                                      finst.numer_elem_order, U)
+        pinst = ProbabilisticInstance(base, finst.numer_set_order, U)
         source = HashSource(seed)
         bits = _coarse_bits if tied else sketch_module._element_bits
         # Small hash blocks walk the block loop of every sample on tiny
@@ -752,7 +750,7 @@ class TestVariantsMatchReference:
         # All numerators U: copy (v, j) has flat id v * U + j, as in the
         # weighted expansion with every weight U, minus its edgeless copies.
         full = np.full(base.edge_count, U, dtype=np.int64)
-        frac = sketch_fractional(FractionalInstance(base, full, full, U),
+        frac = sketch_fractional(FractionalInstance(base, full, U),
                                  params, source)
         heavy = sketch_weighted(WeightedInstance(base, U * ones, U), params,
                                 source)
@@ -768,8 +766,7 @@ def _variant_sketches(case, params, seed, eps):
     finst, weights = case
     base, U = finst.base, finst.U
     winst = WeightedInstance(base, weights, U)
-    pinst = ProbabilisticInstance(base, finst.numer_set_order,
-                                  finst.numer_elem_order, U)
+    pinst = ProbabilisticInstance(base, finst.numer_set_order, U)
     source = HashSource(seed)
     zeta = probabilistic_copy_count(base.n, U, eps)
     heavy = reference_weighted(winst, params, source, merge=False)
@@ -888,7 +885,7 @@ class TestTheoryCopySamples:
         # over the bound falls short.
         base = random_instance(5, max_n=6, max_m=10)
         numer = np.ones(base.edge_count, dtype=np.int64)
-        pinst = ProbabilisticInstance(base, numer, numer.copy(), 4)
+        pinst = ProbabilisticInstance(base, numer, 4)
         params, source = _theory(60), HashSource(7)
         sk, passes = self._passes(
             lambda: sketch_probabilistic(pinst, 0.8, params, source))
@@ -1030,12 +1027,6 @@ class TestExpansionBudget:
         monkeypatch.setattr(instance_module, "_EXPANSION_BUDGET", 1)
         with pytest.raises(ValueError, match="needs 2 copies"):
             sketch_fractional(finst, practical_params(1.0, 1), HashSource(0))
-
-
-def _elem_order(inst, numer_set_order):
-    set_ids, elem_ids = inst.edges()
-    eorder = np.lexsort((set_ids, elem_ids))
-    return np.asarray(numer_set_order)[eorder]
 
 
 class TestSerializeSketch:

@@ -26,6 +26,7 @@ from coversketch import (
     practical_params,
     set_cover_outliers,
     stochastic_greedy,
+    theory_params,
 )
 from coversketch.instance import FractionalInstance, WeightedInstance, \
     ProbabilisticInstance
@@ -124,6 +125,30 @@ class TestChosenIds:
                 miss *= 1.0 - (s + 1) / 7
             assert coverage_probabilistic(pinst, chosen) == 1.0 - miss
             assert coverage_probabilistic(pinst, chosen * 2) == 1.0 - miss
+
+
+# (argument, entry point called with it): every call that takes a count.
+COUNT_ARGUMENTS = {
+    "greedy": ("k", lambda k: greedy_kcover(loads_edge_list(THREE_SETS), k)),
+    "lazy": ("k", lambda k: lazy_greedy(loads_edge_list(THREE_SETS), k)),
+    "stochastic": ("k", lambda k: stochastic_greedy(
+        loads_edge_list(THREE_SETS), k, 0.5, 0)),
+    "brute_force": ("k", lambda k: brute_force_kcover(
+        loads_edge_list(THREE_SETS), k)),
+    "theory_params": ("k", lambda k: theory_params(3, 5, 7, k, 0.5)),
+    "practical_params": ("sigma", lambda sigma: practical_params(0.5, sigma)),
+}
+
+
+@pytest.mark.parametrize("entry", COUNT_ARGUMENTS)
+@pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(2.0), True, "2", None],
+                         ids=repr)
+def test_non_integer_count_is_named(entry, bad):
+    # A cast would silently round or truncate 2.5, and True would read as 1.
+    name, call = COUNT_ARGUMENTS[entry]
+    call(np.int64(2))
+    with pytest.raises(ValueError, match=f"^{name} .* is not an integer$"):
+        call(bad)
 
 
 class TestGreedy:
