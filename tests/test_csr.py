@@ -214,24 +214,10 @@ def element_runs(draw, max_runs=8):
 
 
 class TestRunAssembly:
-    """Sketch assembly from element runs equals ``from_edges`` of the same
-    edges: all four arrays, with their dtypes."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(element_runs())
-    def test_element_runs_constructor(self, case):
-        # Runs may be empty, and with n past the ids drawn, sets may have
-        # no edge.
-        n, counts, set_ids = case
-        elems = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-        got = CoverageInstance._from_element_runs(n, counts, set_ids)
-        assert got._has_element_view()
-        want = CoverageInstance.from_edges(n, len(counts), set_ids, elems)
-        assert (got.n, got.m, got.edge_count) == (want.n, want.m,
-                                                  want.edge_count)
-        assert_arrays_equal(csr_arrays(got), csr_arrays(want))
-        assert_arrays_equal((got.set_sizes, got.elem_degrees),
-                            (want.set_sizes, want.elem_degrees))
+    """Sketch assembly from element runs, which builds both views with
+    ``CoverageInstance._from_element_runs``, equals ``from_edges`` of the
+    same edges: all four arrays, with their dtypes.  Runs may be empty, and
+    sets may have no edge."""
 
     @settings(max_examples=300, deadline=None)
     @given(element_runs())
@@ -242,6 +228,8 @@ class TestRunAssembly:
         sk = _assemble(n, selected, counts, set_ids, 1,
                        practical_params(1.0, 6), 3 * len(counts))
         want = CoverageInstance.from_edges(n, len(counts), set_ids, elems)
+        assert sk.instance._has_element_view()
+        assert (sk.instance.n, sk.instance.m) == (want.n, want.m)
         assert_arrays_equal(csr_arrays(sk.instance), csr_arrays(want))
         assert_arrays_equal(csr_arrays(sk.instance),
                             reference_csr(n, len(counts), set_ids, elems))
@@ -249,26 +237,6 @@ class TestRunAssembly:
         assert_arrays_equal((sk.instance.set_sizes, sk.instance.elem_degrees),
                             (want.set_sizes, want.elem_degrees))
         assert_arrays_equal((sk.selected_elements,), (selected,))
-
-
-class TestNumeratorOrder:
-    @settings(max_examples=200, deadline=None)
-    @given(edge_lists(st.one_of(st.integers(1, 9), WIDE_SIDES), max_edges=30),
-           st.randoms())
-    def test_matches_lexsort(self, case, rnd):
-        """Both variant classes take numerators in set order and derive the
-        element order once, equal to a lexsort of the edges."""
-        n, m, set_ids, elem_ids = case
-        base = CoverageInstance.from_edges(n, m, set_ids, elem_ids)
-        s, e = base.edges()
-        numer = np.array([rnd.randint(0, 5) for _ in range(len(s))],
-                         dtype=np.int64)
-        want = numer[np.lexsort((s, e))]
-        for cls in (FractionalInstance, ProbabilisticInstance):
-            finst = cls(base, numer, 5)
-            got = finst.numer_elem_order
-            assert_arrays_equal((got,), (want,))
-            assert finst.numer_elem_order is got
 
 
 class TestFractionalFromEdges:
@@ -283,6 +251,8 @@ class TestFractionalFromEdges:
             assert_arrays_equal(
                 (finst.numer_set_order, finst.numer_elem_order),
                 reference_numerators(set_ids, elem_ids, numer))
+            # Derived on the first read and kept.
+            assert finst.numer_elem_order is finst.numer_elem_order
 
     @settings(max_examples=100, deadline=None)
     @given(fractional_lists(), st.data())
