@@ -28,17 +28,6 @@ EXPERIMENT_COLUMNS = ["rho", "sigma", "k", "seed", "sketch_edges",
                       "quality_ratio"]
 
 
-def _write_text(path: str, text: str):
-    Path(path).write_text(text)
-
-
-def _header(kind: str, fields: dict, timestamp: bool) -> list[str]:
-    parts = [f"{kind} " + " ".join(f"{k}={v}" for k, v in fields.items())]
-    if timestamp:
-        parts.append("written " + datetime.now(timezone.utc).isoformat())
-    return parts
-
-
 def _load_graph_edges(path):
     """``(nv, u, v)`` of a `u v` edge-list graph with both directions of each
     edge, where the vertex count ``nv`` is 1 + the largest id."""
@@ -53,7 +42,7 @@ def _write_solution(path: str | None, sol: solvers.Solution):
     chosen = np.asarray(sol.chosen, dtype=np.int64)
     text += inst_mod._format_rows([chosen]).decode("ascii")
     if path:
-        _write_text(path, text)
+        Path(path).write_text(text)
     return text
 
 
@@ -63,40 +52,36 @@ def _write_solution(path: str | None, sol: solvers.Solution):
 
 
 def _cmd_generate(args) -> int:
-    ts = not args.no_timestamp
     if args.kind == "planted":
         inst, planted = inst_mod.generate_planted(
             args.k, args.m, args.kprime, args.eps, args.seed)
-        head = _header("generated", {"kind": "planted", "k": args.k,
-                                     "m": args.m, "kprime": args.kprime,
-                                     "eps": args.eps, "seed": args.seed}, ts)
-        inst_mod.serialize_edge_list(inst, args.out, header_lines=head)
-        opt = solvers.Solution(chosen=planted, coverage_value=inst.m,
-                               evaluated_on="instance")
-        _write_solution(args.out + ".opt", opt)
+        fields = {"k": args.k, "m": args.m, "kprime": args.kprime,
+                  "eps": args.eps, "seed": args.seed}
     elif args.kind == "adversarial":
         inst = inst_mod.generate_adversarial(args.n, args.k, args.beta,
                                              args.seed)
-        head = _header("generated", {"kind": "adversarial", "n": args.n,
-                                     "k": args.k, "beta": args.beta,
-                                     "seed": args.seed}, ts)
-        inst_mod.serialize_edge_list(inst, args.out, header_lines=head)
+        fields = {"n": args.n, "k": args.k, "beta": args.beta,
+                  "seed": args.seed}
     elif args.kind == "khop":
         inst = inst_mod._khop_from_edges(*_load_graph_edges(args.graph),
                                          args.hops)
-        head = _header("generated", {"kind": "khop", "hops": args.hops}, ts)
-        inst_mod.serialize_edge_list(inst, args.out, header_lines=head)
+        fields = {"hops": args.hops}
     else:  # feature-pairs
         matrix, _ = inst_mod._read_table(args.matrix, None, "matrix entry")
         inst = inst_mod.feature_pairs_instance(matrix)
-        head = _header("generated", {"kind": "feature-pairs",
-                                     "rows": matrix.shape[0],
-                                     "cols": matrix.shape[1]}, ts)
-        inst_mod.serialize_edge_list(inst, args.out, header_lines=head)
-        if inst.element_labels is not None:
-            labels = np.asarray(inst.element_labels, dtype=np.int64)
-            inst_mod._write_rows(args.out + ".labels", [],
-                                 np.arange(len(labels)), labels)
+        fields = {"rows": matrix.shape[0], "cols": matrix.shape[1]}
+    head = ["generated " + " ".join(
+        f"{k}={v}" for k, v in {"kind": args.kind, **fields}.items())]
+    if not args.no_timestamp:
+        head.append("written " + datetime.now(timezone.utc).isoformat())
+    inst_mod.serialize_edge_list(inst, args.out, header_lines=head)
+    if args.kind == "planted":
+        _write_solution(args.out + ".opt", solvers.Solution(
+            chosen=planted, coverage_value=inst.m, evaluated_on="instance"))
+    if inst.element_labels is not None:
+        labels = np.asarray(inst.element_labels, dtype=np.int64)
+        inst_mod._write_rows(args.out + ".labels", [],
+                             np.arange(len(labels)), labels)
     st = inst_mod.stats(inst)
     print(st.to_json_line())
     return 0
@@ -177,7 +162,7 @@ def _cmd_simulate(args) -> int:
     if args.out_solution:
         _write_solution(args.out_solution, sol)
     if args.out_report:
-        _write_text(args.out_report, report.to_text())
+        Path(args.out_report).write_text(report.to_text())
     print(f"value={sol.coverage_value} rounds={report.rounds_executed} "
           f"divergence={int(report.divergence_flag)}")
     _warn_if_clamped(args, inst.n, inst.m, inst.edge_count)
@@ -438,46 +423,41 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-timestamp", action="store_true")
         p.set_defaults(func=_cmd_generate)
 
-    sk = sub.add_parser("sketch", help="build a sketch of an instance file")
-    sk.add_argument("--in", dest="input", required=True)
+    # Flags shared by sketch, solve and simulate, then by solve and simulate;
+    # a subparser lists its parents' flags before its own.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--in", dest="input", required=True)
+    shared.add_argument("--k", type=int)
+    shared.add_argument("--eps", type=float, default=0.5)
+    shared.add_argument("--delta-dprime", type=float, default=0.5)
+    shared.add_argument("--seed", type=_seed, default=0)
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument("--problem", choices=["kcover", "setcover-outliers"],
+                         required=True)
+    problem.add_argument("--lambda", dest="lam", type=float, default=0.01)
+
+    sk = sub.add_parser("sketch", parents=[shared],
+                        help="build a sketch of an instance file")
     sk.add_argument("--out", required=True)
     sk.add_argument("--rho", type=float)
     sk.add_argument("--sigma", type=int)
     sk.add_argument("--theory", action="store_true")
-    sk.add_argument("--k", type=int)
-    sk.add_argument("--eps", type=float, default=0.5)
-    sk.add_argument("--delta-dprime", type=float, default=0.5)
-    sk.add_argument("--seed", type=_seed, default=0)
     sk.set_defaults(func=_cmd_sketch)
 
-    so = sub.add_parser("solve", help="solve k-cover or set cover with outliers")
-    so.add_argument("--in", dest="input", required=True)
-    so.add_argument("--problem", choices=["kcover", "setcover-outliers"],
-                    required=True)
+    so = sub.add_parser("solve", parents=[shared, problem],
+                        help="solve k-cover or set cover with outliers")
     so.add_argument("--solver",
                     choices=["greedy", "stochastic", "brute-force"],
                     default="greedy")
-    so.add_argument("--k", type=int)
-    so.add_argument("--eps", type=float, default=0.5)
-    so.add_argument("--lambda", dest="lam", type=float, default=0.01)
-    so.add_argument("--delta-dprime", type=float, default=0.5)
     so.add_argument("--engine", choices=["direct", "sketch"], default="direct")
-    so.add_argument("--seed", type=_seed, default=0)
     so.add_argument("--out")
     so.set_defaults(func=_cmd_solve)
 
-    si = sub.add_parser("simulate", help="run the four-round MapReduce pipeline")
-    si.add_argument("--in", dest="input", required=True)
-    si.add_argument("--problem", choices=["kcover", "setcover-outliers"],
-                    required=True)
+    si = sub.add_parser("simulate", parents=[shared, problem],
+                        help="run the four-round MapReduce pipeline")
     si.add_argument("--machines", type=int, required=True)
     si.add_argument("--solver", choices=["greedy", "stochastic"],
                     default="greedy")
-    si.add_argument("--k", type=int)
-    si.add_argument("--eps", type=float, default=0.5)
-    si.add_argument("--lambda", dest="lam", type=float, default=0.01)
-    si.add_argument("--delta-dprime", type=float, default=0.5)
-    si.add_argument("--seed", type=_seed, default=0)
     si.add_argument("--out-solution")
     si.add_argument("--out-report")
     si.set_defaults(func=_cmd_simulate)

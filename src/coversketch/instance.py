@@ -268,12 +268,20 @@ class CoverageInstance:
         if name == "elem_degrees":
             self.elem_degrees = np.bincount(self.set_elems, minlength=self.m)
         elif name in ("elem_indptr", "elem_set_ids"):
-            self.elem_indptr, self.elem_set_ids, _ = _transpose(
-                self.set_indptr, self.set_elems, self.m)
-            self.elem_degrees = np.diff(self.elem_indptr)
+            self._element_order()
         else:
             raise AttributeError(name)
         return object.__getattribute__(self, name)
+
+    def _element_order(self) -> np.ndarray:
+        """Positions in the set view of the element view's entries, from one
+        :func:`_transpose`, whose element view is kept if none is built."""
+        elem_indptr, elem_set_ids, order = _transpose(
+            self.set_indptr, self.set_elems, self.m)
+        if not self._has_element_view():
+            self.elem_indptr, self.elem_set_ids = elem_indptr, elem_set_ids
+            self.elem_degrees = np.diff(elem_indptr)
+        return order
 
     def _has_element_view(self) -> bool:
         """Whether the element view is built; asking builds nothing."""
@@ -358,8 +366,8 @@ class FractionalInstance:
 
     Fractions are stored exactly as integer numerators: ``alpha = numer / U``
     with ``numer`` in ``[0, U]``, one per edge in the base's set order.
-    ``numer_elem_order``, in its element order, is derived on first read by
-    one :func:`_transpose` of the base's set view and kept.
+    ``numer_elem_order``, in its element order, is derived on first read
+    from the transpose that builds the base's element view, and kept.
     """
 
     base: CoverageInstance
@@ -380,9 +388,7 @@ class FractionalInstance:
     @cached_property
     def numer_elem_order(self) -> np.ndarray:
         """The numerators aligned with ``base.elem_set_ids``."""
-        base = self.base
-        order = _transpose(base.set_indptr, base.set_elems, base.m)[2]
-        return self.numer_set_order[order]
+        return self.numer_set_order[self.base._element_order()]
 
     @classmethod
     def from_edges(cls, n, m, set_ids, elem_ids, numer, U):

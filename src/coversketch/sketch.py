@@ -799,12 +799,13 @@ def sketch_probabilistic(pinst: ProbabilisticInstance, eps: float,
     zeta = probabilistic_copy_count(base.n, pinst.U, eps)
     _check_budget(zeta * base.m, "copies", "increase eps")
     coin_base = source._base(_TAG_EDGE_COIN)
-    # Per base edge: the set half of its coin key, hashed once per set, and
-    # the integer cut of its probability.
+    # Per base edge: the integer cut of its probability, read first so that
+    # one transpose builds the base's element view too, and the set half of
+    # its coin key, hashed once per set.
+    edge_limit = _unit_limit(pinst.numer_elem_order / pinst.U)
     set_half = _combine_array(coin_base ^ _GOLDEN,
                               np.arange(base.n, dtype=np.int64))
     edge_half = set_half[base.elem_set_ids]
-    edge_limit = _unit_limit(pinst.numer_elem_order / pinst.U)
 
     def coin_hit(flat_ids, j, pos, copy):
         z = _combine_array(coin_base, flat_ids)[copy]

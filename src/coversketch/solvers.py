@@ -113,11 +113,17 @@ def _check_ids(n: int, chosen) -> list[int]:
     return list(dict.fromkeys(ids))
 
 
+def _chosen_edges(inst: CoverageInstance, chosen) -> np.ndarray:
+    """Set-view positions of the edges of the distinct chosen sets, set by
+    set in first-occurrence order, read in one gather."""
+    ids = np.array(_check_ids(inst.n, chosen), dtype=np.int64)
+    return _gather_positions(inst.set_indptr, ids, inst.set_sizes[ids])
+
+
 def _covered(inst: CoverageInstance, chosen) -> np.ndarray:
     """Mask of the elements of ``inst`` that the chosen sets cover."""
     covered = np.zeros(inst.m, dtype=bool)
-    for s in _check_ids(inst.n, chosen):
-        covered[inst.set_elements(s)] = True
+    covered[inst.set_elems[_chosen_edges(inst, chosen)]] = True
     return covered
 
 
@@ -137,23 +143,20 @@ def coverage_weighted(winst: WeightedInstance, chosen) -> int:
 def coverage_fractional(finst: FractionalInstance, chosen) -> float:
     """Sum over elements of the best fraction any chosen set provides."""
     base = finst.base
-    ids = _check_ids(base.n, chosen)
+    pos = _chosen_edges(base, chosen)
     best = np.zeros(base.m, dtype=np.int64)
-    for s in ids:
-        lo, hi = base.set_indptr[s], base.set_indptr[s + 1]
-        np.maximum.at(best, base.set_elems[lo:hi], finst.numer_set_order[lo:hi])
+    np.maximum.at(best, base.set_elems[pos], finst.numer_set_order[pos])
     return float(best.sum()) / finst.U
 
 
 def coverage_probabilistic(pinst: ProbabilisticInstance, chosen) -> float:
-    """Expected covered mass: sum over elements of 1 - prod(1 - alpha)."""
+    """Expected covered mass: sum over elements of 1 - prod(1 - alpha),
+    each element's misses multiplied in first-occurrence order of the sets."""
     base = pinst.base
-    ids = _check_ids(base.n, chosen)
+    pos = _chosen_edges(base, chosen)
     miss = np.ones(base.m, dtype=np.float64)
-    for s in ids:
-        lo, hi = base.set_indptr[s], base.set_indptr[s + 1]
-        np.multiply.at(miss, base.set_elems[lo:hi],
-                       1.0 - pinst.numer_set_order[lo:hi] / pinst.U)
+    np.multiply.at(miss, base.set_elems[pos],
+                   1.0 - pinst.numer_set_order[pos] / pinst.U)
     return float((1.0 - miss).sum())
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from coversketch import generate_planted, greedy_kcover, \
     instance as instance_mod, load_edge_list, serialize_edge_list, \
     sketch as sketch_mod
-from coversketch.cli import main
+from coversketch.cli import _build_parser, main
 from coversketch.sketch import HashSource, build_sketch, practical_params, \
     serialize_sketch, theory_params
 
@@ -634,6 +634,39 @@ class TestExtremeArguments:
         assert err.startswith("error: expansion needs 1000000001000000000 "
                               "edges, over the budget of 10000000")
         assert peak < 2**20
+
+
+# Command: (its required flags, the flags argparse names when all are
+# missing, whether it takes --lambda).
+SHARED_FLAG_COMMANDS = {
+    "sketch": (["--in", "IN", "--out", "OUT"], "--in, --out", False),
+    "solve": (["--in", "IN", "--problem", "kcover"], "--in, --problem", True),
+    "simulate": (["--in", "IN", "--problem", "kcover", "--machines", "2"],
+                 "--in, --problem, --machines", True),
+}
+
+
+class TestSharedFlags:
+    """sketch, solve and simulate share --in/--k/--eps/--delta-dprime/--seed,
+    and solve and simulate --problem/--lambda, with the same defaults."""
+
+    @pytest.mark.parametrize("command", SHARED_FLAG_COMMANDS)
+    def test_defaults(self, command):
+        flags, _, takes_lambda = SHARED_FLAG_COMMANDS[command]
+        args = _build_parser().parse_args([command, *flags])
+        assert args.input == "IN"
+        assert (args.eps, args.delta_dprime, args.seed) == (0.5, 0.5, 0)
+        assert args.k is None
+        assert getattr(args, "lam", None) == (0.01 if takes_lambda else None)
+
+    @pytest.mark.parametrize("command", SHARED_FLAG_COMMANDS)
+    def test_required_message(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"coversketch {command}: error: the following arguments are "
+            f"required: {SHARED_FLAG_COMMANDS[command][1]}\n")
 
 
 class TestNegativeSeed:

@@ -40,7 +40,8 @@ from coversketch.instance import (
     serialize_fractional_edge_list,
     serialize_weighted_edge_list,
 )
-from coversketch.sketch import HashSource, build_sketch, practical_params
+from coversketch.sketch import HashSource, build_sketch, practical_params, \
+    sketch_fractional, sketch_probabilistic
 
 import planted_reference
 from conftest import decimals
@@ -337,6 +338,48 @@ class TestLazyElementView:
         full.elem_indptr
         assert sk == build_sketch(full, practical_params(0.5, 2),
                                   HashSource(3))
+
+    @pytest.mark.parametrize("cls", [FractionalInstance,
+                                     ProbabilisticInstance])
+    def test_variant_sketch_transposes_the_base_once(self, cls, transposes):
+        # numer_elem_order comes from the transpose that builds the base's
+        # element view: the first sketch of a fresh instance makes one
+        # transpose of the whole set view, and a second sketch none.
+        n, m, U = 7, 40, 4
+        rng = np.random.default_rng(5)
+        keys = rng.choice(n * m, size=120, replace=False)
+        numer = rng.integers(0, U + 1, size=len(keys))
+
+        def make():
+            return cls.from_edges(n, m, keys // m, keys % m, numer, U)
+
+        def sketch(finst):
+            params, source = practical_params(0.5, 3), HashSource(2)
+            if cls is FractionalInstance:
+                return sketch_fractional(finst, params, source)
+            return sketch_probabilistic(finst, 0.9, params, source)
+
+        finst = make()
+        full = (m, finst.base.edge_count)
+        first = sketch(finst)
+        assert transposes.count(full) == 1
+        del transposes[:]
+        assert sketch(finst) == first
+        assert full not in transposes
+        base = finst.base
+        _, want_ids, order = _transpose(base.set_indptr, base.set_elems, m)
+        np.testing.assert_array_equal(base.elem_set_ids, want_ids)
+        np.testing.assert_array_equal(finst.numer_elem_order,
+                                      finst.numer_set_order[order])
+        # An element view built before keeps its arrays.
+        finst = make()
+        base = finst.base
+        views = (base.elem_indptr, base.elem_set_ids, base.elem_degrees)
+        np.testing.assert_array_equal(finst.numer_elem_order,
+                                      finst.numer_set_order[order])
+        assert all(got is want for got, want in zip(
+            (base.elem_indptr, base.elem_set_ids, base.elem_degrees), views))
+        assert sketch(finst) == first
 
     def test_generate_commands_never_transpose(self, tmp_path, capsys,
                                                transposes):

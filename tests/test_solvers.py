@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from coversketch import (
     BudgetExceededError,
@@ -35,6 +35,7 @@ from coversketch import solvers as solvers_module
 from coversketch.solvers import _engine, _greedy_run, _stochastic, \
     cover_threshold, guess_ladder
 
+import coverage_reference
 import distsim_reference
 from conftest import decimals, random_instance
 
@@ -125,6 +126,52 @@ class TestChosenIds:
                 miss *= 1.0 - (s + 1) / 7
             assert coverage_probabilistic(pinst, chosen) == 1.0 - miss
             assert coverage_probabilistic(pinst, chosen * 2) == 1.0 - miss
+
+
+@st.composite
+def scored_instances(draw):
+    """(n, m, U, set ids, element ids, numerators, weights, chosen): distinct
+    edges (possibly none, and sets with no edge), one numerator in [0, U]
+    per edge, one weight in [1, U] per element, and chosen ids with repeats
+    as Python or numpy integers."""
+    n, m, U = draw(st.integers(1, 6)), draw(st.integers(1, 8)), \
+        draw(st.integers(1, 9))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, m - 1)), unique=True))
+    numer = draw(st.lists(st.integers(0, U), min_size=len(pairs),
+                          max_size=len(pairs)))
+    weight = draw(st.lists(st.integers(1, U), min_size=m, max_size=m))
+    kinds = st.sampled_from([int, np.int64, np.int32, np.uint8])
+    chosen = draw(st.lists(st.tuples(st.integers(0, n - 1), kinds),
+                           max_size=2 * n))
+    return (n, m, U, [s for s, _ in pairs], [e for _, e in pairs], numer,
+            np.array(weight), [kind(s) for s, kind in chosen])
+
+
+class TestScorersMatchLoops:
+    @settings(max_examples=300, deadline=None)
+    @given(scored_instances())
+    # Element 0's misses 4/5, 2/5 and 1/5 multiply to a different last bit
+    # in reverse order, so this case pins the order of the sets.
+    @example((3, 1, 5, [0, 1, 2], [0, 0, 0], [1, 3, 4], np.array([1]),
+              [0, np.int64(1), np.uint8(2), 0]))
+    def test_one_gather_equals_the_set_loop(self, case):
+        n, m, U, set_ids, elem_ids, numer, weight, chosen = case
+        inst = CoverageInstance.from_edges(n, m, set_ids, elem_ids)
+        winst = WeightedInstance(inst, weight, U)
+        finst = FractionalInstance.from_edges(n, m, set_ids, elem_ids,
+                                              numer, U)
+        pinst = ProbabilisticInstance.from_edges(n, m, set_ids, elem_ids,
+                                                 numer, U)
+        for ids in (chosen, np.array(chosen, dtype=np.int64), []):
+            assert coverage(inst, ids) == coverage_reference.coverage(
+                inst, ids)
+            assert coverage_weighted(winst, ids) == \
+                coverage_reference.coverage(inst, ids, weight)
+            assert coverage_fractional(finst, ids) == \
+                coverage_reference.coverage_fractional(finst, ids)
+            assert coverage_probabilistic(pinst, ids) == \
+                coverage_reference.coverage_probabilistic(pinst, ids)
 
 
 # (argument, entry point called with it): every call that takes a count.
